@@ -10,7 +10,6 @@ from .core import (
     NetworkParams,
     PhysicalityError,
     RangeError,
-    RingIndex,
     SingularMatrixError,
     coupling_matrix,
     neighbor_offsets,

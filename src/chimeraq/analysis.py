@@ -86,15 +86,6 @@ def squeezing(p: NetworkParams, cov: CovarianceMatrix) -> list[SqueezingEllipse]
     return out
 
 
-def squeezed_fraction(p: NetworkParams, ellipses: list[SqueezingEllipse]) -> float:
-    """Fraction of sites with minor variance below the vacuum value hbar/2.
-
-    Zero for covariances propagated from the vacuum along a segment with
-    kappa2 |alpha|^2 <= kappa1 throughout (see :class:`SqueezingEllipse`).
-    """
-    return sum(e.lambda_min < 0.5 * p.hbar for e in ellipses) / len(ellipses)
-
-
 def axial_circular_variance(angles: np.ndarray) -> float:
     """Circular variance 1 - |<e^{2 i theta}>| for axial (period-pi) data."""
     a = np.asarray(angles, dtype=float)

@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -49,9 +48,11 @@ from .fluctuations import (
 from .meanfield import (
     InitialConditionSpec,
     MeanFieldTrajectory,
+    _step_count,
     classify,
     initial_conditions,
     integrate,
+    spacetime_grid,
 )
 
 EXPERIMENTS = (
@@ -64,6 +65,9 @@ EXPERIMENTS = (
     "reproduce-fig3",
     "reproduce-fig4",
 )
+
+#: experiments that stop at the mean-field snapshot (no covariance run)
+CLASSICAL = ("meanfield", "reproduce-fig1")
 
 #: (label, coupling strength, snapshot time) of the three reference states
 FIG_STATES = (
@@ -125,6 +129,10 @@ class ExperimentConfig:
         for name in ("dt_mf", "dt_cov", "sample_spacing", "window_spacing"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
+        try:
+            _step_count(0.0, self.delta_t, self.dt_cov)
+        except ValueError as exc:
+            raise ConfigError(f"dt_cov must divide delta_t: {exc}") from exc
         if not 1 <= self.mi_partition <= self.params.N - 1:
             raise ConfigError(
                 f"mi_partition must be in 1..{self.params.N - 1}, got {self.mi_partition}"
@@ -293,23 +301,18 @@ def _covariance_run(
     return propagate_covariance(p, seg, vacuum_covariance(p, t=snapshot.t), dt=cfg.dt_cov)
 
 
-def _grid_rows(parts: list[MeanFieldTrajectory], which: str):
+def _grid_rows(parts: list[MeanFieldTrajectory], columns: tuple[str, ...]):
+    """Rows (t, l, *columns) over consecutive parts, each time written once."""
     t_seen = -np.inf
     for traj in parts:
-        phi = np.angle(traj.alphas)
-        r2 = traj.alphas.real**2 + traj.alphas.imag**2
-        for k in range(len(traj)):
-            t = float(traj.times[k])
+        grids = dict(zip(("phi", "r2"), spacetime_grid(traj)))
+        for k, t in enumerate(traj.times):
+            t = float(t)
             if t <= t_seen + 1e-12:
                 continue
             t_seen = t
             for l in range(traj.params.N):
-                if which == "both":
-                    yield (t, l + 1, phi[k, l], r2[k, l])
-                elif which == "phi":
-                    yield (t, l + 1, phi[k, l])
-                else:
-                    yield (t, l + 1, r2[k, l])
+                yield (t, l + 1, *(grids[c][l, k] for c in columns))
 
 
 def _regime_dict(label) -> dict | None:
@@ -322,12 +325,37 @@ def _regime_dict(label) -> dict | None:
     }
 
 
+def _state_run(
+    cfg: ExperimentConfig, p: NetworkParams, state0: MeanFieldState, t0: float,
+    manifest: dict, name: str | None = None,
+):
+    """Snapshot at ``t0`` -> regime label -> covariance over ``delta_t``.
+
+    Records the regime and the minimum physicality margin in ``manifest``,
+    under ``name`` for the fig3/fig4 triplet.  Classical experiments stop
+    after the label and return no covariance trajectory.
+    """
+    parts, fine, snapshot = _snapshot_run(p, state0, t0, cfg)
+    label = _classify_window(fine, cfg)
+    if name is None:
+        manifest["regime"] = _regime_dict(label)
+    else:
+        manifest["regime"][name] = _regime_dict(label)
+    if cfg.experiment in CLASSICAL:
+        return parts, snapshot, label, None
+    cov_traj = _covariance_run(p, snapshot, cfg)
+    key = "physicality_margin_min" if name is None else f"physicality_margin_min_{name}"
+    manifest[key] = cov_traj.min_physicality_margin()
+    return parts, snapshot, label, cov_traj
+
+
 def run(cfg: ExperimentConfig) -> dict:
     """Execute the configured experiment; returns the manifest dict."""
     t_start = time.monotonic()
     p = cfg.params
     outdir = Path(cfg.outputs)
     outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "manifest.json").unlink(missing_ok=True)
     files: list[str] = []
     manifest: dict = {
         "experiment": cfg.experiment,
@@ -347,23 +375,16 @@ def run(cfg: ExperimentConfig) -> dict:
     elif cfg.experiment == "reproduce-fig4":
         _run_fig4(cfg, state0, emit, manifest)
     else:
-        parts, fine, snapshot = _snapshot_run(p, state0, cfg.t0, cfg)
-        label = _classify_window(fine, cfg)
-        manifest["regime"] = _regime_dict(label)
+        parts, snapshot, label, cov_traj = _state_run(cfg, p, state0, cfg.t0, manifest)
         emit("snapshot.json", io.save_state, snapshot, p, None)
 
         if cfg.experiment == "meanfield":
             emit("meanfield_grid.csv", io.write_csv, ["t", "l", "phi", "r2"],
-                 _grid_rows(parts, "both"))
+                 _grid_rows(parts, ("phi", "r2")))
         elif cfg.experiment == "reproduce-fig1":
-            emit("fig1_phi.csv", io.write_csv, ["t", "l", "phi"], _grid_rows(parts, "phi"))
-            emit("fig1_r2.csv", io.write_csv, ["t", "l", "r2"], _grid_rows(parts, "r2"))
+            emit("fig1_phi.csv", io.write_csv, ["t", "l", "phi"], _grid_rows(parts, ("phi",)))
+            emit("fig1_r2.csv", io.write_csv, ["t", "l", "r2"], _grid_rows(parts, ("r2",)))
         else:
-            cov_traj = _covariance_run(p, snapshot, cfg)
-            manifest["physicality_margin_min"] = cov_traj.min_physicality_margin()
-            manifest["beyond_validated_horizon"] = bool(
-                cfg.delta_t > VALIDATED_HORIZON + 1e-12
-            )
             cov = cov_traj.final_cov
             if cfg.experiment == "fluctuations":
                 emit("covariance.csv", io.write_covariance, cov)
@@ -403,6 +424,8 @@ def run(cfg: ExperimentConfig) -> dict:
                     rows.append((l, H[0, 0], H[0, 1], H[1, 1]))
                 emit("fig2_husimi.csv", io.write_csv, ["l", "qq", "qp", "pp"], rows)
 
+    if cfg.experiment not in CLASSICAL:
+        manifest["beyond_validated_horizon"] = bool(cfg.delta_t > VALIDATED_HORIZON + 1e-12)
     manifest["files"] = files + ["manifest.json"]
     manifest["wall_time_s"] = time.monotonic() - t_start
     io.write_json(outdir / "manifest.json", manifest)
@@ -410,13 +433,10 @@ def run(cfg: ExperimentConfig) -> dict:
 
 
 def _run_fig3(cfg: ExperimentConfig, state0: MeanFieldState, emit, manifest: dict) -> None:
-    regimes = {}
+    manifest["regime"] = {}
     for tag, (name, V, t_snap) in zip("abc", cfg.fig_states):
         p = replace(cfg.params, V=V)
-        parts, fine, snapshot = _snapshot_run(p, state0, t_snap, cfg)
-        label = _classify_window(fine, cfg)
-        regimes[name] = _regime_dict(label)
-        cov_traj = _covariance_run(p, snapshot, cfg)
+        _, snapshot, _, cov_traj = _state_run(cfg, p, state0, t_snap, manifest, name)
         cov = cov_traj.final_cov
         a = snapshot.alphas
         emit(f"fig3{tag}_phases.csv", io.write_csv, ["l", "phi"],
@@ -425,23 +445,16 @@ def _run_fig3(cfg: ExperimentConfig, state0: MeanFieldState, emit, manifest: dic
         psi = weighted_correlation(p, cov)
         emit(f"fig3{tag}_psi.csv", io.write_csv, ["l", "psi"],
              [(l + 1, psi[l]) for l in range(p.N)])
-        key = f"physicality_margin_min_{name}"
-        manifest[key] = cov_traj.min_physicality_margin()
-    manifest["regime"] = regimes
-    manifest["beyond_validated_horizon"] = bool(cfg.delta_t > VALIDATED_HORIZON + 1e-12)
 
 
 def _run_fig4(cfg: ExperimentConfig, state0: MeanFieldState, emit, manifest: dict) -> None:
-    regimes = {}
+    manifest["regime"] = {}
     scan_rows = []
     mi_rows = []
     part = Partition(cfg.mi_partition)
     for name, V, t_snap in cfg.fig_states:
         p = replace(cfg.params, V=V)
-        parts, fine, snapshot = _snapshot_run(p, state0, t_snap, cfg)
-        label = _classify_window(fine, cfg)
-        regimes[name] = _regime_dict(label)
-        cov_traj = _covariance_run(p, snapshot, cfg)
+        _, _, _, cov_traj = _state_run(cfg, p, state0, t_snap, manifest, name)
         scan = mi_scan(p, cov_traj.final_cov)
         scan_rows.extend((name, V, L, scan[L]) for L in sorted(scan))
         for k in range(len(cov_traj)):
@@ -449,13 +462,9 @@ def _run_fig4(cfg: ExperimentConfig, state0: MeanFieldState, emit, manifest: dic
                 (name, V, float(cov_traj.times[k]),
                  mutual_information(p, cov_traj.cov(k), part))
             )
-        key = f"physicality_margin_min_{name}"
-        manifest[key] = cov_traj.min_physicality_margin()
     emit("fig4a_mi_scan.csv", io.write_csv, ["state", "V", "L", "I2"], scan_rows)
     emit("fig4b_mi_vs_t.csv", io.write_csv, ["state", "V", "t", "I2"], mi_rows)
-    manifest["regime"] = regimes
     manifest["mi_partition"] = cfg.mi_partition
-    manifest["beyond_validated_horizon"] = bool(cfg.delta_t > VALIDATED_HORIZON + 1e-12)
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
@@ -496,43 +505,32 @@ def _record_dict(record) -> dict:
     }
 
 
-def seed_sweep(cfg: ExperimentConfig, seeds: list[int], max_workers: int = 4) -> tuple[dict, int]:
-    """Run the experiment once per seed; summarize regimes and MI values.
+def seed_sweep(cfg: ExperimentConfig, seeds: list[int]) -> tuple[dict, int]:
+    """Run the experiment once per seed, one after another; summarize
+    regimes and MI values.
 
     Returns (sweep manifest, exit code); a failed seed yields exit code 4
     and is listed in the report, successful seeds are still written.
     """
     if not seeds:
         raise ConfigError("seed sweep needs at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"seed sweep has repeated seeds: {seeds}")
     if cfg.ic is None:
         raise ConfigError("seed sweep requires inline ic, not ic_file")
     outdir = Path(cfg.outputs)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    def one(seed: int):
-        sub = replace(
-            cfg,
-            ic=replace(cfg.ic, seed=seed),
-            outputs=str(outdir / f"seed_{seed}"),
-        )
-        return run(sub)
-
-    results: dict[int, dict | Exception] = {}
-    with ThreadPoolExecutor(max_workers=min(max_workers, len(seeds))) as pool:
-        futures = {seed: pool.submit(one, seed) for seed in seeds}
-        for seed, fut in futures.items():
-            try:
-                results[seed] = fut.result()
-            except Exception as exc:  # collected into the partial-failure report
-                results[seed] = exc
+    (outdir / "sweep_manifest.json").unlink(missing_ok=True)
 
     rows = []
     mi_values = []
     widths = []
     failed = []
     for seed in seeds:
-        res = results[seed]
-        if isinstance(res, Exception):
+        sub = replace(cfg, ic=replace(cfg.ic, seed=seed), outputs=str(outdir / f"seed_{seed}"))
+        try:
+            res = run(sub)
+        except Exception:  # collected into the partial-failure report
             failed.append(seed)
             rows.append((seed, "failed", "", "", ""))
             continue
@@ -562,7 +560,7 @@ def seed_sweep(cfg: ExperimentConfig, seeds: list[int], max_workers: int = 4) ->
         "seeds": seeds,
         "failed_seeds": failed,
         "files": ["sweep_summary.csv", "sweep_manifest.json"]
-        + [f"seed_{s}" for s in seeds if not isinstance(results[s], Exception)],
+        + [f"seed_{s}" for s in seeds if s not in failed],
     }
     io.write_json(outdir / "sweep_manifest.json", sweep_manifest)
     return sweep_manifest, (4 if failed else 0)

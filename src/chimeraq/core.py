@@ -92,23 +92,6 @@ def validate_params(p: NetworkParams) -> NetworkParams:
     return p
 
 
-@dataclass(frozen=True)
-class RingIndex:
-    """Site label on a ring of n sites, stored as its canonical 1-based
-    representative (periodic identification l == l + n)."""
-
-    l: int
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise RangeError(f"ring size must be >= 1, got {self.n}")
-        object.__setattr__(self, "l", (self.l - 1) % self.n + 1)
-
-    def shift(self, k: int) -> "RingIndex":
-        return RingIndex(self.l + k, self.n)
-
-
 def neighbor_offsets(p: NetworkParams) -> tuple[int, ...]:
     """Nonzero index offsets (mod N) of the coupling window -d..d.
 
@@ -127,22 +110,13 @@ def neighbor_offsets(p: NetworkParams) -> tuple[int, ...]:
     return tuple(offsets)
 
 
-def neighbors(p: NetworkParams, l: int | RingIndex) -> tuple[int, ...]:
+def neighbors(p: NetworkParams, l: int) -> tuple[int, ...]:
     """1-based sites coupled to site ``l``, in window order l-d..l+d.
 
     Exactly 2d sites, or N-1 after de-duplication in the all-to-all case.
     """
-    site0 = (int(l.l if isinstance(l, RingIndex) else l) - 1) % p.N
-    out = []
-    seen = set()
-    for o in range(-p.d, p.d + 1):
-        if o == 0:
-            continue
-        m = (site0 + o) % p.N
-        if m != site0 and m not in seen:
-            seen.add(m)
-            out.append(m + 1)
-    return tuple(out)
+    site0 = (int(l) - 1) % p.N
+    return tuple((site0 + r) % p.N + 1 for r in neighbor_offsets(p))
 
 
 def coupling_matrix(p: NetworkParams) -> np.ndarray:
@@ -152,6 +126,24 @@ def coupling_matrix(p: NetworkParams) -> np.ndarray:
     for o in neighbor_offsets(p):
         K[idx, (idx + o) % p.N] = 1.0
     return K
+
+
+def rk4_step(f, y: tuple, dt: float) -> tuple:
+    """One classic fixed-step RK4 step of dy/dt = f(*y).
+
+    ``y`` is a tuple of arrays (parts may differ in shape) and ``f(*y)``
+    returns one derivative per part.  Every integrator in the package takes
+    its steps here; callers apply their own symmetrizations afterwards.
+    """
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    k1 = f(*y)
+    k2 = f(*[u + half * k for u, k in zip(y, k1)])
+    k3 = f(*[u + half * k for u, k in zip(y, k2)])
+    k4 = f(*[u + dt * k for u, k in zip(y, k3)])
+    return tuple(
+        u + sixth * (a + 2.0 * (b + c) + d) for u, a, b, c, d in zip(y, k1, k2, k3, k4)
+    )
 
 
 @dataclass(frozen=True)

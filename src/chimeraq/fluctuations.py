@@ -14,7 +14,7 @@ differential equation
 
     dC/dt = A(t) C + C A(t)^T + B(t).
 
-Two independent integration routes are provided:
+Two integration routes over independent equations are provided:
 
 * :func:`propagate_covariance` advances the quadrature Lyapunov equation,
 * :func:`moment_oracle` advances the complex second moments <a_l a_m> and
@@ -22,7 +22,8 @@ Two independent integration routes are provided:
   cross-validate the first route.
 
 Both advance the mean field jointly with the fluctuations in a single RK4
-state, so stage values of alpha are exact rather than interpolated.
+state (:func:`~chimeraq.core.rk4_step`), so stage values of alpha are exact
+rather than interpolated.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ from .core import (
     NetworkParams,
     PhysicalityError,
     coupling_matrix,
+    rk4_step,
     validate_params,
 )
-from .meanfield import MeanFieldTrajectory, _rhs
+from .meanfield import MeanFieldTrajectory, _rhs_of, _step_count
 
 #: physicality violations larger than this (in units of hbar) are errors,
 #: smaller ones are treated as roundoff
@@ -153,16 +155,7 @@ class CovarianceTrajectory:
 
 
 def _substeps(times: np.ndarray, dt: float) -> list[int]:
-    subs = []
-    for k in range(len(times) - 1):
-        span = float(times[k + 1] - times[k])
-        n = int(round(span / dt))
-        if n < 1 or abs(n * dt - span) > 1e-9 * max(1.0, span):
-            raise ValueError(
-                f"dt={dt} does not divide the segment spacing {span:g}"
-            )
-        subs.append(n)
-    return subs
+    return [_step_count(float(a), float(b), dt) for a, b in zip(times[:-1], times[1:])]
 
 
 def _check_c0(p: NetworkParams, C0: CovarianceMatrix) -> np.ndarray:
@@ -195,43 +188,30 @@ def propagate_covariance(
     times = mf_segment.times
     subs = _substeps(times, dt)
 
-    K = coupling_matrix(p)
-    k1, k2 = p.kappa1, p.kappa2
-    cV = p.V / (2.0 * p.d)
+    mf_rhs = _rhs_of(p)
     A_coup = _coupling_drift(p)
     iq = 2 * np.arange(p.N)
     ip = iq + 1
 
-    def lyap_rhs(alpha: np.ndarray, Cm: np.ndarray) -> np.ndarray:
+    def joint_rhs(alpha: np.ndarray, Cm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         A = A_coup.copy()
         m, sr, si, b = _site_block_coeffs(p, alpha)
         _fill_drift(A, iq, ip, m, sr, si)
         M = A @ Cm
         out = M + M.T
         out.flat[:: 2 * p.N + 1] += np.repeat(b, 2)
-        return out
+        return mf_rhs(alpha), out
 
     a = np.array(mf_segment.alphas[0])
     covs = [C.copy()]
     margins = [physicality_margin(C, p.hbar)]
-    half = 0.5 * dt
-    sixth = dt / 6.0
     for k, n_sub in enumerate(subs):
         for _ in range(n_sub):
-            fa1 = _rhs(a, k1, k2, cV, K)
-            fc1 = lyap_rhs(a, C)
-            a2 = a + half * fa1
-            fa2 = _rhs(a2, k1, k2, cV, K)
-            fc2 = lyap_rhs(a2, C + half * fc1)
-            a3 = a + half * fa2
-            fa3 = _rhs(a3, k1, k2, cV, K)
-            fc3 = lyap_rhs(a3, C + half * fc2)
-            a4 = a + dt * fa3
-            fa4 = _rhs(a4, k1, k2, cV, K)
-            fc4 = lyap_rhs(a4, C + dt * fc3)
-            a = a + sixth * (fa1 + 2.0 * (fa2 + fa3) + fa4)
-            C = C + sixth * (fc1 + 2.0 * (fc2 + fc3) + fc4)
-            C = 0.5 * (C + C.T)
+            a, C = rk4_step(joint_rhs, (a, C), dt)
+            # symmetrize in place, same bits as 0.5 * (C + C.T): at large N a
+            # fresh array here lets malloc trim the heap and refault it each step
+            C += C.T
+            C *= 0.5
         margin = physicality_margin(C, p.hbar)
         if margin < -PHYSICALITY_TOL * p.hbar:
             raise PhysicalityError(
@@ -288,19 +268,20 @@ def moment_oracle(
         dn/dt = F* n + n F^T + G* s + s* G + 2 kappa1 I
 
     with F the complex drift and G_l = -2 kappa2 alpha_l^2 the squeezing
-    coefficients, then converts each sample to quadratures.  Shares nothing
-    with :func:`propagate_covariance` beyond the mean-field right-hand side,
-    so agreement between the two validates both.
+    coefficients, then converts each sample to quadratures.  Shares only
+    the mean-field right-hand side and :func:`~chimeraq.core.rk4_step` with
+    :func:`propagate_covariance`; the moment equations are independent of
+    the Lyapunov route, so agreement between the two validates both.
     """
     validate_params(p)
     C = _check_c0(p, C0)
     times = mf_segment.times
     subs = _substeps(times, dt)
 
-    K = coupling_matrix(p)
+    mf_rhs = _rhs_of(p)
     k1, k2 = p.kappa1, p.kappa2
     cV = p.V / (2.0 * p.d)
-    F_stat = (-1j * cV) * K.astype(complex)
+    F_stat = (-1j * cV) * coupling_matrix(p).astype(complex)
     eyeN = np.eye(p.N)
     gain = 2.0 * k1 * eyeN
 
@@ -311,7 +292,7 @@ def moment_oracle(
         Gn = G[:, None] * n
         ds = F @ s + s @ F.T + Gn + Gn.T + np.diag(G)
         dn = F.conj() @ n + n @ F.T + G.conj()[:, None] * s + s.conj() * G[None, :] + gain
-        return ds, dn
+        return mf_rhs(alpha), ds, dn
 
     a = np.array(mf_segment.alphas[0])
     s, n = covariance_to_moments(C, p.hbar)
@@ -319,24 +300,9 @@ def moment_oracle(
     n = n.astype(complex)
     covs = [moments_to_covariance(s, n, p.hbar)]
     margins = [physicality_margin(covs[0], p.hbar)]
-    half = 0.5 * dt
-    sixth = dt / 6.0
     for k, n_sub in enumerate(subs):
         for _ in range(n_sub):
-            fa1 = _rhs(a, k1, k2, cV, K)
-            ds1, dn1 = moment_rhs(a, s, n)
-            a2 = a + half * fa1
-            fa2 = _rhs(a2, k1, k2, cV, K)
-            ds2, dn2 = moment_rhs(a2, s + half * ds1, n + half * dn1)
-            a3 = a + half * fa2
-            fa3 = _rhs(a3, k1, k2, cV, K)
-            ds3, dn3 = moment_rhs(a3, s + half * ds2, n + half * dn2)
-            a4 = a + dt * fa3
-            fa4 = _rhs(a4, k1, k2, cV, K)
-            ds4, dn4 = moment_rhs(a4, s + dt * ds3, n + dt * dn3)
-            a = a + sixth * (fa1 + 2.0 * (fa2 + fa3) + fa4)
-            s = s + sixth * (ds1 + 2.0 * (ds2 + ds3) + ds4)
-            n = n + sixth * (dn1 + 2.0 * (dn2 + dn3) + dn4)
+            a, s, n = rk4_step(moment_rhs, (a, s, n), dt)
             s = 0.5 * (s + s.T)
             n = 0.5 * (n + n.conj().T)
         C = moments_to_covariance(s, n, p.hbar)
@@ -366,22 +332,14 @@ def propagate_frozen(
     frozen matrices (the full propagator always rebuilds A, B from the
     mean field).
     """
-    n = int(round(horizon / dt))
-    if n < 1 or abs(n * dt - horizon) > 1e-9 * max(1.0, horizon):
-        raise ValueError(f"dt={dt} does not divide the horizon {horizon}")
+    n = _step_count(0.0, horizon, dt)
     C = np.array(C0, dtype=float)
 
     def rhs(Cm):
         M = A @ Cm
-        return M + M.T + B
+        return (M + M.T + B,)
 
-    half = 0.5 * dt
-    sixth = dt / 6.0
     for _ in range(n):
-        k1 = rhs(C)
-        k2 = rhs(C + half * k1)
-        k3 = rhs(C + half * k2)
-        k4 = rhs(C + dt * k3)
-        C = C + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        (C,) = rk4_step(rhs, (C,), dt)
         C = 0.5 * (C + C.T)
     return C

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import CovarianceMatrix, MeanFieldState, NetworkParams
-from .meanfield import InitialConditionSpec, MeanFieldTrajectory
+from .meanfield import InitialConditionSpec
 
 
 def fmt(x) -> str:
@@ -109,19 +109,6 @@ def load_state(path: Path) -> tuple[MeanFieldState, NetworkParams]:
             f"state file holds {alphas.shape[0]} amplitudes, params say N={p.N}"
         )
     return MeanFieldState(t=float(obj.get("t", 0.0)), alphas=alphas), p
-
-
-def write_spacetime(path: Path, traj: MeanFieldTrajectory, which: str) -> None:
-    """Space-time grid as rows t,l,phi,r2 ordered by time then site."""
-    phi = np.angle(traj.alphas)
-    r2 = traj.alphas.real**2 + traj.alphas.imag**2
-    grid = phi if which == "phi" else r2
-    rows = (
-        (traj.times[k], l + 1, grid[k, l])
-        for k in range(len(traj))
-        for l in range(traj.params.N)
-    )
-    write_csv(path, ["t", "l", which], rows)
 
 
 def write_covariance(path: Path, cov: CovarianceMatrix) -> None:

@@ -25,6 +25,7 @@ from .core import (
     NetworkParams,
     RangeError,
     coupling_matrix,
+    rk4_step,
     validate_params,
 )
 
@@ -100,8 +101,14 @@ def initial_conditions(p: NetworkParams, ic: InitialConditionSpec) -> MeanFieldS
 
 def mean_field_rhs(p: NetworkParams, s: MeanFieldState) -> np.ndarray:
     """Right-hand side of the coupled Stuart-Landau equations at state ``s``."""
+    return _rhs_of(p)(s.alphas)
+
+
+def _rhs_of(p: NetworkParams):
+    """The right-hand side for ``p`` as a function of the amplitudes alone."""
     K = coupling_matrix(p)
-    return _rhs(s.alphas, p.kappa1, p.kappa2, p.V / (2.0 * p.d), K)
+    cV = p.V / (2.0 * p.d)
+    return lambda alphas: _rhs(alphas, p.kappa1, p.kappa2, cV, K)
 
 
 def _rhs(alphas: np.ndarray, k1: float, k2: float, cV: float, K: np.ndarray) -> np.ndarray:
@@ -200,22 +207,18 @@ def integrate_many(
         raise ValueError(f"t_end={t_end} must exceed the start time {t0}")
 
     n_steps = _step_count(t0, t_end, dt)
-    K = coupling_matrix(p)
-    k1, k2 = p.kappa1, p.kappa2
-    cV = p.V / (2.0 * p.d)
+    rhs = _rhs_of(p)
+
+    def f(x):
+        return (rhs(x),)
+
     blow_up = (DIVERGENCE_FACTOR * p.limit_cycle_radius) ** 2
 
     a = np.array([s.alphas for s in states0], dtype=complex)
     sample_steps = [0]
     samples = [a.copy()]
-    half = 0.5 * dt
-    sixth = dt / 6.0
     for step in range(1, n_steps + 1):
-        f1 = _rhs(a, k1, k2, cV, K)
-        f2 = _rhs(a + half * f1, k1, k2, cV, K)
-        f3 = _rhs(a + half * f2, k1, k2, cV, K)
-        f4 = _rhs(a + dt * f3, k1, k2, cV, K)
-        a = a + sixth * (f1 + 2.0 * (f2 + f3) + f4)
+        (a,) = rk4_step(f, (a,), dt)
         if step % sample_every == 0 or step == n_steps:
             mag2 = a.real**2 + a.imag**2
             if not np.all(np.isfinite(mag2)) or np.any(mag2 > blow_up):

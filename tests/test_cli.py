@@ -116,6 +116,14 @@ class TestConfigErrors:
         cfg = write_config(tmp_path / "c.json", ic={"seed": 0}, ic_file=str(icf))
         assert main(["meanfield", "--config", str(cfg)]) == 2
 
+    def test_dt_cov_rejected_before_the_transient(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", outputs=str(out), t0=3000.5, dt_cov=0.0007)
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "dt_cov" in err["error"]["message"]
+        assert not (out / "snapshot.json").exists()
+
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.json",
@@ -272,6 +280,56 @@ class TestRunPipelines:
         assert not (tmp_path / "env").exists()
 
 
+class TestFailedRerun:
+    """A failed rerun into a directory never leaves a manifest that
+    describes other files."""
+
+    def assert_consistent(self, out: Path):
+        if not (out / "manifest.json").exists():
+            return
+        manifest = read_manifest(out)
+        assert set(manifest["files"]) == {f.name for f in out.iterdir()}
+        ic = json.loads((out / "initial_conditions.json").read_text())
+        assert manifest["config"]["ic"]["seed"] == ic["ic"]["seed"]
+
+    def test_rerun_with_bad_dt_cov(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c1.json", outputs=str(out))
+        assert main(["analyze", "--config", str(cfg)]) == 0
+        cfg = write_config(
+            tmp_path / "c2.json", outputs=str(out), ic={"seed": 2}, dt_cov=0.0007
+        )
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        self.assert_consistent(out)
+
+    def test_rerun_that_diverges(self, tmp_path):
+        out = tmp_path / "out"
+        common = dict(
+            params={"N": 3, "d": 1, "V": 0.5, "kappa2": 0.2},
+            t0=10.0, window_spacing=5.0, sample_spacing=5.0, outputs=str(out),
+        )
+        cfg = write_config(tmp_path / "c1.json", ic={"seed": 1, "r0": 4.0}, **common)
+        assert main(["meanfield", "--config", str(cfg)]) == 0
+        assert (out / "manifest.json").exists()
+        cfg = write_config(
+            tmp_path / "c2.json", ic={"seed": 2, "r0": 4.0}, dt_mf=5.0, **common
+        )
+        assert main(["meanfield", "--config", str(cfg)]) == 3
+        assert (out / "initial_conditions.json").exists()
+        assert not (out / "manifest.json").exists()
+
+    def test_sweep_rerun_that_fails(self, tmp_path):
+        out = tmp_path / "sweep"
+        cfg = write_config(tmp_path / "c1.json", outputs=str(out))
+        assert main(["meanfield", "--config", str(cfg), "--seeds", "1,2"]) == 0
+        assert (out / "sweep_manifest.json").exists()
+        # a summary write that fails after the sweep has started
+        (out / "sweep_summary.csv").unlink()
+        (out / "sweep_summary.csv").mkdir()
+        assert main(["meanfield", "--config", str(cfg), "--seeds", "3,4"]) == 3
+        assert not (out / "sweep_manifest.json").exists()
+
+
 class TestSeedSweep:
     def test_two_seed_sweep(self, tmp_path):
         out = tmp_path / "sweep"
@@ -310,3 +368,23 @@ class TestSeedSweep:
         assert code == 4
         sweep = json.loads((out / "sweep_manifest.json").read_text())
         assert sweep["failed_seeds"] == [1, 2]
+
+    def test_repeated_seeds_rejected(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        cfg = write_config(tmp_path / "c.json", outputs=str(out))
+        assert main(["meanfield", "--config", str(cfg), "--seeds", "3,3"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigError"
+        assert not out.exists()
+
+    def test_sweep_grids_match_solo_runs(self, tmp_path):
+        out = tmp_path / "sweep"
+        cfg = write_config(tmp_path / "c.json", outputs=str(out))
+        assert main(["meanfield", "--config", str(cfg), "--seeds", "1,2"]) == 0
+        for seed in (1, 2):
+            solo = tmp_path / f"solo_{seed}"
+            assert main(
+                ["meanfield", "--config", str(cfg), "--seed", str(seed), "--out", str(solo)]
+            ) == 0
+            grid = (out / f"seed_{seed}" / "meanfield_grid.csv").read_bytes()
+            assert grid == (solo / "meanfield_grid.csv").read_bytes()

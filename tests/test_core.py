@@ -7,12 +7,12 @@ from chimeraq import (
     MeanFieldState,
     NetworkParams,
     RangeError,
-    RingIndex,
     coupling_matrix,
     neighbor_offsets,
     neighbors,
     validate_params,
 )
+from chimeraq.core import rk4_step
 
 
 class TestValidateParams:
@@ -87,9 +87,6 @@ class TestNeighbors:
             for m in sets[l]:
                 assert l in sets[m]
 
-    def test_accepts_ring_index(self, paper_params):
-        assert neighbors(paper_params, RingIndex(51, 50)) == neighbors(paper_params, 1)
-
 
 class TestCouplingMatrix:
     def test_structure(self, paper_params):
@@ -109,16 +106,41 @@ class TestCouplingMatrix:
         assert sorted(neighbor_offsets(p)) == [1, 2, 3, 4]
 
 
-class TestRingIndex:
-    def test_canonicalization(self):
-        assert RingIndex(0, 5).l == 5
-        assert RingIndex(6, 5).l == 1
-        assert RingIndex(-4, 5).l == 1
-        assert RingIndex(3, 5).l == 3
+class TestRk4Step:
+    """A tuple state whose parts differ in shape: a vector with rates lam and
+    a 2x2 matrix under a damped rotation, both with closed forms."""
 
-    def test_shift(self):
-        assert RingIndex(5, 5).shift(1).l == 1
-        assert RingIndex(1, 5).shift(-1).l == 5
+    lam = np.array([-1.0, 0.5, -2.0])
+    A = np.array([[-0.3, 2.0], [-2.0, -0.3]])
+
+    def f(self, v, M):
+        return self.lam * v, self.A @ M
+
+    def integrate(self, dt, T=1.0):
+        y = (np.array([1.0, -2.0, 0.5]), np.array([[1.0, 0.2], [-0.4, 1.5]]))
+        y0 = y
+        for _ in range(int(round(T / dt))):
+            y = rk4_step(self.f, y, dt)
+        c, s = np.cos(2.0 * T), np.sin(2.0 * T)
+        exact = (
+            y0[0] * np.exp(self.lam * T),
+            np.exp(-0.3 * T) * np.array([[c, s], [-s, c]]) @ y0[1],
+        )
+        return y, exact
+
+    def test_matches_closed_form(self):
+        y, exact = self.integrate(0.01)
+        assert isinstance(y, tuple) and len(y) == 2
+        for got, want in zip(y, exact):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) < 1e-8
+
+    def test_fourth_order(self):
+        errs = []
+        for dt in (0.1, 0.05):
+            y, exact = self.integrate(dt)
+            errs.append(max(np.max(np.abs(g - w)) for g, w in zip(y, exact)))
+        assert 14.0 < errs[0] / errs[1] < 18.0
 
 
 class TestStates:
