@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import (
     CovarianceMatrix,
+    DivergenceError,
     NetworkParams,
     RangeError,
     SingularMatrixError,
@@ -197,14 +198,21 @@ def build_record(
     regime: RegimeLabel | None = None,
     anchor: int = 1,
 ) -> AnalysisRecord:
-    """Assemble the full analysis record for one covariance snapshot."""
+    """Assemble the full analysis record for one covariance snapshot.
+
+    Raises:
+        DivergenceError: if the correlation profile is not finite (the
+            covariance blew up).
+        SingularMatrixError: if the scan gives a negative mutual information,
+            which no positive-definite covariance can (Fischer's inequality).
+    """
     psi = weighted_correlation(p, cov)
     if not np.all(np.isfinite(psi)):
-        raise ValueError("non-finite weighted correlation profile")
+        raise DivergenceError("non-finite weighted correlation profile")
     scan = mi_scan(p, cov, anchor=anchor)
     low = min(scan.values())
     if low < -1e-9:
-        raise ValueError(f"negative mutual information {low:.3e} in scan")
+        raise SingularMatrixError(f"negative mutual information {low:.3e} in scan")
     return AnalysisRecord(
         t=cov.t,
         psi=psi,

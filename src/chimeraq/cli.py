@@ -30,13 +30,9 @@ from .analysis import (
     weighted_correlation,
 )
 from .core import (
-    DivergenceError,
-    InsufficientDataError,
     MeanFieldState,
     NetworkParams,
-    PhysicalityError,
     RangeError,
-    SingularMatrixError,
     validate_params,
 )
 from .fluctuations import (
@@ -52,6 +48,7 @@ from .meanfield import (
     classify,
     initial_conditions,
     integrate,
+    integrate_many,
     spacetime_grid,
 )
 
@@ -68,6 +65,9 @@ EXPERIMENTS = (
 
 #: experiments that stop at the mean-field snapshot (no covariance run)
 CLASSICAL = ("meanfield", "reproduce-fig1")
+
+#: experiments that snapshot the FIG_STATES triplet instead of one state at t0
+TRIPLET = ("reproduce-fig3", "reproduce-fig4")
 
 #: (label, coupling strength, snapshot time) of the three reference states
 FIG_STATES = (
@@ -141,7 +141,26 @@ class ExperimentConfig:
             name, V, t_snap = entry
             if V < 0 or t_snap < 0:
                 raise ConfigError(f"invalid fig state {name}: V and t0 must be >= 0")
+        if self.ic_file is None:
+            self.check_grid(0.0)
         return self
+
+    def check_grid(self, start: float) -> None:
+        """Reject snapshot times whose mean-field phases from the start
+        state's time ``start`` are off the ``dt_mf`` grid, before any
+        integration."""
+        if self.experiment in TRIPLET:
+            times = [t_snap for _, _, t_snap in self.fig_states]
+        else:
+            times = [self.t0]
+        for t_snap in (t for t in times if t > start):
+            t_from = start
+            for t_end, _ in _phases(start, t_snap, self):
+                try:
+                    _step_count(t_from, t_end, self.dt_mf)
+                except ValueError as exc:
+                    raise ConfigError(f"snapshot time is off the dt_mf grid: {exc}") from exc
+                t_from = t_end
 
 
 _CONFIG_KEYS = {
@@ -238,6 +257,7 @@ def _initial_state(cfg: ExperimentConfig, p: NetworkParams) -> MeanFieldState:
             raise ConfigError(
                 f"ic_file has N={file_params.N}, config has N={p.N}"
             )
+        cfg.check_grid(state.t)
         return state
     return initial_conditions(p, cfg.ic)
 
@@ -251,29 +271,43 @@ def _round_to_step(t: float, dt: float) -> float:
 
 
 def _snapshot_run(
-    p: NetworkParams, state0: MeanFieldState, t0: float, cfg: ExperimentConfig
-) -> tuple[list[MeanFieldTrajectory], MeanFieldTrajectory | None, MeanFieldState]:
-    """Integrate to the snapshot time in two phases: a sparsely sampled
-    transient and a finely sampled trailing window for classification."""
-    if t0 <= state0.t:
-        return [], None, state0
-    window = min(cfg.classify_window, t0 - state0.t)
-    t_mid = _round_to_step(t0 - window, cfg.dt_mf)
-    parts: list[MeanFieldTrajectory] = []
-    cur = state0
-    if t_mid > state0.t + 0.5 * cfg.dt_mf:
-        traj = integrate(
-            p, cur, t_mid, dt=cfg.dt_mf,
-            sample_every=_sample_every(cfg.sample_spacing, cfg.dt_mf),
+    p: NetworkParams, states0: list[MeanFieldState], t0: float, cfg: ExperimentConfig
+) -> list[tuple[list[MeanFieldTrajectory], MeanFieldTrajectory | None, MeanFieldState] | Exception]:
+    """Integrate start states that share a start time to the snapshot time,
+    as one batch, in two phases: a sparsely sampled transient and a finely
+    sampled trailing window for classification.
+
+    Returns, per start state, (parts, fine window, snapshot) or the error
+    that ended its run; the other states go on without it.
+    """
+    if not states0 or t0 <= states0[0].t:
+        return [([], None, s) for s in states0]
+    results: list = [[] for _ in states0]  # parts so far, or the error
+    cur = list(states0)
+    for t_end, spacing in _phases(states0[0].t, t0, cfg):
+        live = [i for i, r in enumerate(results) if isinstance(r, list)]
+        trajs = integrate_many(
+            p, [cur[i] for i in live], t_end, dt=cfg.dt_mf,
+            sample_every=_sample_every(spacing, cfg.dt_mf),
         )
-        parts.append(traj)
-        cur = traj.final_state
-    fine = integrate(
-        p, cur, t0, dt=cfg.dt_mf,
-        sample_every=_sample_every(cfg.window_spacing, cfg.dt_mf),
-    )
-    parts.append(fine)
-    return parts, fine, fine.final_state
+        for i, traj in zip(live, trajs):
+            if isinstance(traj, Exception):
+                results[i] = traj
+            else:
+                results[i].append(traj)
+                cur[i] = traj.final_state
+    return [r if isinstance(r, Exception) else (r, r[-1], r[-1].final_state) for r in results]
+
+
+def _phases(start: float, t0: float, cfg: ExperimentConfig) -> list[tuple[float, float]]:
+    """(end time, sample spacing) of the transient and of the trailing
+    classify window from ``start`` to a later snapshot time ``t0``."""
+    window = min(cfg.classify_window, t0 - start)
+    t_mid = _round_to_step(t0 - window, cfg.dt_mf)
+    phases = [(t0, cfg.window_spacing)]
+    if t_mid > start + 0.5 * cfg.dt_mf:
+        phases.insert(0, (t_mid, cfg.sample_spacing))
+    return phases
 
 
 def _classify_window(
@@ -326,16 +360,18 @@ def _regime_dict(label) -> dict | None:
 
 
 def _state_run(
-    cfg: ExperimentConfig, p: NetworkParams, state0: MeanFieldState, t0: float,
-    manifest: dict, name: str | None = None,
+    cfg: ExperimentConfig, p: NetworkParams, snap, manifest: dict, name: str | None = None,
 ):
-    """Snapshot at ``t0`` -> regime label -> covariance over ``delta_t``.
+    """Snapshot (one ``_snapshot_run`` result) -> regime label -> covariance
+    over ``delta_t``.
 
     Records the regime and the minimum physicality margin in ``manifest``,
     under ``name`` for the fig3/fig4 triplet.  Classical experiments stop
     after the label and return no covariance trajectory.
     """
-    parts, fine, snapshot = _snapshot_run(p, state0, t0, cfg)
+    if isinstance(snap, Exception):
+        raise snap
+    parts, fine, snapshot = snap
     label = _classify_window(fine, cfg)
     if name is None:
         manifest["regime"] = _regime_dict(label)
@@ -349,33 +385,92 @@ def _state_run(
     return parts, snapshot, label, cov_traj
 
 
+class _Run:
+    """One run in progress: output directory, manifest and its own wall time.
+
+    Opening a run removes any earlier ``manifest.json``, then draws and
+    writes the start state.
+    """
+
+    def __init__(self, cfg: ExperimentConfig):
+        t_start = time.monotonic()
+        self.cfg = cfg
+        self.outdir = Path(cfg.outputs)
+        self.outdir.mkdir(parents=True, exist_ok=True)
+        (self.outdir / "manifest.json").unlink(missing_ok=True)
+        self.files: list[str] = []
+        self.manifest: dict = {
+            "experiment": cfg.experiment,
+            "version": __version__,
+            "config": _config_echo(cfg),
+        }
+        self.state0 = _initial_state(cfg, cfg.params)
+        self.emit("initial_conditions.json", io.save_state, self.state0, cfg.params, cfg.ic)
+        self.wall_s = time.monotonic() - t_start
+
+    def emit(self, name: str, writer, *args) -> None:
+        writer(self.outdir / name, *args)
+        self.files.append(name)
+
+
+def _attempt(fn, *args):
+    """``fn(*args)``, or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # kept per run; the caller decides what to raise
+        return exc
+
+
+def _run_seeds(cfgs: list[ExperimentConfig]) -> tuple[list[dict | Exception], float]:
+    """Run configs that differ only in IC seed and output directory.
+
+    Every run first draws and writes its start state.  The mean-field
+    transient and classify window to ``t0`` then run once, as one batch (the
+    fig3/fig4 triplet integrates its own states inside each run).  Each run
+    then classifies, propagates and writes on its own.
+
+    Returns, per config, the manifest or the exception that ended that run,
+    and the wall time of the batched transient.  A run's ``wall_time_s``
+    counts that transient only when the batch held that run alone.
+    """
+    runs: list = [_attempt(_Run, cfg) for cfg in cfgs]
+    live = [i for i, r in enumerate(runs) if isinstance(r, _Run)]
+    cfg = cfgs[0]
+    t_start = time.monotonic()
+    if cfg.experiment in TRIPLET:
+        snaps = [None] * len(live)
+    else:
+        snaps = _attempt(_snapshot_run, cfg.params, [runs[i].state0 for i in live], cfg.t0, cfg)
+        if isinstance(snaps, Exception):
+            snaps = [snaps] * len(live)
+    transient_s = time.monotonic() - t_start
+    for i, snap in zip(live, snaps):
+        if len(live) == 1:
+            runs[i].wall_s += transient_s
+        runs[i] = _attempt(_finish, runs[i], snap)
+    return runs, transient_s
+
+
 def run(cfg: ExperimentConfig) -> dict:
     """Execute the configured experiment; returns the manifest dict."""
+    (result,), _ = _run_seeds([cfg])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _finish(r: _Run, snap) -> dict:
+    """Classify, propagate and write one run from its snapshot; the manifest
+    is written last."""
     t_start = time.monotonic()
+    cfg, manifest, emit, state0 = r.cfg, r.manifest, r.emit, r.state0
     p = cfg.params
-    outdir = Path(cfg.outputs)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "manifest.json").unlink(missing_ok=True)
-    files: list[str] = []
-    manifest: dict = {
-        "experiment": cfg.experiment,
-        "version": __version__,
-        "config": _config_echo(cfg),
-    }
-
-    def emit(name: str, writer, *args) -> None:
-        writer(outdir / name, *args)
-        files.append(name)
-
-    state0 = _initial_state(cfg, p)
-    emit("initial_conditions.json", io.save_state, state0, p, cfg.ic)
-
     if cfg.experiment == "reproduce-fig3":
         _run_fig3(cfg, state0, emit, manifest)
     elif cfg.experiment == "reproduce-fig4":
         _run_fig4(cfg, state0, emit, manifest)
     else:
-        parts, snapshot, label, cov_traj = _state_run(cfg, p, state0, cfg.t0, manifest)
+        parts, snapshot, label, cov_traj = _state_run(cfg, p, snap, manifest)
         emit("snapshot.json", io.save_state, snapshot, p, None)
 
         if cfg.experiment == "meanfield":
@@ -426,9 +521,9 @@ def run(cfg: ExperimentConfig) -> dict:
 
     if cfg.experiment not in CLASSICAL:
         manifest["beyond_validated_horizon"] = bool(cfg.delta_t > VALIDATED_HORIZON + 1e-12)
-    manifest["files"] = files + ["manifest.json"]
-    manifest["wall_time_s"] = time.monotonic() - t_start
-    io.write_json(outdir / "manifest.json", manifest)
+    manifest["files"] = r.files + ["manifest.json"]
+    manifest["wall_time_s"] = r.wall_s + time.monotonic() - t_start
+    io.write_json(r.outdir / "manifest.json", manifest)
     return manifest
 
 
@@ -436,7 +531,8 @@ def _run_fig3(cfg: ExperimentConfig, state0: MeanFieldState, emit, manifest: dic
     manifest["regime"] = {}
     for tag, (name, V, t_snap) in zip("abc", cfg.fig_states):
         p = replace(cfg.params, V=V)
-        _, snapshot, _, cov_traj = _state_run(cfg, p, state0, t_snap, manifest, name)
+        (snap,) = _snapshot_run(p, [state0], t_snap, cfg)
+        _, snapshot, _, cov_traj = _state_run(cfg, p, snap, manifest, name)
         cov = cov_traj.final_cov
         a = snapshot.alphas
         emit(f"fig3{tag}_phases.csv", io.write_csv, ["l", "phi"],
@@ -454,7 +550,8 @@ def _run_fig4(cfg: ExperimentConfig, state0: MeanFieldState, emit, manifest: dic
     part = Partition(cfg.mi_partition)
     for name, V, t_snap in cfg.fig_states:
         p = replace(cfg.params, V=V)
-        _, _, _, cov_traj = _state_run(cfg, p, state0, t_snap, manifest, name)
+        (snap,) = _snapshot_run(p, [state0], t_snap, cfg)
+        _, _, _, cov_traj = _state_run(cfg, p, snap, manifest, name)
         scan = mi_scan(p, cov_traj.final_cov)
         scan_rows.extend((name, V, L, scan[L]) for L in sorted(scan))
         for k in range(len(cov_traj)):
@@ -506,11 +603,12 @@ def _record_dict(record) -> dict:
 
 
 def seed_sweep(cfg: ExperimentConfig, seeds: list[int]) -> tuple[dict, int]:
-    """Run the experiment once per seed, one after another; summarize
-    regimes and MI values.
+    """Run the experiment once per seed, with one batched mean-field
+    transient for all seeds; summarize regimes and MI values.
 
     Returns (sweep manifest, exit code); a failed seed yields exit code 4
-    and is listed in the report, successful seeds are still written.
+    and is listed with its error in the report, successful seeds are still
+    written.
     """
     if not seeds:
         raise ConfigError("seed sweep needs at least one seed")
@@ -522,16 +620,20 @@ def seed_sweep(cfg: ExperimentConfig, seeds: list[int]) -> tuple[dict, int]:
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "sweep_manifest.json").unlink(missing_ok=True)
 
+    subs = [
+        replace(cfg, ic=replace(cfg.ic, seed=seed), outputs=str(outdir / f"seed_{seed}"))
+        for seed in seeds
+    ]
+    results, transient_s = _run_seeds(subs)
     rows = []
     mi_values = []
     widths = []
     failed = []
-    for seed in seeds:
-        sub = replace(cfg, ic=replace(cfg.ic, seed=seed), outputs=str(outdir / f"seed_{seed}"))
-        try:
-            res = run(sub)
-        except Exception:  # collected into the partial-failure report
+    errors = {}
+    for seed, res in zip(seeds, results):
+        if isinstance(res, Exception):  # collected into the partial-failure report
             failed.append(seed)
+            errors[str(seed)] = _error_dict(res)
             rows.append((seed, "failed", "", "", ""))
             continue
         regime = res.get("regime") or {}
@@ -559,6 +661,8 @@ def seed_sweep(cfg: ExperimentConfig, seeds: list[int]) -> tuple[dict, int]:
         "version": __version__,
         "seeds": seeds,
         "failed_seeds": failed,
+        "errors": errors,
+        "transient_wall_time_s": transient_s,
         "files": ["sweep_summary.csv", "sweep_manifest.json"]
         + [f"seed_{s}" for s in seeds if s not in failed],
     }
@@ -566,10 +670,11 @@ def seed_sweep(cfg: ExperimentConfig, seeds: list[int]) -> tuple[dict, int]:
     return sweep_manifest, (4 if failed else 0)
 
 
-def _error_json(exc: Exception, code: int) -> str:
-    return json.dumps(
-        {"error": {"type": type(exc).__name__, "message": str(exc), "exit_code": code}}
-    )
+def _error_dict(exc: Exception) -> dict:
+    """Type, message and exit code of a failure: 2 for config errors (every
+    ``ValueError``), 3 for numerical and any other module failures."""
+    code = 2 if isinstance(exc, ValueError) else 3
+    return {"type": type(exc).__name__, "message": str(exc), "exit_code": code}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -597,19 +702,16 @@ def main(argv: list[str] | None = None) -> int:
                 cfg = replace(cfg, ic=replace(cfg.ic, seed=seeds[0]))
                 run(cfg)
                 return 0
-            _, code = seed_sweep(cfg, seeds)
+            sweep, code = seed_sweep(cfg, seeds)
+            for seed, error in sweep["errors"].items():
+                print(json.dumps({"seed": int(seed), "error": error}), file=sys.stderr)
             return code
         run(cfg)
         return 0
-    except (DivergenceError, PhysicalityError, SingularMatrixError) as exc:
-        print(_error_json(exc, 3), file=sys.stderr)
-        return 3
-    except (ConfigError, RangeError, InsufficientDataError, ValueError) as exc:
-        print(_error_json(exc, 2), file=sys.stderr)
-        return 2
-    except Exception as exc:  # any other module failure counts as numerical
-        print(_error_json(exc, 3), file=sys.stderr)
-        return 3
+    except Exception as exc:
+        error = _error_dict(exc)
+        print(json.dumps({"error": error}), file=sys.stderr)
+        return error["exit_code"]
 
 
 if __name__ == "__main__":

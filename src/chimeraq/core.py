@@ -122,9 +122,8 @@ def neighbors(p: NetworkParams, l: int) -> tuple[int, ...]:
 def coupling_matrix(p: NetworkParams) -> np.ndarray:
     """N x N 0/1 adjacency matrix of the coupling window (zero diagonal)."""
     K = np.zeros((p.N, p.N))
-    idx = np.arange(p.N)
-    for o in neighbor_offsets(p):
-        K[idx, (idx + o) % p.N] = 1.0
+    idx = np.arange(p.N)[:, None]
+    K[idx, (idx + np.array(neighbor_offsets(p))) % p.N] = 1.0
     return K
 
 

@@ -106,15 +106,18 @@ def mean_field_rhs(p: NetworkParams, s: MeanFieldState) -> np.ndarray:
 
 def _rhs_of(p: NetworkParams):
     """The right-hand side for ``p`` as a function of the amplitudes alone."""
-    K = coupling_matrix(p)
+    KT = np.ascontiguousarray(coupling_matrix(p).T, dtype=complex)
     cV = p.V / (2.0 * p.d)
-    return lambda alphas: _rhs(alphas, p.kappa1, p.kappa2, cV, K)
+    return lambda alphas: _rhs(alphas, p.kappa1, p.kappa2, cV, KT)
 
 
-def _rhs(alphas: np.ndarray, k1: float, k2: float, cV: float, K: np.ndarray) -> np.ndarray:
-    # alphas may be (N,) or batched (B, N); K multiplies the site axis.
+def _rhs(alphas: np.ndarray, k1: float, k2: float, cV: float, KT: np.ndarray) -> np.ndarray:
+    # alphas may be (N,) or batched (B, N); KT is the complex K.T.  The
+    # coupling is a stack of one vector-matrix product per row, so each row
+    # has the same bits whatever batch it sits in; a (B, N) @ (N, N) product
+    # does not guarantee that.
     local = alphas * (k1 - 2.0 * k2 * (alphas.real**2 + alphas.imag**2))
-    return local - 1j * cV * (alphas @ K.T)
+    return local - 1j * cV * (alphas[..., None, :] @ KT)[..., 0, :]
 
 
 @dataclass(frozen=True)
@@ -176,6 +179,8 @@ def integrate(
             radius (numerical blow-up, not a valid state).
     """
     (traj,) = integrate_many(p, [s0], t_end, dt=dt, sample_every=sample_every)
+    if isinstance(traj, DivergenceError):
+        raise traj
     return traj
 
 
@@ -185,11 +190,15 @@ def integrate_many(
     t_end: float,
     dt: float = 1e-2,
     sample_every: int = 1,
-) -> list[MeanFieldTrajectory]:
+) -> list[MeanFieldTrajectory | DivergenceError]:
     """Integrate several independent initial states on one clock.
 
     All states must share the start time; the batch advances in lockstep,
-    which amortizes the per-step cost across runs (seed sweeps).
+    which amortizes the per-step cost across runs (seed sweeps).  Each row
+    has the same bits as a solo ``integrate`` of its state.  A row that
+    fails the divergence check at a sample step retires there: its slot
+    holds the ``DivergenceError`` a solo run would raise, and the other
+    rows go on.
     """
     validate_params(p)
     if dt <= 0:
@@ -214,23 +223,35 @@ def integrate_many(
 
     blow_up = (DIVERGENCE_FACTOR * p.limit_cycle_radius) ** 2
 
+    sample_steps = list(range(0, n_steps + 1, sample_every))
+    if sample_steps[-1] != n_steps:
+        sample_steps.append(n_steps)
     a = np.array([s.alphas for s in states0], dtype=complex)
-    sample_steps = [0]
-    samples = [a.copy()]
+    stack = np.empty((a.shape[0], len(sample_steps), p.N), dtype=complex)  # (B, T, N)
+    stack[:, 0] = a
+    rows = np.arange(a.shape[0])  # batch index of each row still in ``a``
+    errors: dict[int, DivergenceError] = {}
+    k = 1
     for step in range(1, n_steps + 1):
         (a,) = rk4_step(f, (a,), dt)
-        if step % sample_every == 0 or step == n_steps:
+        if step == sample_steps[k]:
             mag2 = a.real**2 + a.imag**2
-            if not np.all(np.isfinite(mag2)) or np.any(mag2 > blow_up):
-                raise DivergenceError(
-                    f"|alpha| exceeded {DIVERGENCE_FACTOR} r0 at t={t0 + step * dt:g}"
-                )
-            sample_steps.append(step)
-            samples.append(a.copy())
+            bad = ~np.all(mag2 <= blow_up, axis=1)  # NaN and inf fail too
+            if bad.any():
+                message = f"|alpha| exceeded {DIVERGENCE_FACTOR} r0 at t={t0 + step * dt:g}"
+                for b in rows[bad]:
+                    errors[int(b)] = DivergenceError(message)
+                a, rows = a[~bad], rows[~bad]
+                if rows.size == 0:
+                    break
+            stack[rows, k] = a
+            k += 1
 
     times = t0 + dt * np.asarray(sample_steps, dtype=float)
-    stack = np.stack(samples, axis=1)  # (B, T, N)
-    return [MeanFieldTrajectory(times=times, alphas=stack[b], params=p) for b in range(len(states0))]
+    return [
+        errors[b] if b in errors else MeanFieldTrajectory(times=times, alphas=stack[b], params=p)
+        for b in range(len(states0))
+    ]
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,7 @@ def test_c02_uniform_closed_form():
     assert rel < 1e-8
 
 
+@pytest.mark.slow
 def test_c03_classical_chimera(chimera_labels):
     hits = sum(
         lab.regime == CHIMERA and 10 <= lab.coherent_width <= 40
@@ -161,6 +162,7 @@ def test_c04_initial_quantum_state():
     assert ok
 
 
+@pytest.mark.slow
 def test_c05_oracle_equivalence(canonical_chimera):
     # all-to-all smallest ring
     p3 = NetworkParams(N=3, d=2, V=0.9, kappa2=0.2)
@@ -210,6 +212,7 @@ def test_c05_oracle_equivalence(canonical_chimera):
     assert ok
 
 
+@pytest.mark.slow
 def test_c06_physicality(chimera_cov, mi_by_state):
     worst = min(m for _, m in MARGINS)
     ok = worst >= -1e-9
@@ -217,6 +220,7 @@ def test_c06_physicality(chimera_cov, mi_by_state):
     assert ok
 
 
+@pytest.mark.slow
 def test_c07_squeezing_emergence(canonical_chimera, chimera_cov):
     # Squeezing here is the anisotropy and orientation of the per-site
     # ellipses, not sub-vacuum variance, which the model cannot produce on
@@ -265,6 +269,7 @@ def test_c07_squeezing_emergence(canonical_chimera, chimera_cov):
     assert bound_ok
 
 
+@pytest.mark.slow
 def test_c08_mi_ordering(mi_by_state):
     med = {k: float(np.median(v)) for k, v in mi_by_state.items()}
     ok = med["synchronized"] > med["chimera"] > med["desynchronized"]
@@ -276,6 +281,7 @@ def test_c08_mi_ordering(mi_by_state):
     assert ok
 
 
+@pytest.mark.slow
 def test_c09_mi_scan_shape(canonical_chimera, chimera_cov):
     _, label = canonical_chimera
     start, width = largest_block(label.mask, True)
@@ -339,6 +345,7 @@ def test_c10_symmetry_suite():
     assert ok
 
 
+@pytest.mark.slow
 def test_c11_entropy_identities(chimera_cov):
     s2_vac = renyi2_entropy(PAPER, vacuum_covariance(PAPER).C)
     cov = chimera_cov.final_cov

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chimeraq import io
+from chimeraq import analysis, cli, io
 from chimeraq.cli import main
 from chimeraq.core import MeanFieldState
 from chimeraq.meanfield import InitialConditionSpec
@@ -124,6 +124,38 @@ class TestConfigErrors:
         assert "dt_cov" in err["error"]["message"]
         assert not (out / "snapshot.json").exists()
 
+    def test_off_grid_t0_rejected_before_the_transient(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", outputs=str(out), t0=3000.505)
+        assert main(["meanfield", "--config", str(cfg)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "dt_mf grid" in err["error"]["message"]
+        assert not (out / "snapshot.json").exists()
+
+    def test_off_grid_fig_state_rejected(self, tmp_path):
+        out = tmp_path / "out"
+        fig_states = [
+            {"name": "chimera", "V": 1.2, "t0": 12.0},
+            {"name": "synchronized", "V": 1.6, "t0": 3000.505},
+        ]
+        cfg = write_config(tmp_path / "c.json", outputs=str(out), fig_states=fig_states)
+        assert main(["reproduce-fig3", "--config", str(cfg)]) == 2
+        assert not out.exists()
+
+    def test_off_grid_t0_from_ic_file_start(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        cfg = write_config(tmp_path / "c1.json", outputs=str(first), t0=12.0)
+        assert main(["meanfield", "--config", str(cfg)]) == 0
+        obj = json.loads(write_config(tmp_path / "c2.json").read_text())
+        del obj["ic"]
+        obj.update(ic_file=str(first / "snapshot.json"), t0=3012.505,
+                   outputs=str(tmp_path / "second"))
+        (tmp_path / "c2.json").write_text(json.dumps(obj))
+        assert main(["meanfield", "--config", str(tmp_path / "c2.json")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "3012.505]" in err["error"]["message"]
+        assert not (tmp_path / "second" / "initial_conditions.json").exists()
+
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.json",
@@ -136,6 +168,24 @@ class TestConfigErrors:
             outputs=str(tmp_path / "out"),
         )
         assert main(["meanfield", "--config", str(cfg)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "DivergenceError"
+
+
+class TestErrorTaxonomy:
+    """Numerical failures in the analysis record exit 3, not 2."""
+
+    def test_negative_mutual_information(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(analysis, "mi_scan", lambda p, cov, anchor=1: {1: -1.0})
+        cfg = write_config(tmp_path / "c.json", outputs=str(tmp_path / "out"))
+        assert main(["analyze", "--config", str(cfg)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "SingularMatrixError"
+
+    def test_non_finite_correlation_profile(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(analysis, "weighted_correlation", lambda p, cov: np.full(p.N, np.nan))
+        cfg = write_config(tmp_path / "c.json", outputs=str(tmp_path / "out"))
+        assert main(["analyze", "--config", str(cfg)]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "DivergenceError"
 
@@ -368,6 +418,46 @@ class TestSeedSweep:
         assert code == 4
         sweep = json.loads((out / "sweep_manifest.json").read_text())
         assert sweep["failed_seeds"] == [1, 2]
+        error = {
+            "type": "DivergenceError",
+            "message": "|alpha| exceeded 1000.0 r0 at t=5",
+            "exit_code": 3,
+        }
+        assert sweep["errors"] == {"1": error, "2": error}
+
+    def test_one_diverging_seed(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "sweep"
+        cfg = write_config(tmp_path / "c.json", outputs=str(out))
+        solo = tmp_path / "solo"
+        assert main(["meanfield", "--config", str(cfg), "--seed", "1", "--out", str(solo)]) == 0
+
+        draw = cli.initial_conditions
+
+        def blow_up_seed_2(p, ic):
+            s = draw(p, ic)
+            return MeanFieldState(s.t, 40.0 * s.alphas) if ic.seed == 2 else s
+
+        monkeypatch.setattr(cli, "initial_conditions", blow_up_seed_2)
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["meanfield", "--config", str(cfg), "--seeds", "1,2"]) == 4
+        sweep = json.loads((out / "sweep_manifest.json").read_text())
+        assert sweep["failed_seeds"] == [2]
+        assert sweep["errors"]["2"]["type"] == "DivergenceError"
+        assert sweep["errors"]["2"]["exit_code"] == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"seed": 2, "error": sweep["errors"]["2"]}
+        assert sweep["files"] == ["sweep_summary.csv", "sweep_manifest.json", "seed_1"]
+        assert {f.name for f in (out / "seed_2").iterdir()} == {"initial_conditions.json"}
+
+        good = out / "seed_1"
+        assert {f.name for f in good.iterdir()} == {f.name for f in solo.iterdir()}
+        for name in ("initial_conditions.json", "snapshot.json", "meanfield_grid.csv"):
+            assert (good / name).read_bytes() == (solo / name).read_bytes(), name
+        a, b = read_manifest(good), read_manifest(solo)
+        for m in (a, b):
+            del m["wall_time_s"], m["config"]["outputs"]
+        assert a == b
 
     def test_repeated_seeds_rejected(self, tmp_path, capsys):
         out = tmp_path / "sweep"

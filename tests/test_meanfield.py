@@ -18,7 +18,7 @@ from chimeraq import (
     mean_field_rhs,
     spacetime_grid,
 )
-from chimeraq.meanfield import MeanFieldTrajectory, largest_block, phase_profile
+from chimeraq.meanfield import MeanFieldTrajectory, _rhs_of, largest_block, phase_profile
 
 R0_02 = 1.5811388300841898  # sqrt(kappa1 / (2 * 0.2))
 EXP_HALF = 0.6065306597126334  # exp(-1/2)
@@ -149,6 +149,41 @@ class TestIntegrate:
         for s0, traj in zip(states, batch):
             solo = integrate(small_params, s0, 1.0, dt=1e-2, sample_every=10)
             assert np.abs(solo.alphas - traj.alphas).max() < 1e-10
+
+
+class TestBatchRows:
+    """A batched row has the same bits as a solo run of its state."""
+
+    @pytest.mark.parametrize("N, d", [(50, 10), (200, 40)])
+    def test_rows_equal_solo_runs(self, N, d):
+        p = NetworkParams(N=N, d=d, V=1.2, kappa2=0.2)
+        states = [initial_conditions(p, InitialConditionSpec(seed=s)) for s in range(5)]
+        batch = integrate_many(p, states, 2.0, dt=1e-2, sample_every=50)
+        for s0, traj in zip(states, batch):
+            solo = integrate(p, s0, 2.0, dt=1e-2, sample_every=50)
+            assert np.array_equal(traj.times, solo.times)
+            assert np.array_equal(traj.alphas, solo.alphas)
+
+        finals = np.array([traj.alphas[-1] for traj in batch])
+        rows = _rhs_of(p)(finals)
+        for k, traj in enumerate(batch):
+            assert np.array_equal(rows[k], mean_field_rhs(p, traj.final_state))
+
+    def test_diverging_row_retires_alone(self, small_params):
+        rng = np.random.default_rng(9)
+        sound = [
+            MeanFieldState(0.0, R0_02 * np.exp(1j * rng.uniform(-np.pi, np.pi, small_params.N)))
+            for _ in range(2)
+        ]
+        blowing_up = uniform_state(small_params, r=40.0 * R0_02)
+        batch = integrate_many(small_params, [sound[0], blowing_up, sound[1]], 2.0, dt=0.05)
+        assert isinstance(batch[1], DivergenceError)
+        with pytest.raises(DivergenceError) as solo_error:
+            integrate(small_params, blowing_up, 2.0, dt=0.05)
+        assert str(batch[1]) == str(solo_error.value)
+        for s0, traj in zip(sound, (batch[0], batch[2])):
+            solo = integrate(small_params, s0, 2.0, dt=0.05)
+            assert np.array_equal(traj.alphas, solo.alphas)
 
 
 class TestSymmetries:
