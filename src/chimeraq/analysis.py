@@ -103,8 +103,9 @@ def husimi_marginal(p: NetworkParams, cov: CovarianceMatrix, site: int) -> np.nd
     return cov.site_marginal(site) + 0.5 * p.hbar * np.eye(2)
 
 
-def _logdet_pd(M: np.ndarray) -> float:
-    """log det of a symmetric positive-definite matrix via Cholesky."""
+def _log_pivots(M: np.ndarray) -> np.ndarray:
+    """2 log diag of the Cholesky factor of a symmetric positive-definite
+    matrix; the sum of the first k entries is the log det of ``M[:k, :k]``."""
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
@@ -112,7 +113,12 @@ def _logdet_pd(M: np.ndarray) -> float:
     diag = np.diag(L)
     if not np.all(np.isfinite(diag)) or np.any(diag <= 0):
         raise SingularMatrixError("non-positive pivot in Cholesky factor")
-    return float(2.0 * np.log(diag).sum())
+    return 2.0 * np.log(diag)
+
+
+def _logdet_pd(M: np.ndarray) -> float:
+    """log det of a symmetric positive-definite matrix via Cholesky."""
+    return float(_log_pivots(M).sum())
 
 
 def renyi2_entropy(p: NetworkParams, C_sub: np.ndarray) -> float:
@@ -171,12 +177,23 @@ def mi_scan(p: NetworkParams, cov: CovarianceMatrix, anchor: int = 1) -> dict[in
     """Mutual information over all contiguous partitions, L = 1..N-1.
 
     Alice starts at ``anchor`` (1-based); anchors other than 1 relabel the
-    ring before scanning.
+    ring before scanning.  Two Cholesky factorizations serve every L, so
+    the scan costs O(N^3): the prefix sums of the log pivots of C give the
+    log det of each leading block C_A, and those of the index-reversed C
+    give each trailing block C_B.  Agrees with :func:`mutual_information`
+    up to summation order.
+
+    Raises:
+        SingularMatrixError: if the covariance is not positive definite.
     """
     validate_params(p)
     c = cov if anchor == 1 else shift_covariance(cov, 1 - anchor)
+    n = cov.n_sites
+    head = np.cumsum(_log_pivots(c.C))
+    tail = np.cumsum(_log_pivots(c.C[::-1, ::-1]))
     return {
-        L: mutual_information(p, c, Partition(L)) for L in range(1, cov.n_sites)
+        L: float(0.5 * (head[2 * L - 1] + tail[2 * (n - L) - 1] - head[-1]))
+        for L in range(1, n)
     }
 
 

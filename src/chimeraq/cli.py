@@ -266,10 +266,6 @@ def _sample_every(spacing: float, dt: float) -> int:
     return max(1, int(round(spacing / dt)))
 
 
-def _round_to_step(t: float, dt: float) -> float:
-    return round(t / dt) * dt
-
-
 def _snapshot_run(
     p: NetworkParams, states0: list[MeanFieldState], t0: float, cfg: ExperimentConfig
 ) -> list[tuple[list[MeanFieldTrajectory], MeanFieldTrajectory | None, MeanFieldState] | Exception]:
@@ -301,9 +297,10 @@ def _snapshot_run(
 
 def _phases(start: float, t0: float, cfg: ExperimentConfig) -> list[tuple[float, float]]:
     """(end time, sample spacing) of the transient and of the trailing
-    classify window from ``start`` to a later snapshot time ``t0``."""
+    classify window from ``start`` to a later snapshot time ``t0``.  The
+    window start is rounded onto the ``dt_mf`` grid counted from ``start``."""
     window = min(cfg.classify_window, t0 - start)
-    t_mid = _round_to_step(t0 - window, cfg.dt_mf)
+    t_mid = start + round((t0 - window - start) / cfg.dt_mf) * cfg.dt_mf
     phases = [(t0, cfg.window_spacing)]
     if t_mid > start + 0.5 * cfg.dt_mf:
         phases.insert(0, (t_mid, cfg.sample_spacing))

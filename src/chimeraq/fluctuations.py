@@ -158,13 +158,14 @@ def _substeps(times: np.ndarray, dt: float) -> list[int]:
     return [_step_count(float(a), float(b), dt) for a, b in zip(times[:-1], times[1:])]
 
 
-def _check_c0(p: NetworkParams, C0: CovarianceMatrix) -> np.ndarray:
+def _check_c0(p: NetworkParams, C0: CovarianceMatrix) -> tuple[np.ndarray, float]:
+    """A writable copy of the start covariance and its physicality margin."""
     if C0.n_sites != p.N:
         raise ValueError("C0 size does not match params.N")
     margin = physicality_margin(C0.C, p.hbar)
     if margin < -PHYSICALITY_TOL * p.hbar:
         raise PhysicalityError(f"initial covariance unphysical, margin {margin:.3e}")
-    return np.array(C0.C)
+    return np.array(C0.C), margin
 
 
 def propagate_covariance(
@@ -184,7 +185,7 @@ def propagate_covariance(
             bound beyond tolerance (linearization breakdown or too-large dt).
     """
     validate_params(p)
-    C = _check_c0(p, C0)
+    C, margin0 = _check_c0(p, C0)
     times = mf_segment.times
     subs = _substeps(times, dt)
 
@@ -204,7 +205,7 @@ def propagate_covariance(
 
     a = np.array(mf_segment.alphas[0])
     covs = [C.copy()]
-    margins = [physicality_margin(C, p.hbar)]
+    margins = [margin0]
     for k, n_sub in enumerate(subs):
         for _ in range(n_sub):
             a, C = rk4_step(joint_rhs, (a, C), dt)
@@ -274,7 +275,7 @@ def moment_oracle(
     the Lyapunov route, so agreement between the two validates both.
     """
     validate_params(p)
-    C = _check_c0(p, C0)
+    C, _ = _check_c0(p, C0)
     times = mf_segment.times
     subs = _substeps(times, dt)
 

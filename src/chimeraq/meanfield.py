@@ -232,20 +232,23 @@ def integrate_many(
     rows = np.arange(a.shape[0])  # batch index of each row still in ``a``
     errors: dict[int, DivergenceError] = {}
     k = 1
-    for step in range(1, n_steps + 1):
-        (a,) = rk4_step(f, (a,), dt)
-        if step == sample_steps[k]:
-            mag2 = a.real**2 + a.imag**2
-            bad = ~np.all(mag2 <= blow_up, axis=1)  # NaN and inf fail too
-            if bad.any():
-                message = f"|alpha| exceeded {DIVERGENCE_FACTOR} r0 at t={t0 + step * dt:g}"
-                for b in rows[bad]:
-                    errors[int(b)] = DivergenceError(message)
-                a, rows = a[~bad], rows[~bad]
-                if rows.size == 0:
-                    break
-            stack[rows, k] = a
-            k += 1
+    # a diverging row can overflow between sample steps; the check below
+    # retires it, so numpy's overflow warnings would only clutter stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            (a,) = rk4_step(f, (a,), dt)
+            if step == sample_steps[k]:
+                mag2 = a.real**2 + a.imag**2
+                bad = ~np.all(mag2 <= blow_up, axis=1)  # NaN and inf fail too
+                if bad.any():
+                    message = f"|alpha| exceeded {DIVERGENCE_FACTOR} r0 at t={t0 + step * dt:g}"
+                    for b in rows[bad]:
+                        errors[int(b)] = DivergenceError(message)
+                    a, rows = a[~bad], rows[~bad]
+                    if rows.size == 0:
+                        break
+                stack[rows, k] = a
+                k += 1
 
     times = t0 + dt * np.asarray(sample_steps, dtype=float)
     return [

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chimeraq import (
     CovarianceMatrix,
@@ -251,6 +253,68 @@ class TestMutualInformation:
         _, ld_b = np.linalg.slogdet(Cp[4:, 4:])
         _, ld = np.linalg.slogdet(Cp)
         assert got == pytest.approx(0.5 * (ld_a + ld_b - ld), abs=1e-12)
+
+
+def scan_oracle(p: NetworkParams, cov: CovarianceMatrix, anchor: int) -> dict[int, float]:
+    """One three-factorization ``mutual_information`` call per partition."""
+    c = cov if anchor == 1 else shift_covariance(cov, 1 - anchor)
+    return {L: mutual_information(p, c, Partition(L)) for L in range(1, p.N)}
+
+
+@st.composite
+def scan_cases(draw):
+    n = draw(st.integers(3, 40))
+    p = NetworkParams(N=n, d=1, V=1.2, kappa2=0.2, hbar=draw(st.floats(0.1, 10.0)))
+    return p, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, n))
+
+
+class TestScanProperties:
+    """``mi_scan`` (two factorizations) against the per-partition oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scan_cases())
+    def test_matches_oracle_and_is_nonnegative(self, case):
+        p, seed, anchor = case
+        cov = CovarianceMatrix(0.0, random_physical_cov(p.N, hbar=p.hbar, seed=seed))
+        scan = mi_scan(p, cov, anchor=anchor)
+        oracle = scan_oracle(p, cov, anchor)
+        assert list(scan) == list(oracle)
+        for L, v in scan.items():
+            assert abs(v - oracle[L]) <= 1e-12, L
+            assert v >= -1e-12, L
+
+    @settings(max_examples=30, deadline=None)
+    @given(scan_cases())
+    def test_vacuum_scan_is_zero(self, case):
+        p, _, anchor = case
+        scan = mi_scan(p, vacuum_covariance(p), anchor=anchor)
+        assert max(abs(v) for v in scan.values()) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(scan_cases())
+    def test_not_positive_definite_raises(self, case):
+        # reflect C along a random direction v: v^T C v changes sign
+        p, seed, anchor = case
+        C = random_physical_cov(p.N, hbar=p.hbar, seed=seed)
+        v = np.random.default_rng(seed).standard_normal(2 * p.N)
+        v /= np.linalg.norm(v)
+        C -= 2.0 * (v @ C @ v) * np.outer(v, v)
+        with pytest.raises(SingularMatrixError):
+            mi_scan(p, CovarianceMatrix(0.0, C), anchor=anchor)
+
+    def test_non_finite_entry_raises(self, small_params):
+        C = random_physical_cov(small_params.N, seed=2)
+        C[3, 3] = np.nan
+        with pytest.raises(SingularMatrixError):
+            mi_scan(small_params, CovarianceMatrix(0.0, C))
+
+    def test_wide_ring(self):
+        # the analyze-wide size; noise entries O(hbar), I2 up to about 20
+        p = NetworkParams(N=200, d=40, V=1.2, kappa2=0.2)
+        cov = CovarianceMatrix(0.0, random_physical_cov(p.N, seed=11, scale=0.05))
+        scan = mi_scan(p, cov)
+        oracle = scan_oracle(p, cov, anchor=1)
+        assert max(abs(scan[L] - oracle[L]) for L in oracle) <= 1e-12
 
 
 class TestRecord:

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -306,6 +307,20 @@ class TestRunPipelines:
         b = json.loads((tmp_path / "b" / "initial_conditions.json").read_text())
         assert a["alphas"] == b["alphas"]
 
+    def test_ic_file_start_off_the_new_grid(self, tmp_path):
+        # t=12.005 is on the dt_mf=0.01 grid counted from 12.005, not from 0
+        first = tmp_path / "first"
+        cfg = write_config(tmp_path / "c1.json", outputs=str(first), t0=12.005, dt_mf=0.005)
+        assert main(["meanfield", "--config", str(cfg)]) == 0
+        obj = json.loads(write_config(tmp_path / "c2.json").read_text())
+        del obj["ic"]
+        obj.update(ic_file=str(first / "snapshot.json"), t0=32.005,
+                   outputs=str(tmp_path / "second"))
+        (tmp_path / "c2.json").write_text(json.dumps(obj))
+        assert main(["meanfield", "--config", str(tmp_path / "c2.json")]) == 0
+        snap, _ = io.load_state(tmp_path / "second" / "snapshot.json")
+        assert snap.t == pytest.approx(32.005, abs=1e-9)
+
     def test_out_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", outputs=str(tmp_path / "ignored"))
         out = tmp_path / "flag"
@@ -439,8 +454,7 @@ class TestSeedSweep:
 
         monkeypatch.setattr(cli, "initial_conditions", blow_up_seed_2)
         capsys.readouterr()
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["meanfield", "--config", str(cfg), "--seeds", "1,2"]) == 4
+        assert main(["meanfield", "--config", str(cfg), "--seeds", "1,2"]) == 4
         sweep = json.loads((out / "sweep_manifest.json").read_text())
         assert sweep["failed_seeds"] == [2]
         assert sweep["errors"]["2"]["type"] == "DivergenceError"
@@ -458,6 +472,17 @@ class TestSeedSweep:
         for m in (a, b):
             del m["wall_time_s"], m["config"]["outputs"]
         assert a == b
+
+    def test_diverging_sweep_writes_only_json_to_stderr(self, tmp_path, capsys):
+        # outside pytest a warning is printed to stderr; here it is recorded
+        cfg = write_config(tmp_path / "c.json", ic={"seed": 1, "r0": 60.0},
+                           outputs=str(tmp_path / "sweep"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["meanfield", "--config", str(cfg), "--seeds", "1,2"]) == 4
+        assert [str(w.message) for w in caught] == []
+        lines = capsys.readouterr().err.splitlines()
+        assert [json.loads(line)["seed"] for line in lines] == [1, 2]
 
     def test_repeated_seeds_rejected(self, tmp_path, capsys):
         out = tmp_path / "sweep"
