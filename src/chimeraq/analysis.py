@@ -173,6 +173,22 @@ def shift_covariance(cov: CovarianceMatrix, k: int) -> CovarianceMatrix:
     return CovarianceMatrix(t=cov.t, C=cov.C[np.ix_(idx, idx)])
 
 
+def _scan_and_logdet(
+    p: NetworkParams, cov: CovarianceMatrix, anchor: int
+) -> tuple[dict[int, float], float]:
+    """The scan of :func:`mi_scan` and log det C, from its two factorizations."""
+    validate_params(p)
+    c = cov if anchor == 1 else shift_covariance(cov, 1 - anchor)
+    n = cov.n_sites
+    head = np.cumsum(_log_pivots(c.C))
+    tail = np.cumsum(_log_pivots(c.C[::-1, ::-1]))
+    scan = {
+        L: float(0.5 * (head[2 * L - 1] + tail[2 * (n - L) - 1] - head[-1]))
+        for L in range(1, n)
+    }
+    return scan, float(head[-1])
+
+
 def mi_scan(p: NetworkParams, cov: CovarianceMatrix, anchor: int = 1) -> dict[int, float]:
     """Mutual information over all contiguous partitions, L = 1..N-1.
 
@@ -186,15 +202,7 @@ def mi_scan(p: NetworkParams, cov: CovarianceMatrix, anchor: int = 1) -> dict[in
     Raises:
         SingularMatrixError: if the covariance is not positive definite.
     """
-    validate_params(p)
-    c = cov if anchor == 1 else shift_covariance(cov, 1 - anchor)
-    n = cov.n_sites
-    head = np.cumsum(_log_pivots(c.C))
-    tail = np.cumsum(_log_pivots(c.C[::-1, ::-1]))
-    return {
-        L: float(0.5 * (head[2 * L - 1] + tail[2 * (n - L) - 1] - head[-1]))
-        for L in range(1, n)
-    }
+    return _scan_and_logdet(p, cov, anchor)[0]
 
 
 @dataclass(frozen=True)
@@ -217,6 +225,9 @@ def build_record(
 ) -> AnalysisRecord:
     """Assemble the full analysis record for one covariance snapshot.
 
+    ``s2_total`` is (1/2) log det(2 C / hbar), with log det C taken from the
+    scan's factorization.
+
     Raises:
         DivergenceError: if the correlation profile is not finite (the
             covariance blew up).
@@ -226,7 +237,7 @@ def build_record(
     psi = weighted_correlation(p, cov)
     if not np.all(np.isfinite(psi)):
         raise DivergenceError("non-finite weighted correlation profile")
-    scan = mi_scan(p, cov, anchor=anchor)
+    scan, logdet = _scan_and_logdet(p, cov, anchor)
     low = min(scan.values())
     if low < -1e-9:
         raise SingularMatrixError(f"negative mutual information {low:.3e} in scan")
@@ -234,7 +245,7 @@ def build_record(
         t=cov.t,
         psi=psi,
         ellipses=squeezing(p, cov),
-        s2_total=renyi2_entropy(p, cov.C),
+        s2_total=0.5 * logdet + p.N * math.log(2.0 / p.hbar),
         mi_scan=scan,
         regime=regime,
     )

@@ -362,8 +362,10 @@ def _state_run(
     """Snapshot (one ``_snapshot_run`` result) -> regime label -> covariance
     over ``delta_t``.
 
-    Records the regime and the minimum physicality margin in ``manifest``,
-    under ``name`` for the fig3/fig4 triplet.  Classical experiments stop
+    Records the regime, the minimum exact physicality margin, the number of
+    samples that passed on a Cholesky certificate and the largest
+    ``kappa2 |alpha|^2 / kappa1`` on the segment in ``manifest``, suffixed
+    with ``name`` for the fig3/fig4 triplet.  Classical experiments stop
     after the label and return no covariance trajectory.
     """
     if isinstance(snap, Exception):
@@ -377,8 +379,13 @@ def _state_run(
     if cfg.experiment in CLASSICAL:
         return parts, snapshot, label, None
     cov_traj = _covariance_run(p, snapshot, cfg)
-    key = "physicality_margin_min" if name is None else f"physicality_margin_min_{name}"
-    manifest[key] = cov_traj.min_physicality_margin()
+    suffix = "" if name is None else f"_{name}"
+    alphas = cov_traj.source.alphas
+    manifest[f"physicality_margin_min{suffix}"] = cov_traj.min_physicality_margin()
+    manifest[f"physicality_certified{suffix}"] = cov_traj.certified
+    manifest[f"vacuum_bound_ratio_max{suffix}"] = float(
+        p.kappa2 * np.max(alphas.real**2 + alphas.imag**2) / p.kappa1
+    )
     return parts, snapshot, label, cov_traj
 
 

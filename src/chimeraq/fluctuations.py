@@ -63,11 +63,77 @@ def physicality_margin(C: np.ndarray, hbar: float = 1.0) -> float:
 
     Nonnegative (up to roundoff) exactly when C is the covariance of a
     valid Gaussian quantum state; the vacuum saturates zero.
+
+    Raises:
+        PhysicalityError: if C has a non-finite entry (no state has one, and
+            the eigensolver's answer for it is meaningless).
     """
     C = np.asarray(C, dtype=float)
+    _require_finite(C, "covariance unphysical")
     n = C.shape[0] // 2
     H = C + 0.5j * hbar * symplectic_form(n)
     return float(np.linalg.eigvalsh(H).min())
+
+
+def _require_finite(C: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(C)):
+        raise PhysicalityError(f"{what}: non-finite entries")
+
+
+def _checked_margin(C: np.ndarray, hbar: float, what: str) -> float:
+    """Exact physicality margin of ``C``; ``what`` leads any error message.
+
+    Raises:
+        PhysicalityError: if C is non-finite or its margin is below
+            -PHYSICALITY_TOL hbar.
+    """
+    _require_finite(C, what)
+    margin = physicality_margin(C, hbar)
+    if margin < -PHYSICALITY_TOL * hbar:
+        raise PhysicalityError(f"{what}, margin {margin:.3e}")
+    return margin
+
+
+def _factorizes(M: np.ndarray) -> bool:
+    """Whether M has a Cholesky factor with a finite, positive diagonal.
+
+    ``np.linalg.cholesky`` does not raise on NaN or inf input; it returns a
+    factor whose diagonal is not finite, so the diagonal is checked too.
+    """
+    try:
+        d = np.diagonal(np.linalg.cholesky(M)).real
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.all(np.isfinite(d) & (d > 0.0)))
+
+
+def _certified_margin(C: np.ndarray, hbar: float, what: str) -> float | None:
+    """None when a Cholesky factorization certifies that the physicality
+    margin of ``C`` is at least -PHYSICALITY_TOL hbar, else the exact margin.
+
+    First C - (hbar/2 - tol) I is factored: since (hbar/2)(I + i Omega) >= 0,
+    its positive definiteness bounds the margin by -tol.  It holds from a
+    vacuum start while kappa2 |alpha|^2 <= kappa1 (see the README); beyond
+    that, C + i hbar Omega / 2 + tol I is factored, an exact test.  Only when
+    both fail is the margin computed with an eigensolver.  Cholesky's
+    backward error, about 2N eps ||C||, is far below tol.
+
+    Raises:
+        PhysicalityError: if C is non-finite or its margin is below
+            -PHYSICALITY_TOL hbar.
+    """
+    _require_finite(C, what)
+    tol = PHYSICALITY_TOL * hbar
+    n = C.shape[0]
+    D = C.copy()
+    D.flat[:: n + 1] -= 0.5 * hbar - tol
+    if _factorizes(D):
+        return None
+    H = C + 0.5j * hbar * symplectic_form(n // 2)
+    H.flat[:: n + 1] += tol
+    if _factorizes(H):
+        return None
+    return _checked_margin(C, hbar, what)
 
 
 def vacuum_covariance(p: NetworkParams, t: float = 0.0) -> CovarianceMatrix:
@@ -130,15 +196,19 @@ def drift_diffusion(p: NetworkParams, s: MeanFieldState) -> DriftDiffusion:
 class CovarianceTrajectory:
     """Covariance samples along one mean-field segment.
 
-    ``covs`` has shape (T, 2N, 2N); ``margins`` records the physicality
-    margin at each sample.
+    ``covs`` has shape (T, 2N, 2N).  Every sample passed the physicality
+    check: the first and the last by their exact margin, the others by a
+    Cholesky certificate where one holds (counted in ``certified``) and by
+    their exact margin otherwise.  ``margin_min`` is the minimum over the
+    exactly evaluated samples.
     """
 
     times: np.ndarray
     covs: np.ndarray
     params: NetworkParams
     source: MeanFieldTrajectory = field(repr=False)
-    margins: np.ndarray = field(repr=False)
+    margin_min: float
+    certified: int
 
     def __len__(self) -> int:
         return self.times.shape[0]
@@ -151,7 +221,7 @@ class CovarianceTrajectory:
         return self.cov(len(self) - 1)
 
     def min_physicality_margin(self) -> float:
-        return float(self.margins.min())
+        return self.margin_min
 
 
 def _substeps(times: np.ndarray, dt: float) -> list[int]:
@@ -162,10 +232,47 @@ def _check_c0(p: NetworkParams, C0: CovarianceMatrix) -> tuple[np.ndarray, float
     """A writable copy of the start covariance and its physicality margin."""
     if C0.n_sites != p.N:
         raise ValueError("C0 size does not match params.N")
-    margin = physicality_margin(C0.C, p.hbar)
-    if margin < -PHYSICALITY_TOL * p.hbar:
-        raise PhysicalityError(f"initial covariance unphysical, margin {margin:.3e}")
-    return np.array(C0.C), margin
+    C = np.array(C0.C)
+    return C, _checked_margin(C, p.hbar, "initial covariance unphysical")
+
+
+class _Samples:
+    """Covariance samples on a segment's time grid, each checked for
+    physicality as it is added: the last by its exact margin, the ones in
+    between by :func:`_certified_margin`."""
+
+    def __init__(self, p: NetworkParams, segment: MeanFieldTrajectory, C0: np.ndarray,
+                 margin0: float):
+        self.p = p
+        self.segment = segment
+        self.covs = [C0]
+        self.margin_min = margin0
+        self.certified = 0
+
+    def add(self, C: np.ndarray) -> None:
+        """Record the next sample; raises PhysicalityError if it fails."""
+        times = self.segment.times
+        k = len(self.covs)
+        what = f"covariance unphysical at t={times[k]:g}"
+        if k == len(times) - 1:
+            margin = _checked_margin(C, self.p.hbar, what)
+        else:
+            margin = _certified_margin(C, self.p.hbar, what)
+        if margin is None:
+            self.certified += 1
+        else:
+            self.margin_min = min(self.margin_min, margin)
+        self.covs.append(C)
+
+    def trajectory(self) -> CovarianceTrajectory:
+        return CovarianceTrajectory(
+            times=np.array(self.segment.times),
+            covs=np.stack(self.covs),
+            params=self.p,
+            source=self.segment,
+            margin_min=self.margin_min,
+            certified=self.certified,
+        )
 
 
 def propagate_covariance(
@@ -204,30 +311,18 @@ def propagate_covariance(
         return mf_rhs(alpha), out
 
     a = np.array(mf_segment.alphas[0])
-    covs = [C.copy()]
-    margins = [margin0]
-    for k, n_sub in enumerate(subs):
-        for _ in range(n_sub):
-            a, C = rk4_step(joint_rhs, (a, C), dt)
-            # symmetrize in place, same bits as 0.5 * (C + C.T): at large N a
-            # fresh array here lets malloc trim the heap and refault it each step
-            C += C.T
-            C *= 0.5
-        margin = physicality_margin(C, p.hbar)
-        if margin < -PHYSICALITY_TOL * p.hbar:
-            raise PhysicalityError(
-                f"covariance unphysical at t={times[k + 1]:g}, margin {margin:.3e}"
-            )
-        covs.append(C.copy())
-        margins.append(margin)
-
-    return CovarianceTrajectory(
-        times=np.array(times),
-        covs=np.stack(covs),
-        params=p,
-        source=mf_segment,
-        margins=np.asarray(margins),
-    )
+    samples = _Samples(p, mf_segment, C.copy(), margin0)
+    for n_sub in subs:
+        # an overflowing step is reported by the sample check, not by warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(n_sub):
+                a, C = rk4_step(joint_rhs, (a, C), dt)
+                # symmetrize in place, same bits as 0.5 * (C + C.T): at large N a
+                # fresh array here lets malloc trim the heap and refault it each step
+                C += C.T
+                C *= 0.5
+        samples.add(C.copy())
+    return samples.trajectory()
 
 
 def moments_to_covariance(s: np.ndarray, n: np.ndarray, hbar: float) -> np.ndarray:
@@ -299,29 +394,15 @@ def moment_oracle(
     s, n = covariance_to_moments(C, p.hbar)
     s = s.astype(complex)
     n = n.astype(complex)
-    covs = [moments_to_covariance(s, n, p.hbar)]
-    margins = [physicality_margin(covs[0], p.hbar)]
-    for k, n_sub in enumerate(subs):
+    C = moments_to_covariance(s, n, p.hbar)
+    samples = _Samples(p, mf_segment, C, physicality_margin(C, p.hbar))
+    for n_sub in subs:
         for _ in range(n_sub):
             a, s, n = rk4_step(moment_rhs, (a, s, n), dt)
             s = 0.5 * (s + s.T)
             n = 0.5 * (n + n.conj().T)
-        C = moments_to_covariance(s, n, p.hbar)
-        margin = physicality_margin(C, p.hbar)
-        if margin < -PHYSICALITY_TOL * p.hbar:
-            raise PhysicalityError(
-                f"covariance unphysical at t={times[k + 1]:g}, margin {margin:.3e}"
-            )
-        covs.append(C)
-        margins.append(margin)
-
-    return CovarianceTrajectory(
-        times=np.array(times),
-        covs=np.stack(covs),
-        params=p,
-        source=mf_segment,
-        margins=np.asarray(margins),
-    )
+        samples.add(moments_to_covariance(s, n, p.hbar))
+    return samples.trajectory()
 
 
 def propagate_frozen(

@@ -318,6 +318,14 @@ class TestScanProperties:
 
 
 class TestRecord:
+    @pytest.mark.parametrize("anchor", [1, 4])
+    def test_s2_total_from_the_scan_factorization(self, anchor):
+        p = NetworkParams(N=6, d=2, V=0.9, kappa2=0.2, hbar=1.7)
+        cov = CovarianceMatrix(0.0, random_physical_cov(p.N, hbar=p.hbar, seed=31))
+        rec = build_record(p, cov, anchor=anchor)
+        assert rec.s2_total == pytest.approx(renyi2_entropy(p, cov.C), abs=1e-12)
+        assert rec.s2_total > 0.1
+
     def test_build_record_from_vacuum(self, small_params):
         rec = build_record(small_params, vacuum_covariance(small_params))
         assert rec.s2_total == pytest.approx(0.0, abs=1e-12)

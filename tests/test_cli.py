@@ -7,7 +7,7 @@ import pytest
 
 from chimeraq import analysis, cli, io
 from chimeraq.cli import main
-from chimeraq.core import MeanFieldState
+from chimeraq.core import CovarianceMatrix, MeanFieldState
 from chimeraq.meanfield import InitialConditionSpec
 
 
@@ -177,11 +177,24 @@ class TestErrorTaxonomy:
     """Numerical failures in the analysis record exit 3, not 2."""
 
     def test_negative_mutual_information(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(analysis, "mi_scan", lambda p, cov, anchor=1: {1: -1.0})
+        monkeypatch.setattr(analysis, "_scan_and_logdet", lambda p, cov, anchor: ({1: -1.0}, 0.0))
         cfg = write_config(tmp_path / "c.json", outputs=str(tmp_path / "out"))
         assert main(["analyze", "--config", str(cfg)]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "SingularMatrixError"
+
+    def test_non_finite_covariance(self, tmp_path, monkeypatch, capsys):
+        def nan_start(p, t=0.0):
+            C = 0.5 * p.hbar * np.eye(2 * p.N)
+            C[0, 1] = C[1, 0] = np.nan
+            return CovarianceMatrix(t, C)
+
+        monkeypatch.setattr(cli, "vacuum_covariance", nan_start)
+        cfg = write_config(tmp_path / "c.json", outputs=str(tmp_path / "out"))
+        assert main(["analyze", "--config", str(cfg)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "PhysicalityError"
+        assert "non-finite" in err["error"]["message"]
 
     def test_non_finite_correlation_profile(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(analysis, "weighted_correlation", lambda p, cov: np.full(p.N, np.nan))
@@ -221,6 +234,11 @@ class TestRunPipelines:
         assert main(["fluctuations", "--config", str(cfg)]) == 0
         manifest = read_manifest(out)
         assert manifest["physicality_margin_min"] >= -1e-9
+        # 51 samples over delta_t = 0.5; the first and the last are exact
+        assert manifest["physicality_certified"] == 49
+        snapshot, p = io.load_state(out / "snapshot.json")
+        ratio = p.kappa2 * np.abs(snapshot.alphas) ** 2 / p.kappa1
+        assert ratio.max() <= manifest["vacuum_bound_ratio_max"] <= 1.0
         assert manifest["beyond_validated_horizon"] is False
         meta = json.loads((out / "covariance_meta.json").read_text())
         assert meta["t_i"] == pytest.approx(12.0)
@@ -277,6 +295,11 @@ class TestRunPipelines:
             assert (out3 / f"fig3{tag}_phases.csv").exists()
             assert (out3 / f"fig3{tag}_covariance.csv").exists()
             assert (out3 / f"fig3{tag}_psi.csv").exists()
+        manifest = read_manifest(out3)
+        for state in ("chimera", "synchronized", "desynchronized"):
+            assert manifest[f"physicality_margin_min_{state}"] >= -1e-9
+            assert manifest[f"physicality_certified_{state}"] == 49
+            assert 0.0 < manifest[f"vacuum_bound_ratio_max_{state}"] <= 1.0
 
         out4 = tmp_path / "f4"
         cfg4 = write_config(

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from chimeraq import (
     CovarianceMatrix,
+    InitialConditionSpec,
     MeanFieldState,
     NetworkParams,
     PhysicalityError,
     drift_diffusion,
+    initial_conditions,
     integrate,
     mean_field_rhs,
     moment_oracle,
@@ -17,8 +21,12 @@ from chimeraq import (
     symplectic_form,
     vacuum_covariance,
 )
+from chimeraq import fluctuations
 from chimeraq.analysis import shift_covariance
 from chimeraq.fluctuations import (
+    PHYSICALITY_TOL,
+    _certified_margin,
+    _factorizes,
     covariance_to_moments,
     moments_to_covariance,
     propagate_frozen,
@@ -320,3 +328,133 @@ class TestVacuumBound:
         C = propagate_frozen(dd.A, dd.B, vacuum_covariance(p).C, horizon=0.5, dt=1e-3)
         lam_min = min(e.lambda_min for e in squeezing(p, CovarianceMatrix(0.0, C)))
         assert (lam_min < 0.5 * p.hbar) == sub_vacuum
+
+
+def _ring_segment(p: NetworkParams, ic_seed: int, t_end: float, dt: float, sample_every: int):
+    s0 = initial_conditions(p, InitialConditionSpec(seed=ic_seed))
+    return integrate(p, s0, t_end, dt=dt, sample_every=sample_every)
+
+
+#: N=3 ring whose covariance RK4 is unstable at dt = 1.0
+UNSTABLE = NetworkParams(N=3, d=1, V=0.5, kappa2=0.2)
+
+
+class TestSampleChecks:
+    """Intermediate samples pass on a Cholesky certificate; the first and the
+    last sample, and any sample no certificate covers, get exact margins."""
+
+    def test_unstable_dt_fails_inside_the_segment(self):
+        seg = _ring_segment(UNSTABLE, 1, 100.0, dt=1.0, sample_every=10)
+        with pytest.raises(PhysicalityError, match=r"covariance unphysical at t=10,"):
+            propagate_covariance(UNSTABLE, seg, vacuum_covariance(UNSTABLE), dt=1.0)
+
+    def test_overflowing_segment_is_unphysical(self):
+        # 500 unstable steps between two samples overflow C to inf and NaN
+        seg = _ring_segment(UNSTABLE, 1, 500.0, dt=1.0, sample_every=500)
+        with pytest.raises(PhysicalityError, match="non-finite"):
+            propagate_covariance(UNSTABLE, seg, vacuum_covariance(UNSTABLE), dt=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_start_is_unphysical(self, bad):
+        seg = _ring_segment(UNSTABLE, 1, 0.1, dt=1e-3, sample_every=10)
+        C = 0.5 * np.eye(6)
+        C[2, 3] = C[3, 2] = bad
+        C0 = CovarianceMatrix(0.0, C)
+        for route in (propagate_covariance, moment_oracle):
+            with pytest.raises(PhysicalityError, match="non-finite"):
+                route(UNSTABLE, seg, C0, dt=1e-3)
+        with pytest.raises(PhysicalityError, match="non-finite"):
+            physicality_margin(C)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_is_never_certified(self, bad):
+        C = 0.5 * np.eye(6)
+        C[4, 4] = bad
+        assert not _factorizes(C)
+        with pytest.raises(PhysicalityError, match="non-finite"):
+            _certified_margin(C, 1.0, "covariance unphysical at t=1")
+
+    def test_squeezed_start_passes_the_complex_certificate(self):
+        # a pure squeezed start has C < (hbar/2) I along q, so the real test
+        # fails on early samples and the complex Cholesky has to decide
+        p = NetworkParams(N=4, d=1, V=1.2, kappa2=0.2)
+        seg = _ring_segment(p, 2, 0.5, dt=1e-3, sample_every=10)
+        r = 0.5
+        C0 = 0.5 * p.hbar * np.diag(np.tile([np.exp(-2 * r), np.exp(2 * r)], p.N))
+        ct = propagate_covariance(p, seg, CovarianceMatrix(0.0, C0), dt=1e-3)
+        eye = np.eye(2 * p.N)
+        below = [np.linalg.eigvalsh(C - 0.5 * p.hbar * eye).min() < 0 for C in ct.covs[1:-1]]
+        assert sum(below) == 18
+        assert ct.min_physicality_margin() == 0.0
+
+    @pytest.mark.parametrize("squeeze", [0.0, 0.5])
+    def test_intermediate_samples_are_certified(self, squeeze, monkeypatch):
+        p = NetworkParams(N=4, d=1, V=1.2, kappa2=0.2)
+        seg = _ring_segment(p, 2, 0.5, dt=1e-3, sample_every=10)
+        C0 = 0.5 * p.hbar * np.diag(np.tile([np.exp(-2 * squeeze), np.exp(2 * squeeze)], p.N))
+        exact = []
+
+        def counted(C, hbar=1.0):
+            exact.append(C)
+            return physicality_margin(C, hbar)
+
+        monkeypatch.setattr(fluctuations, "physicality_margin", counted)
+        ct = propagate_covariance(p, seg, CovarianceMatrix(0.0, C0), dt=1e-3)
+        assert ct.certified == len(ct) - 2
+        assert len(exact) == 2
+        assert np.array_equal(exact[-1], ct.covs[-1])
+        assert ct.min_physicality_margin() == 0.0
+
+
+def symplectic_margin(C: np.ndarray, hbar: float) -> float:
+    """nu_min - hbar/2, from the symplectic eigenvalues nu of C: the
+    eigenvalues of i Omega C are +-nu (Williamson; Simon, Mukunda and Dutta,
+    PRA 49, 1567 (1994)).  Nonnegative exactly for physical C > 0."""
+    ev = np.linalg.eigvals(1j * symplectic_form(C.shape[0] // 2) @ C)
+    return float(np.abs(ev).min() - 0.5 * hbar)
+
+
+@st.composite
+def gaussian_covariances(draw):
+    """(C, hbar, physical): S (hbar/2) S^T plus PSD noise, or a pure state
+    scaled by 1 - eps; S = expm(Omega H) is symplectic for symmetric H."""
+    n = draw(st.integers(1, 8))
+    hbar = draw(st.floats(0.1, 10.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = draw(st.floats(0.0, 0.6)) * rng.standard_normal((2 * n, 2 * n))
+    S = expm(symplectic_form(n) @ (G + G.T))
+    pure = 0.5 * hbar * (S @ S.T)
+    physical = draw(st.booleans())
+    if physical:
+        W = draw(st.floats(1e-3, 0.5)) * rng.standard_normal((2 * n, 2 * n))
+        C = pure + hbar * (W @ W.T)
+    else:
+        C = (1.0 - draw(st.floats(1e-3, 0.3))) * pure
+    return 0.5 * (C + C.T), hbar, physical
+
+
+class TestPhysicalityRoutes:
+    """The eigenvalue margin, the symplectic-eigenvalue route and the two
+    Cholesky certificates agree on random covariances away from the
+    boundary."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(gaussian_covariances())
+    def test_routes_agree(self, case):
+        C, hbar, physical = case
+        margin = physicality_margin(C, hbar)
+        nu = symplectic_margin(C, hbar)
+        assume(min(abs(margin), abs(nu)) > 1e-6 * hbar)
+        assert (margin > 0) == physical
+        assert (nu > 0) == physical
+        n = C.shape[0]
+        tol = PHYSICALITY_TOL * hbar
+        H = C + 0.5j * hbar * symplectic_form(n // 2) + tol * np.eye(n)
+        assert _factorizes(H) == physical
+        if _factorizes(C - (0.5 * hbar - tol) * np.eye(n)):
+            assert physical
+        if physical:
+            assert _certified_margin(C, hbar, "sample") is None
+        else:
+            with pytest.raises(PhysicalityError, match="sample, margin"):
+                _certified_margin(C, hbar, "sample")
