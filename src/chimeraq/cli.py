@@ -380,12 +380,9 @@ def _state_run(
         return parts, snapshot, label, None
     cov_traj = _covariance_run(p, snapshot, cfg)
     suffix = "" if name is None else f"_{name}"
-    alphas = cov_traj.source.alphas
     manifest[f"physicality_margin_min{suffix}"] = cov_traj.min_physicality_margin()
     manifest[f"physicality_certified{suffix}"] = cov_traj.certified
-    manifest[f"vacuum_bound_ratio_max{suffix}"] = float(
-        p.kappa2 * np.max(alphas.real**2 + alphas.imag**2) / p.kappa1
-    )
+    manifest[f"vacuum_bound_ratio_max{suffix}"] = cov_traj.vacuum_bound_ratio_max()
     return parts, snapshot, label, cov_traj
 
 

@@ -374,24 +374,8 @@ class TestSampleChecks:
         with pytest.raises(PhysicalityError, match="non-finite"):
             _certified_margin(C, 1.0, "covariance unphysical at t=1")
 
-    def test_squeezed_start_passes_the_complex_certificate(self):
-        # a pure squeezed start has C < (hbar/2) I along q, so the real test
-        # fails on early samples and the complex Cholesky has to decide
-        p = NetworkParams(N=4, d=1, V=1.2, kappa2=0.2)
-        seg = _ring_segment(p, 2, 0.5, dt=1e-3, sample_every=10)
-        r = 0.5
-        C0 = 0.5 * p.hbar * np.diag(np.tile([np.exp(-2 * r), np.exp(2 * r)], p.N))
-        ct = propagate_covariance(p, seg, CovarianceMatrix(0.0, C0), dt=1e-3)
-        eye = np.eye(2 * p.N)
-        below = [np.linalg.eigvalsh(C - 0.5 * p.hbar * eye).min() < 0 for C in ct.covs[1:-1]]
-        assert sum(below) == 18
-        assert ct.min_physicality_margin() == 0.0
-
-    @pytest.mark.parametrize("squeeze", [0.0, 0.5])
-    def test_intermediate_samples_are_certified(self, squeeze, monkeypatch):
-        p = NetworkParams(N=4, d=1, V=1.2, kappa2=0.2)
-        seg = _ring_segment(p, 2, 0.5, dt=1e-3, sample_every=10)
-        C0 = 0.5 * p.hbar * np.diag(np.tile([np.exp(-2 * squeeze), np.exp(2 * squeeze)], p.N))
+    @staticmethod
+    def _exact_calls(monkeypatch) -> list:
         exact = []
 
         def counted(C, hbar=1.0):
@@ -399,11 +383,47 @@ class TestSampleChecks:
             return physicality_margin(C, hbar)
 
         monkeypatch.setattr(fluctuations, "physicality_margin", counted)
-        ct = propagate_covariance(p, seg, CovarianceMatrix(0.0, C0), dt=1e-3)
+        return exact
+
+    def test_vacuum_start_certifies_intermediate_samples(self, monkeypatch):
+        p = NetworkParams(N=4, d=1, V=1.2, kappa2=0.2)
+        seg = _ring_segment(p, 2, 0.5, dt=1e-3, sample_every=10)
+        exact = self._exact_calls(monkeypatch)
+        ct = propagate_covariance(p, seg, vacuum_covariance(p), dt=1e-3)
+        assert ct.vacuum_bound_ratio_max() <= 1.0
         assert ct.certified == len(ct) - 2
         assert len(exact) == 2
         assert np.array_equal(exact[-1], ct.covs[-1])
         assert ct.min_physicality_margin() == 0.0
+
+    def test_squeezed_start_falls_back_to_exact_margins(self, monkeypatch):
+        # a pure squeezed start has C < (hbar/2) I along q, so the certificate
+        # fails on early samples and their exact margins are computed
+        p = NetworkParams(N=4, d=1, V=1.2, kappa2=0.2)
+        seg = _ring_segment(p, 2, 0.5, dt=1e-3, sample_every=10)
+        r = 0.5
+        C0 = 0.5 * p.hbar * np.diag(np.tile([np.exp(-2 * r), np.exp(2 * r)], p.N))
+        exact = self._exact_calls(monkeypatch)
+        ct = propagate_covariance(p, seg, CovarianceMatrix(0.0, C0), dt=1e-3)
+        eye = np.eye(2 * p.N)
+        below = [np.linalg.eigvalsh(C - 0.5 * p.hbar * eye).min() < 0 for C in ct.covs[1:-1]]
+        assert sum(below) == 18
+        assert ct.certified == len(ct) - 2 - 18
+        assert len(exact) == 2 + 18
+        assert ct.min_physicality_margin() == 0.0
+
+    def test_segment_above_threshold_falls_back_to_exact_margins(self, monkeypatch):
+        # amplitudes above the limit cycle decay through kappa2 |alpha|^2 > kappa1,
+        # where C >= (hbar/2) I is not guaranteed and most samples need exact margins
+        p = NetworkParams(N=4, d=1, V=1.2, kappa2=0.2)
+        s0 = initial_conditions(p, InitialConditionSpec(seed=2, r0=3.0))
+        seg = integrate(p, s0, 0.5, dt=1e-3, sample_every=10)
+        exact = self._exact_calls(monkeypatch)
+        ct = propagate_covariance(p, seg, vacuum_covariance(p), dt=1e-3)
+        assert ct.vacuum_bound_ratio_max() > 1.0
+        assert ct.certified < len(ct) - 2
+        assert len(exact) == len(ct) - ct.certified
+        assert ct.min_physicality_margin() >= -PHYSICALITY_TOL * p.hbar
 
 
 def symplectic_margin(C: np.ndarray, hbar: float) -> float:
@@ -434,9 +454,9 @@ def gaussian_covariances(draw):
 
 
 class TestPhysicalityRoutes:
-    """The eigenvalue margin, the symplectic-eigenvalue route and the two
-    Cholesky certificates agree on random covariances away from the
-    boundary."""
+    """The eigenvalue margin and the symplectic-eigenvalue route agree on
+    random covariances away from the boundary, and the Cholesky certificate
+    passes only physical ones."""
 
     @settings(max_examples=200, deadline=None)
     @given(gaussian_covariances())
@@ -448,13 +468,11 @@ class TestPhysicalityRoutes:
         assert (margin > 0) == physical
         assert (nu > 0) == physical
         n = C.shape[0]
-        tol = PHYSICALITY_TOL * hbar
-        H = C + 0.5j * hbar * symplectic_form(n // 2) + tol * np.eye(n)
-        assert _factorizes(H) == physical
-        if _factorizes(C - (0.5 * hbar - tol) * np.eye(n)):
+        if _factorizes(C - (0.5 - PHYSICALITY_TOL) * hbar * np.eye(n)):
             assert physical
         if physical:
-            assert _certified_margin(C, hbar, "sample") is None
+            certified = _certified_margin(C, hbar, "sample")
+            assert certified is None or certified >= -PHYSICALITY_TOL * hbar
         else:
             with pytest.raises(PhysicalityError, match="sample, margin"):
                 _certified_margin(C, hbar, "sample")
