@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -122,13 +123,25 @@ class ExperimentConfig:
             raise ConfigError("give either ic or ic_file, not both")
         if self.ic_file is not None and not Path(self.ic_file).exists():
             raise ConfigError(f"ic_file does not exist: {self.ic_file}")
+        if self.ic is not None:
+            try:
+                self.ic.validate()
+            except RangeError as exc:
+                raise ConfigError(str(exc)) from exc
+        for name in _FLOAT_KEYS:
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.t0 < 0:
             raise ConfigError(f"t0 must be >= 0, got {self.t0}")
         if self.delta_t <= 0:
             raise ConfigError(f"delta_t must be > 0, got {self.delta_t}")
-        for name in ("dt_mf", "dt_cov", "sample_spacing", "window_spacing"):
+        for name in ("dt_mf", "dt_cov", "sample_spacing", "window_spacing", "classify_window"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
+        if not 0 < self.z_threshold <= 1:
+            raise ConfigError(f"z_threshold must be in (0, 1], got {self.z_threshold}")
+        if self.w_min < 1:
+            raise ConfigError(f"w_min must be >= 1, got {self.w_min}")
         try:
             _step_count(0.0, self.delta_t, self.dt_cov)
         except ValueError as exc:
@@ -137,10 +150,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"mi_partition must be in 1..{self.params.N - 1}, got {self.mi_partition}"
             )
-        for entry in self.fig_states:
-            name, V, t_snap = entry
-            if V < 0 or t_snap < 0:
-                raise ConfigError(f"invalid fig state {name}: V and t0 must be >= 0")
+        for name, V, t_snap in self.fig_states:
+            if not (math.isfinite(V) and math.isfinite(t_snap)) or V < 0 or t_snap < 0:
+                raise ConfigError(
+                    f"invalid fig state {name}: V and t0 must be finite and >= 0, "
+                    f"got V={V}, t0={t_snap}"
+                )
         if self.ic_file is None:
             self.check_grid(0.0)
         return self
@@ -162,6 +177,18 @@ class ExperimentConfig:
                     raise ConfigError(f"snapshot time is off the dt_mf grid: {exc}") from exc
                 t_from = t_end
 
+
+#: config fields read as floats; each must be finite
+_FLOAT_KEYS = (
+    "t0",
+    "delta_t",
+    "dt_mf",
+    "dt_cov",
+    "sample_spacing",
+    "window_spacing",
+    "classify_window",
+    "z_threshold",
+)
 
 _CONFIG_KEYS = {
     "experiment",

@@ -12,6 +12,7 @@ Unit conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,8 @@ def validate_params(p: NetworkParams) -> NetworkParams:
     """Check all NetworkParams invariants; return ``p`` unchanged if valid.
 
     The coupling range must satisfy 1 <= d <= (N-1)/2, except that
-    d = (N+1)/2 is permitted for odd N (the all-to-all case).
+    d = (N+1)/2 is permitted for odd N (the all-to-all case).  V, kappa1,
+    kappa2 and hbar must be finite.
 
     Raises:
         RangeError: naming the violated field.
@@ -81,6 +83,9 @@ def validate_params(p: NetworkParams) -> NetworkParams:
             f"d={p.d} out of range for N={p.N}: need 2d <= N-1 "
             f"(or d=(N+1)/2 for odd N)"
         )
+    for name in ("V", "kappa1", "kappa2", "hbar"):
+        if not math.isfinite(getattr(p, name)):
+            raise RangeError(f"{name} must be finite, got {getattr(p, name)}")
     if p.V < 0:
         raise RangeError(f"V must be >= 0, got {p.V}")
     if p.kappa1 <= 0:

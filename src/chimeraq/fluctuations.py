@@ -238,22 +238,26 @@ def _check_c0(p: NetworkParams, C0: CovarianceMatrix) -> tuple[np.ndarray, float
 
 
 class _Samples:
-    """Covariance samples on a segment's time grid, each checked for
-    physicality as it is added: the last by its exact margin, the ones in
-    between by :func:`_certified_margin`."""
+    """Covariance samples on a segment's time grid, written into one
+    preallocated (T, 2N, 2N) stack and checked for physicality as they are
+    added: the last by its exact margin, the ones in between by
+    :func:`_certified_margin`."""
 
     def __init__(self, p: NetworkParams, segment: MeanFieldTrajectory, C0: np.ndarray,
                  margin0: float):
         self.p = p
         self.segment = segment
-        self.covs = [C0]
+        self.covs = np.empty((len(segment.times),) + C0.shape)
+        self.covs[0] = C0
+        self.count = 1
         self.margin_min = margin0
         self.certified = 0
 
     def add(self, C: np.ndarray) -> None:
         """Record the next sample; raises PhysicalityError if it fails."""
         times = self.segment.times
-        k = len(self.covs)
+        k = self.count
+        self.covs[k] = C
         what = f"covariance unphysical at t={times[k]:g}"
         if k == len(times) - 1:
             margin = _checked_margin(C, self.p.hbar, what)
@@ -263,12 +267,12 @@ class _Samples:
             self.certified += 1
         else:
             self.margin_min = min(self.margin_min, margin)
-        self.covs.append(C)
+        self.count += 1
 
     def trajectory(self) -> CovarianceTrajectory:
         return CovarianceTrajectory(
             times=np.array(self.segment.times),
-            covs=np.stack(self.covs),
+            covs=self.covs,
             params=self.p,
             source=self.segment,
             margin_min=self.margin_min,
@@ -298,21 +302,25 @@ def propagate_covariance(
     subs = _substeps(times, dt)
 
     mf_rhs = _rhs_of(p)
-    A_coup = _coupling_drift(p)
     iq = 2 * np.arange(p.N)
     ip = iq + 1
+    # A and A C live in buffers reused by every evaluation: _fill_drift
+    # rewrites every entry that depends on alpha, so the bits are those of a
+    # fresh copy of the coupling drift.  Fresh 2N x 2N temporaries each call
+    # let malloc trim the heap and refault them every step at large N.
+    A = _coupling_drift(p)
+    M = np.empty_like(A)
 
     def joint_rhs(alpha: np.ndarray, Cm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        A = A_coup.copy()
         m, sr, si, b = _site_block_coeffs(p, alpha)
         _fill_drift(A, iq, ip, m, sr, si)
-        M = A @ Cm
+        np.matmul(A, Cm, out=M)
         out = M + M.T
         out.flat[:: 2 * p.N + 1] += np.repeat(b, 2)
         return mf_rhs(alpha), out
 
     a = np.array(mf_segment.alphas[0])
-    samples = _Samples(p, mf_segment, C.copy(), margin0)
+    samples = _Samples(p, mf_segment, C, margin0)
     for n_sub in subs:
         # an overflowing step is reported by the sample check, not by warnings
         with np.errstate(over="ignore", invalid="ignore"):
@@ -322,7 +330,7 @@ def propagate_covariance(
                 # fresh array here lets malloc trim the heap and refault it each step
                 C += C.T
                 C *= 0.5
-        samples.add(C.copy())
+        samples.add(C)
     return samples.trajectory()
 
 

@@ -117,14 +117,14 @@ def write_covariance(path: Path, cov: CovarianceMatrix) -> None:
     def label(i: int) -> tuple[int, str]:
         return i // 2 + 1, "q" if i % 2 == 0 else "p"
 
-    rows = []
-    n2 = cov.C.shape[0]
-    for i in range(n2):
-        si, qi = label(i)
-        for j in range(i + 1):
-            sj, qj = label(j)
-            rows.append((si, qi, sj, qj, cov.C[i, j]))
-    write_csv(path, ["row_site", "row_quad", "col_site", "col_quad", "value"], rows)
+    def rows():
+        for i in range(cov.C.shape[0]):
+            si, qi = label(i)
+            for j in range(i + 1):
+                sj, qj = label(j)
+                yield si, qi, sj, qj, cov.C[i, j]
+
+    write_csv(path, ["row_site", "row_quad", "col_site", "col_quad", "value"], rows())
 
 
 def load_covariance(path: Path, t: float = 0.0) -> CovarianceMatrix:

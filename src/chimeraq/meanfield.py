@@ -60,6 +60,10 @@ class InitialConditionSpec:
     theta_range: float = 24.0 * math.pi
 
     def validate(self) -> "InitialConditionSpec":
+        for name in ("r0", "sigma", "mu", "theta_range"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise RangeError(f"{name} must be finite, got {value}")
         if self.r0 is not None and self.r0 <= 0:
             raise RangeError(f"r0 must be > 0, got {self.r0}")
         if self.sigma <= 0:

@@ -143,6 +143,41 @@ class TestConfigErrors:
         assert main(["reproduce-fig3", "--config", str(cfg)]) == 2
         assert not out.exists()
 
+    PARAMS = {"N": 6, "d": 2, "V": 0.9, "kappa2": 0.2, "hbar": 1.0}
+
+    @pytest.mark.parametrize(
+        "experiment, overrides, key",
+        [
+            ("meanfield", {"params": {**PARAMS, "V": float("nan")}}, "V"),
+            ("analyze", {"params": {**PARAMS, "kappa2": float("inf")}}, "kappa2"),
+            ("analyze", {"params": {**PARAMS, "hbar": float("inf")}}, "hbar"),
+            ("meanfield", {"ic": {"seed": 1, "sigma": float("nan")}}, "sigma"),
+            ("analyze", {"t0": float("inf")}, "t0"),
+            ("analyze", {"delta_t": float("nan")}, "delta_t"),
+            ("meanfield", {"classify_window": 0.0}, "classify_window"),
+            ("meanfield", {"classify_window": -5.0}, "classify_window"),
+            ("meanfield", {"classify_window": float("inf")}, "classify_window"),
+            ("meanfield", {"w_min": -3}, "w_min"),
+            ("meanfield", {"z_threshold": 7.0}, "z_threshold"),
+            ("meanfield", {"z_threshold": 0.0}, "z_threshold"),
+            ("meanfield", {"z_threshold": float("nan")}, "z_threshold"),
+            ("reproduce-fig3",
+             {"fig_states": [{"name": "chimera", "V": float("nan"), "t0": 12.0}]}, "V=nan"),
+            ("reproduce-fig3",
+             {"fig_states": [{"name": "chimera", "V": 1.2, "t0": float("inf")}]}, "t0=inf"),
+        ],
+    )
+    def test_out_of_range_value_rejected_before_any_write(
+        self, tmp_path, capsys, experiment, overrides, key
+    ):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", outputs=str(out), **overrides)
+        assert main([experiment, "--config", str(cfg)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError"
+        assert key in err["message"]
+        assert not out.exists() or not any(out.iterdir())
+
     def test_off_grid_t0_from_ic_file_start(self, tmp_path, capsys):
         first = tmp_path / "first"
         cfg = write_config(tmp_path / "c1.json", outputs=str(first), t0=12.0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -424,6 +426,25 @@ class TestSampleChecks:
         assert ct.certified < len(ct) - 2
         assert len(exact) == len(ct) - ct.certified
         assert ct.min_physicality_margin() >= -PHYSICALITY_TOL * p.hbar
+
+
+class TestSampleStack:
+    @pytest.mark.parametrize("route", [propagate_covariance, moment_oracle])
+    def test_samples_are_held_once(self, route):
+        # 51 samples at N=40 make a 2.61 MB stack; a list of per-sample copies
+        # stacked at the end would hold it twice at the peak
+        p = NetworkParams(N=40, d=8, V=1.2, kappa2=0.2)
+        seg = _ring_segment(p, 1, 0.5, dt=1e-3, sample_every=10)
+        C0 = vacuum_covariance(p)
+        tracemalloc.start()
+        try:
+            ct = route(p, seg, C0, dt=1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ct.covs.shape == (51, 2 * p.N, 2 * p.N)
+        assert ct.covs.dtype == np.float64
+        assert peak < 1.5 * ct.covs.nbytes
 
 
 def symplectic_margin(C: np.ndarray, hbar: float) -> float:
