@@ -178,17 +178,18 @@ class ExperimentConfig:
                 t_from = t_end
 
 
-#: config fields read as floats; each must be finite
-_FLOAT_KEYS = (
-    "t0",
-    "delta_t",
-    "dt_mf",
-    "dt_cov",
-    "sample_spacing",
-    "window_spacing",
-    "classify_window",
-    "z_threshold",
-)
+#: config fields read as floats, with their defaults (t0's default depends on
+#: the experiment, see DEFAULT_T0); each must be finite
+_FLOAT_KEYS = {
+    "t0": 3000.5,
+    "delta_t": 0.5,
+    "dt_mf": 1e-2,
+    "dt_cov": 1e-3,
+    "sample_spacing": 1.0,
+    "window_spacing": 0.1,
+    "classify_window": 10.0,
+    "z_threshold": 0.80,
+}
 
 _CONFIG_KEYS = {
     "experiment",
@@ -239,6 +240,13 @@ def load_config(path: str, experiment: str, seed: int | None, out: str | None) -
             ic = io.ic_spec_from_json(obj.get("ic", {}))
             if seed is not None:
                 ic = replace(ic, seed=seed)
+        n = params.N
+        defaults = {**_FLOAT_KEYS, "t0": DEFAULT_T0.get(experiment, _FLOAT_KEYS["t0"])}
+        numbers = {key: io.read_float(obj, key, default) for key, default in defaults.items()}
+        numbers["w_min"] = io.read_int(obj, "w_min", 5)
+        numbers["mi_partition"] = io.read_int(
+            obj, "mi_partition", max(1, min(2 * n // 5, n - 1))
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     outputs = out or os.environ.get(ENV_OUT) or obj.get("outputs") or f"runs/{experiment}"
@@ -246,30 +254,23 @@ def load_config(path: str, experiment: str, seed: int | None, out: str | None) -
     if "fig_states" in obj:
         try:
             fig_states = tuple(
-                (str(e["name"]), float(e["V"]), float(e["t0"])) for e in obj["fig_states"]
+                (str(e["name"]), io.read_float(e, "V"), io.read_float(e, "t0"))
+                for e in obj["fig_states"]
             )
         except (TypeError, KeyError) as exc:
             raise ConfigError(
                 "fig_states entries need name, V, t0"
             ) from exc
-    n = params.N
+        except ValueError as exc:
+            raise ConfigError(f"fig_states: {exc}") from exc
     cfg = ExperimentConfig(
         experiment=experiment,
         params=params,
         ic=ic,
         ic_file=obj.get("ic_file"),
-        t0=float(obj.get("t0", DEFAULT_T0.get(experiment, 3000.5))),
-        delta_t=float(obj.get("delta_t", 0.5)),
-        dt_mf=float(obj.get("dt_mf", 1e-2)),
-        dt_cov=float(obj.get("dt_cov", 1e-3)),
-        sample_spacing=float(obj.get("sample_spacing", 1.0)),
-        window_spacing=float(obj.get("window_spacing", 0.1)),
-        classify_window=float(obj.get("classify_window", 10.0)),
-        z_threshold=float(obj.get("z_threshold", 0.80)),
-        w_min=int(obj.get("w_min", 5)),
-        mi_partition=int(obj.get("mi_partition", max(1, min(2 * n // 5, n - 1)))),
         outputs=str(outputs),
         fig_states=fig_states,
+        **numbers,
     )
     return cfg.validate()
 
@@ -349,14 +350,19 @@ def _classify_window(
 
 
 def _covariance_run(
-    p: NetworkParams, snapshot: MeanFieldState, cfg: ExperimentConfig
+    p: NetworkParams, snapshot: MeanFieldState, cfg: ExperimentConfig, every_sample: bool
 ) -> CovarianceTrajectory:
+    """Covariance over ``delta_t`` from a vacuum start at ``snapshot``,
+    checked every ``delta_t / 50``; the samples in between are kept only
+    with ``every_sample``."""
     spacing = max(cfg.dt_cov, cfg.delta_t / 50.0)
     seg = integrate(
         p, snapshot, snapshot.t + cfg.delta_t, dt=cfg.dt_cov,
         sample_every=_sample_every(spacing, cfg.dt_cov),
     )
-    return propagate_covariance(p, seg, vacuum_covariance(p, t=snapshot.t), dt=cfg.dt_cov)
+    return propagate_covariance(
+        p, seg, vacuum_covariance(p, t=snapshot.t), dt=cfg.dt_cov, every_sample=every_sample
+    )
 
 
 def _grid_rows(parts: list[MeanFieldTrajectory], columns: tuple[str, ...]):
@@ -385,9 +391,11 @@ def _regime_dict(label) -> dict | None:
 
 def _state_run(
     cfg: ExperimentConfig, p: NetworkParams, snap, manifest: dict, name: str | None = None,
+    every_sample: bool = False,
 ):
     """Snapshot (one ``_snapshot_run`` result) -> regime label -> covariance
-    over ``delta_t``.
+    over ``delta_t``, keeping its first and last sample, or every sample
+    with ``every_sample``.
 
     Records the regime, the minimum exact physicality margin, the number of
     samples that passed on a Cholesky certificate and the largest
@@ -405,7 +413,7 @@ def _state_run(
         manifest["regime"][name] = _regime_dict(label)
     if cfg.experiment in CLASSICAL:
         return parts, snapshot, label, None
-    cov_traj = _covariance_run(p, snapshot, cfg)
+    cov_traj = _covariance_run(p, snapshot, cfg, every_sample)
     suffix = "" if name is None else f"_{name}"
     manifest[f"physicality_margin_min{suffix}"] = cov_traj.min_physicality_margin()
     manifest[f"physicality_certified{suffix}"] = cov_traj.certified
@@ -579,7 +587,7 @@ def _run_fig4(cfg: ExperimentConfig, state0: MeanFieldState, emit, manifest: dic
     for name, V, t_snap in cfg.fig_states:
         p = replace(cfg.params, V=V)
         (snap,) = _snapshot_run(p, [state0], t_snap, cfg)
-        _, _, _, cov_traj = _state_run(cfg, p, snap, manifest, name)
+        _, _, _, cov_traj = _state_run(cfg, p, snap, manifest, name, every_sample=True)
         scan = mi_scan(p, cov_traj.final_cov)
         scan_rows.extend((name, V, L, scan[L]) for L in sorted(scan))
         for k in range(len(cov_traj)):
@@ -721,9 +729,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.seeds is not None:
+            if args.seed is not None:
+                raise ConfigError("give either --seed or --seeds, not both")
+            try:
+                seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+            except ValueError as exc:
+                raise ConfigError(
+                    f"--seeds must be comma-separated integers, got {args.seeds!r}"
+                ) from exc
         cfg = load_config(args.config, args.experiment, args.seed, args.out)
         if args.seeds is not None:
-            seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
             if cfg.ic is None:
                 raise ConfigError("seed sweep requires inline ic, not ic_file")
             if len(seeds) == 1:

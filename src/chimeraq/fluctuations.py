@@ -190,11 +190,13 @@ def drift_diffusion(p: NetworkParams, s: MeanFieldState) -> DriftDiffusion:
 class CovarianceTrajectory:
     """Covariance samples along one mean-field segment.
 
-    ``covs`` has shape (T, 2N, 2N).  Every sample passed the physicality
-    check: the first and the last by their exact margin, the others by a
-    Cholesky certificate where one holds (counted in ``certified``) and by
-    their exact margin otherwise.  ``margin_min`` is the minimum over the
-    exactly evaluated samples.
+    ``covs`` has shape (T, 2N, 2N) and holds the kept samples at ``times``:
+    every sample of the segment's grid, or only its first and last.  Every
+    sample on the grid, kept or not, passed the physicality check: the first
+    and the last by their exact margin, the others by a Cholesky certificate
+    where one holds (counted in ``certified``) and by their exact margin
+    otherwise.  ``margin_min`` is the minimum over the exactly evaluated
+    samples.
     """
 
     times: np.ndarray
@@ -238,28 +240,34 @@ def _check_c0(p: NetworkParams, C0: CovarianceMatrix) -> tuple[np.ndarray, float
 
 
 class _Samples:
-    """Covariance samples on a segment's time grid, written into one
-    preallocated (T, 2N, 2N) stack and checked for physicality as they are
-    added: the last by its exact margin, the ones in between by
-    :func:`_certified_margin`."""
+    """Covariance samples on a segment's time grid, checked for physicality
+    as they are added: the last by its exact margin, the ones in between by
+    :func:`_certified_margin`.  The kept samples, every one or only the first
+    and the last, are written into one preallocated stack."""
 
     def __init__(self, p: NetworkParams, segment: MeanFieldTrajectory, C0: np.ndarray,
-                 margin0: float):
+                 margin0: float, every_sample: bool = True):
         self.p = p
         self.segment = segment
-        self.covs = np.empty((len(segment.times),) + C0.shape)
+        self.every_sample = every_sample
+        n = len(segment.times)
+        self.kept = np.arange(n) if every_sample else np.unique([0, n - 1])
+        self.covs = np.empty((len(self.kept),) + C0.shape)
         self.covs[0] = C0
         self.count = 1
         self.margin_min = margin0
         self.certified = 0
 
     def add(self, C: np.ndarray) -> None:
-        """Record the next sample; raises PhysicalityError if it fails."""
+        """Check the next sample and keep it if asked to; raises
+        PhysicalityError if it fails."""
         times = self.segment.times
         k = self.count
-        self.covs[k] = C
+        last = k == len(times) - 1
+        if self.every_sample or last:
+            self.covs[-1 if last else k] = C
         what = f"covariance unphysical at t={times[k]:g}"
-        if k == len(times) - 1:
+        if last:
             margin = _checked_margin(C, self.p.hbar, what)
         else:
             margin = _certified_margin(C, self.p.hbar, what)
@@ -271,7 +279,7 @@ class _Samples:
 
     def trajectory(self) -> CovarianceTrajectory:
         return CovarianceTrajectory(
-            times=np.array(self.segment.times),
+            times=self.segment.times[self.kept],
             covs=self.covs,
             params=self.p,
             source=self.segment,
@@ -285,16 +293,21 @@ def propagate_covariance(
     mf_segment: MeanFieldTrajectory,
     C0: CovarianceMatrix,
     dt: float = 1e-3,
+    every_sample: bool = True,
 ) -> CovarianceTrajectory:
     """RK4 on the Lyapunov equation dC/dt = A C + C A^T + B.
 
     The mean field is advanced inside the same RK4 state, starting from the
-    segment's first sample; C is recorded on the segment's time grid and
+    segment's first sample; C is checked on the segment's time grid and
     symmetrized after every step.  ``dt`` must divide the segment spacing.
+    With ``every_sample`` false only the first and the last sample are
+    kept, so the result holds two matrices however fine the grid; the
+    checks are the same.
 
     Raises:
-        PhysicalityError: if a recorded covariance violates the uncertainty
-            bound beyond tolerance (linearization breakdown or too-large dt).
+        PhysicalityError: if a covariance on the grid, kept or not, violates
+            the uncertainty bound beyond tolerance (linearization breakdown
+            or too-large dt).
     """
     validate_params(p)
     C, margin0 = _check_c0(p, C0)
@@ -320,7 +333,7 @@ def propagate_covariance(
         return mf_rhs(alpha), out
 
     a = np.array(mf_segment.alphas[0])
-    samples = _Samples(p, mf_segment, C, margin0)
+    samples = _Samples(p, mf_segment, C, margin0, every_sample)
     for n_sub in subs:
         # an overflowing step is reported by the sample check, not by warnings
         with np.errstate(over="ignore", invalid="ignore"):

@@ -34,6 +34,31 @@ def write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
+def read_int(obj: dict, key: str, default: int | None = None) -> int:
+    """``obj[key]``, or ``default`` when given and the key is absent, as an
+    int.  Raises ValueError naming the key unless the value is an integral
+    JSON number (a bool is not one); KeyError if it is missing."""
+    x = obj[key] if default is None else obj.get(key, default)
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or (
+        isinstance(x, float) and not x.is_integer()
+    ):
+        raise ValueError(f"{key} must be an integer, got {x!r}")
+    return int(x)
+
+
+def read_float(obj: dict, key: str, default: float | None = None) -> float:
+    """``obj[key]``, or ``default`` when given and the key is absent, as a
+    float.  Raises ValueError naming the key unless the value is a JSON
+    number (a bool is not one); KeyError if it is missing."""
+    x = obj[key] if default is None else obj.get(key, default)
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"{key} must be a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{key} must be finite, got an integer beyond the float range") from None
+
+
 def params_to_json(p: NetworkParams) -> dict:
     return {"N": p.N, "d": p.d, "V": p.V, "kappa2": p.kappa2, "hbar": p.hbar}
 
@@ -47,14 +72,14 @@ def params_from_json(obj: dict) -> NetworkParams:
     for key in ("N", "d", "V", "kappa2"):
         if key not in obj:
             raise ValueError(f"missing parameter key: {key}")
-    if obj.get("kappa1", 1.0) != 1.0:
+    if read_float(obj, "kappa1", 1.0) != 1.0:
         raise ValueError("kappa1 is fixed to 1 in parameter files")
     return NetworkParams(
-        N=int(obj["N"]),
-        d=int(obj["d"]),
-        V=float(obj["V"]),
-        kappa2=float(obj["kappa2"]),
-        hbar=float(obj.get("hbar", 1.0)),
+        N=read_int(obj, "N"),
+        d=read_int(obj, "d"),
+        V=read_float(obj, "V"),
+        kappa2=read_float(obj, "kappa2"),
+        hbar=read_float(obj, "hbar", 1.0),
     )
 
 
@@ -75,11 +100,11 @@ def ic_spec_from_json(obj: dict) -> InitialConditionSpec:
         raise ValueError(f"unknown initial-condition keys: {sorted(unknown)}")
     defaults = InitialConditionSpec()
     return InitialConditionSpec(
-        seed=int(obj.get("seed", defaults.seed)),
-        r0=None if obj.get("r0") is None else float(obj["r0"]),
-        sigma=float(obj.get("sigma", defaults.sigma)),
-        mu=None if obj.get("mu") is None else float(obj["mu"]),
-        theta_range=float(obj.get("theta_range", defaults.theta_range)),
+        seed=read_int(obj, "seed", defaults.seed),
+        r0=None if obj.get("r0") is None else read_float(obj, "r0"),
+        sigma=read_float(obj, "sigma", defaults.sigma),
+        mu=None if obj.get("mu") is None else read_float(obj, "mu"),
+        theta_range=read_float(obj, "theta_range", defaults.theta_range),
     )
 
 

@@ -165,6 +165,21 @@ class TestConfigErrors:
              {"fig_states": [{"name": "chimera", "V": float("nan"), "t0": 12.0}]}, "V=nan"),
             ("reproduce-fig3",
              {"fig_states": [{"name": "chimera", "V": 1.2, "t0": float("inf")}]}, "t0=inf"),
+            # integer keys take integral numbers only, float keys numbers only
+            ("meanfield", {"w_min": 2.7}, "w_min must be an integer, got 2.7"),
+            ("meanfield", {"w_min": True}, "w_min must be an integer, got True"),
+            ("meanfield", {"w_min": float("nan")}, "w_min must be an integer, got nan"),
+            ("analyze", {"mi_partition": 1.9}, "mi_partition must be an integer"),
+            ("meanfield", {"params": {**PARAMS, "N": 50.7}}, "N must be an integer"),
+            ("meanfield", {"params": {**PARAMS, "d": True}}, "d must be an integer"),
+            ("meanfield", {"ic": {"seed": 3.9}}, "seed must be an integer, got 3.9"),
+            ("analyze", {"t0": "abc"}, "t0 must be a number, got 'abc'"),
+            ("analyze", {"t0": 10**400}, "t0 must be finite"),
+            ("meanfield", {"params": {**PARAMS, "V": "0.9"}}, "V must be a number"),
+            ("meanfield", {"ic": {"seed": 1, "r0": False}}, "r0 must be a number"),
+            ("reproduce-fig3",
+             {"fig_states": [{"name": "chimera", "V": "x", "t0": 12.0}]},
+             "fig_states: V must be a number, got 'x'"),
         ],
     )
     def test_out_of_range_value_rejected_before_any_write(
@@ -541,6 +556,19 @@ class TestSeedSweep:
         assert [str(w.message) for w in caught] == []
         lines = capsys.readouterr().err.splitlines()
         assert [json.loads(line)["seed"] for line in lines] == [1, 2]
+
+    @pytest.mark.parametrize(
+        "flags, key",
+        [(["--seed", "9", "--seeds", "1,2"], "--seed or --seeds"), (["--seeds", "1,a"], "--seeds")],
+    )
+    def test_bad_seed_flags_rejected(self, tmp_path, capsys, flags, key):
+        out = tmp_path / "sweep"
+        cfg = write_config(tmp_path / "c.json", outputs=str(out))
+        assert main(["meanfield", "--config", str(cfg), *flags]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError"
+        assert key in err["message"]
+        assert not out.exists()
 
     def test_repeated_seeds_rejected(self, tmp_path, capsys):
         out = tmp_path / "sweep"

@@ -345,10 +345,13 @@ class TestSampleChecks:
     """Intermediate samples pass on a Cholesky certificate; the first and the
     last sample, and any sample no certificate covers, get exact margins."""
 
-    def test_unstable_dt_fails_inside_the_segment(self):
+    @pytest.mark.parametrize("every_sample", [True, False])
+    def test_unstable_dt_fails_inside_the_segment(self, every_sample):
+        # a sample that is not kept is still checked
         seg = _ring_segment(UNSTABLE, 1, 100.0, dt=1.0, sample_every=10)
         with pytest.raises(PhysicalityError, match=r"covariance unphysical at t=10,"):
-            propagate_covariance(UNSTABLE, seg, vacuum_covariance(UNSTABLE), dt=1.0)
+            propagate_covariance(UNSTABLE, seg, vacuum_covariance(UNSTABLE), dt=1.0,
+                                 every_sample=every_sample)
 
     def test_overflowing_segment_is_unphysical(self):
         # 500 unstable steps between two samples overflow C to inf and NaN
@@ -387,13 +390,16 @@ class TestSampleChecks:
         monkeypatch.setattr(fluctuations, "physicality_margin", counted)
         return exact
 
-    def test_vacuum_start_certifies_intermediate_samples(self, monkeypatch):
+    @pytest.mark.parametrize("every_sample", [True, False])
+    def test_vacuum_start_certifies_intermediate_samples(self, monkeypatch, every_sample):
         p = NetworkParams(N=4, d=1, V=1.2, kappa2=0.2)
         seg = _ring_segment(p, 2, 0.5, dt=1e-3, sample_every=10)
         exact = self._exact_calls(monkeypatch)
-        ct = propagate_covariance(p, seg, vacuum_covariance(p), dt=1e-3)
+        ct = propagate_covariance(p, seg, vacuum_covariance(p), dt=1e-3,
+                                  every_sample=every_sample)
         assert ct.vacuum_bound_ratio_max() <= 1.0
-        assert ct.certified == len(ct) - 2
+        assert ct.certified == len(seg.times) - 2 == 49
+        assert len(ct) == (51 if every_sample else 2)
         assert len(exact) == 2
         assert np.array_equal(exact[-1], ct.covs[-1])
         assert ct.min_physicality_margin() == 0.0
@@ -429,6 +435,43 @@ class TestSampleChecks:
 
 
 class TestSampleStack:
+    @pytest.mark.parametrize("r0", [None, 3.0])
+    def test_endpoints_only_match_every_sample(self, r0):
+        # r0 = 3.0 starts above the limit cycle, where intermediate samples
+        # are evaluated exactly and enter margin_min
+        p = NetworkParams(N=4, d=1, V=1.2, kappa2=0.2)
+        s0 = initial_conditions(p, InitialConditionSpec(seed=2, r0=r0))
+        seg = integrate(p, s0, 0.5, dt=1e-3, sample_every=10)
+        full, ends = (
+            propagate_covariance(p, seg, vacuum_covariance(p), dt=1e-3, every_sample=keep)
+            for keep in (True, False)
+        )
+        assert np.array_equal(ends.times, seg.times[[0, -1]])
+        assert np.array_equal(ends.covs, full.covs[[0, -1]])
+        assert np.array_equal(ends.final_cov.C, full.final_cov.C)
+        assert ends.final_cov.t == full.final_cov.t
+        assert ends.margin_min == full.margin_min
+        assert ends.certified == full.certified
+        assert ends.vacuum_bound_ratio_max() == full.vacuum_bound_ratio_max()
+
+    def test_endpoints_only_memory_does_not_grow_with_the_grid(self):
+        # every sample at 201 samples would hold 10.3 MB against 2.6 MB at 51
+        p = NetworkParams(N=40, d=8, V=1.2, kappa2=0.2)
+        peaks = []
+        for sample_every in (4, 1):
+            seg = _ring_segment(p, 1, 0.2, dt=1e-3, sample_every=sample_every)
+            C0 = vacuum_covariance(p)
+            tracemalloc.start()
+            try:
+                ct = propagate_covariance(p, seg, C0, dt=1e-3, every_sample=False)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(seg.times) == 200 // sample_every + 1
+            assert ct.covs.shape == (2, 2 * p.N, 2 * p.N)
+            peaks.append(peak)
+        assert peaks[1] <= 1.1 * peaks[0]
+
     @pytest.mark.parametrize("route", [propagate_covariance, moment_oracle])
     def test_samples_are_held_once(self, route):
         # 51 samples at N=40 make a 2.61 MB stack; a list of per-sample copies
