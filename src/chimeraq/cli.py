@@ -231,6 +231,11 @@ def load_config(path: str, experiment: str, seed: int | None, out: str | None) -
         )
     if "params" not in obj:
         raise ConfigError("config is missing 'params'")
+    for key in ("params", "ic"):
+        if key in obj and not isinstance(obj[key], dict):
+            raise ConfigError(f"{key} must be a JSON object, got {obj[key]!r}")
+    if obj.get("ic_file") is not None and not isinstance(obj["ic_file"], str):
+        raise ConfigError(f"ic_file must be a path string, got {obj['ic_file']!r}")
     if "ic" in obj and obj.get("ic_file") is not None:
         raise ConfigError("give either ic or ic_file, not both")
     try:
@@ -365,18 +370,31 @@ def _covariance_run(
     )
 
 
-def _grid_rows(parts: list[MeanFieldTrajectory], columns: tuple[str, ...]):
-    """Rows (t, l, *columns) over consecutive parts, each time written once."""
+#: rows per grid chunk: the phase and r^2 grids are computed this many rows
+#: at a time, so a grid's memory does not grow with the length of a part
+_GRID_CHUNK_ROWS = 4096
+
+
+def _grid_blocks(parts: list[MeanFieldTrajectory], columns: tuple[str, ...]):
+    """CSV text of the rows (t, l, *columns) over consecutive parts, one
+    block per sample time (its N rows), each time written once."""
     t_seen = -np.inf
     for traj in parts:
-        grids = dict(zip(("phi", "r2"), spacetime_grid(traj)))
-        for k, t in enumerate(traj.times):
-            t = float(t)
-            if t <= t_seen + 1e-12:
-                continue
-            t_seen = t
-            for l in range(traj.params.N):
-                yield (t, l + 1, *(grids[c][l, k] for c in columns))
+        n = traj.params.N
+        lines = io.line_templates([(l + 1,) for l in range(n)], len(columns))
+        step = max(1, _GRID_CHUNK_ROWS // n)
+        for k in range(0, len(traj), step):
+            chunk = MeanFieldTrajectory(
+                traj.times[k : k + step], traj.alphas[k : k + step], traj.params
+            )
+            grids = dict(zip(("phi", "r2"), spacetime_grid(chunk)))
+            # (times, N, columns): each sample time's numbers in line order
+            cells = np.stack([grids[c].T for c in columns], axis=-1)
+            for t, values in zip(chunk.times.tolist(), cells):
+                if t <= t_seen + 1e-12:
+                    continue
+                t_seen = t
+                yield io.block(io.fmt(t), lines, values.ravel().tolist())
 
 
 def _regime_dict(label) -> dict | None:
@@ -444,8 +462,8 @@ class _Run:
         self.emit("initial_conditions.json", io.save_state, self.state0, cfg.params, cfg.ic)
         self.wall_s = time.monotonic() - t_start
 
-    def emit(self, name: str, writer, *args) -> None:
-        writer(self.outdir / name, *args)
+    def emit(self, name: str, writer, *args, **kwargs) -> None:
+        writer(self.outdir / name, *args, **kwargs)
         self.files.append(name)
 
 
@@ -511,10 +529,12 @@ def _finish(r: _Run, snap) -> dict:
 
         if cfg.experiment == "meanfield":
             emit("meanfield_grid.csv", io.write_csv, ["t", "l", "phi", "r2"],
-                 _grid_rows(parts, ("phi", "r2")))
+                 blocks=_grid_blocks(parts, ("phi", "r2")))
         elif cfg.experiment == "reproduce-fig1":
-            emit("fig1_phi.csv", io.write_csv, ["t", "l", "phi"], _grid_rows(parts, ("phi",)))
-            emit("fig1_r2.csv", io.write_csv, ["t", "l", "r2"], _grid_rows(parts, ("r2",)))
+            emit("fig1_phi.csv", io.write_csv, ["t", "l", "phi"],
+                 blocks=_grid_blocks(parts, ("phi",)))
+            emit("fig1_r2.csv", io.write_csv, ["t", "l", "r2"],
+                 blocks=_grid_blocks(parts, ("r2",)))
         else:
             cov = cov_traj.final_cov
             if cfg.experiment == "fluctuations":

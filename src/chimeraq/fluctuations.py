@@ -232,10 +232,11 @@ def _substeps(times: np.ndarray, dt: float) -> list[int]:
 
 
 def _check_c0(p: NetworkParams, C0: CovarianceMatrix) -> tuple[np.ndarray, float]:
-    """A writable copy of the start covariance and its physicality margin."""
+    """A writable, symmetrized copy of the start covariance and its
+    physicality margin."""
     if C0.n_sites != p.N:
         raise ValueError("C0 size does not match params.N")
-    C = np.array(C0.C)
+    C = 0.5 * (C0.C + C0.C.T)
     return C, _checked_margin(C, p.hbar, "initial covariance unphysical")
 
 
@@ -298,8 +299,11 @@ def propagate_covariance(
     """RK4 on the Lyapunov equation dC/dt = A C + C A^T + B.
 
     The mean field is advanced inside the same RK4 state, starting from the
-    segment's first sample; C is checked on the segment's time grid and
-    symmetrized after every step.  ``dt`` must divide the segment spacing.
+    segment's first sample; C is checked on the segment's time grid.  The
+    start is symmetrized once: from there every step is exactly symmetric,
+    since each stage derivative ``M + M^T + diag(b)`` is (IEEE addition
+    commutes) and the RK4 combinations are elementwise.  ``dt`` must divide
+    the segment spacing.
     With ``every_sample`` false only the first and the last sample are
     kept, so the result holds two matrices however fine the grid; the
     checks are the same.
@@ -339,10 +343,6 @@ def propagate_covariance(
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(n_sub):
                 a, C = rk4_step(joint_rhs, (a, C), dt)
-                # symmetrize in place, same bits as 0.5 * (C + C.T): at large N a
-                # fresh array here lets malloc trim the heap and refault it each step
-                C += C.T
-                C *= 0.5
         samples.add(C)
     return samples.trajectory()
 

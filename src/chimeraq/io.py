@@ -1,7 +1,12 @@
 """File formats: CSV payloads with fixed layouts and JSON sidecars.
 
-Floats are written with 17 significant digits so that reruns with identical
-inputs produce byte-identical CSV files.
+One rule turns a value into CSV text (:func:`fmt`): floats, numpy floats
+included, get 17 significant digits, so that reruns with identical inputs
+produce byte-identical CSV files; anything else is written with ``str``.
+Small tables are formatted row by row with that rule.  Large payloads
+(space-time grids, covariances) are formatted one block of lines per ``%``
+call, from line templates built once per table with the same rule, and
+written as they are made: at most one block of text is held.
 """
 
 from __future__ import annotations
@@ -15,17 +20,44 @@ from .core import CovarianceMatrix, MeanFieldState, NetworkParams
 from .meanfield import InitialConditionSpec
 
 
+#: the conversion of a float cell: 17 significant digits
+FLOAT = "%.17g"
+
+
 def fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.17g}"
-    return str(x)
+    """``x`` as CSV text: :data:`FLOAT` for floats (numpy floats included),
+    ``str`` for anything else."""
+    return (FLOAT if isinstance(x, (float, np.floating)) else "%s") % (x,)
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
+def _literal(text: str) -> str:
+    """``text`` as it must appear in a ``%`` template to come out unchanged."""
+    return text.replace("%", "%%")
+
+
+def line_templates(labels, n_floats: int) -> list[str]:
+    """Per label tuple, the ``%`` template of a CSV line after its leading
+    cell: ``,<label cells>`` and then ``n_floats`` float cells."""
+    tail = ("," + FLOAT) * n_floats + "\n"
+    return [_literal("".join("," + fmt(x) for x in label)) + tail for label in labels]
+
+
+def block(lead: str, templates: list[str], values) -> str:
+    """One line per template, each starting with the cell text ``lead``,
+    its float cells filled from ``values`` (Python floats, as
+    ``ndarray.tolist()`` gives them) in order."""
+    return _literal(lead).join(["", *templates]) % tuple(values)
+
+
+def write_csv(path: Path, header: list[str], rows=(), blocks=()) -> None:
+    """Write ``header``, then ``rows`` (tuples, formatted cell by cell with
+    :func:`fmt`), then ``blocks`` (text of whole lines, see :func:`block`),
+    consuming both as it writes."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(fmt(x) for x in row) + "\n")
+        fh.writelines(blocks)
 
 
 def write_json(path: Path, obj) -> None:
@@ -137,19 +169,15 @@ def load_state(path: Path) -> tuple[MeanFieldState, NetworkParams]:
 
 
 def write_covariance(path: Path, cov: CovarianceMatrix) -> None:
-    """Lower triangle, row-major, with (site, quadrature) labels per index."""
-
-    def label(i: int) -> tuple[int, str]:
-        return i // 2 + 1, "q" if i % 2 == 0 else "p"
-
-    def rows():
-        for i in range(cov.C.shape[0]):
-            si, qi = label(i)
-            for j in range(i + 1):
-                sj, qj = label(j)
-                yield si, qi, sj, qj, cov.C[i, j]
-
-    write_csv(path, ["row_site", "row_quad", "col_site", "col_quad", "value"], rows())
+    """Lower triangle, row-major, with (site, quadrature) labels per index;
+    one block of lines per matrix row."""
+    labels = [(i // 2 + 1, "qp"[i % 2]) for i in range(cov.C.shape[0])]
+    lines = line_templates(labels, 1)
+    blocks = (
+        block(",".join(map(fmt, label)), lines[: i + 1], cov.C[i, : i + 1].tolist())
+        for i, label in enumerate(labels)
+    )
+    write_csv(path, ["row_site", "row_quad", "col_site", "col_quad", "value"], blocks=blocks)
 
 
 def load_covariance(path: Path, t: float = 0.0) -> CovarianceMatrix:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -7,8 +8,8 @@ import pytest
 
 from chimeraq import analysis, cli, io
 from chimeraq.cli import main
-from chimeraq.core import CovarianceMatrix, MeanFieldState
-from chimeraq.meanfield import InitialConditionSpec
+from chimeraq.core import CovarianceMatrix, MeanFieldState, NetworkParams
+from chimeraq.meanfield import InitialConditionSpec, MeanFieldTrajectory, spacetime_grid
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -25,6 +26,48 @@ def write_config(path: Path, **overrides) -> Path:
     cfg.update(overrides)
     path.write_text(json.dumps(cfg))
     return path
+
+
+def oracle_cell(x) -> str:
+    """The per-cell rule every CSV payload must reproduce: 17 significant
+    digits for floats, numpy floats included; ``str`` for anything else."""
+    if isinstance(x, (float, np.floating)):
+        return f"{float(x):.17g}"
+    return str(x)
+
+
+def oracle_csv(header: list[str], rows) -> bytes:
+    lines = [",".join(header)] + [",".join(oracle_cell(x) for x in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def oracle_grid_rows(parts, columns):
+    """Rows (t, l, *columns) of ``spacetime_grid`` over consecutive parts,
+    each time once."""
+    t_seen = -np.inf
+    for traj in parts:
+        grids = dict(zip(("phi", "r2"), spacetime_grid(traj)))
+        for k, t in enumerate(traj.times):
+            t = float(t)
+            if t <= t_seen + 1e-12:
+                continue
+            t_seen = t
+            for l in range(traj.params.N):
+                yield (t, l + 1, *(grids[c][l, k] for c in columns))
+
+
+def oracle_covariance_rows(C: np.ndarray):
+    """Lower triangle, row-major, with (site, quadrature) labels."""
+
+    def label(i: int) -> tuple[int, str]:
+        return i // 2 + 1, "q" if i % 2 == 0 else "p"
+
+    for i in range(C.shape[0]):
+        for j in range(i + 1):
+            yield (*label(i), *label(j), C[i, j])
+
+
+COVARIANCE_HEADER = ["row_site", "row_quad", "col_site", "col_quad", "value"]
 
 
 def read_manifest(outdir: Path) -> dict:
@@ -57,22 +100,101 @@ class TestIo:
         with pytest.raises(ValueError, match="unknown"):
             io.params_from_json({"N": 6, "d": 2, "V": 1.0, "kappa2": 0.2, "gamma": 1.0})
 
-    def test_covariance_roundtrip(self, tmp_path):
+    @pytest.mark.parametrize("value", [None, -0.0, 5e-324, 1e308, 1.0 / 3.0])
+    def test_covariance_roundtrip(self, tmp_path, value):
         rng = np.random.default_rng(1)
         m = rng.standard_normal((8, 8))
         from chimeraq import CovarianceMatrix
 
-        cov = CovarianceMatrix(0.0, m + m.T)
+        C = m + m.T
+        if value is not None:
+            C[5, 2] = C[2, 5] = C[3, 3] = value
+        cov = CovarianceMatrix(0.0, C)
         io.write_covariance(tmp_path / "c.csv", cov)
         loaded = io.load_covariance(tmp_path / "c.csv")
         assert np.array_equal(loaded.C, cov.C)
+        assert np.array_equal(np.signbit(loaded.C), np.signbit(cov.C))
         header = (tmp_path / "c.csv").read_text().splitlines()[0]
         assert header == "row_site,row_quad,col_site,col_quad,value"
+        assert (tmp_path / "c.csv").read_bytes() == oracle_csv(
+            COVARIANCE_HEADER, oracle_covariance_rows(cov.C)
+        )
+
+    def test_block_keeps_percent_signs_in_labels(self):
+        lines = io.line_templates([("a%s", 2), ("%d",)], 2)
+        assert io.block("5%", lines, [0.5, 1.0, 1.0 / 3.0, -0.0]) == (
+            "5%,a%s,2,0.5,1\n5%,%d,0.33333333333333331,-0\n"
+        )
 
     def test_csv_float_formatting(self, tmp_path):
         io.write_csv(tmp_path / "x.csv", ["a"], [(1.0 / 3.0,)])
         body = (tmp_path / "x.csv").read_text().splitlines()[1]
         assert body == "0.33333333333333331"
+
+
+class TestCsvBytes:
+    """Grid and covariance payloads, written a block at a time, hold the
+    bytes of the per-cell rule applied to the numbers they come from."""
+
+    @staticmethod
+    def _run(tmp_path, experiment):
+        out = tmp_path / experiment
+        cfg_path = write_config(tmp_path / "c.json", outputs=str(out))
+        assert main([experiment, "--config", str(cfg_path)]) == 0
+        cfg = cli.load_config(str(cfg_path), experiment, None, None)
+        state0 = cli._initial_state(cfg, cfg.params)
+        (snap,) = cli._snapshot_run(cfg.params, [state0], cfg.t0, cfg)
+        return out, cfg, snap
+
+    @pytest.mark.parametrize("experiment, files", [
+        ("meanfield", {"meanfield_grid.csv": ("phi", "r2")}),
+        ("reproduce-fig1", {"fig1_phi.csv": ("phi",), "fig1_r2.csv": ("r2",)}),
+    ])
+    def test_grid_bytes(self, tmp_path, experiment, files):
+        out, cfg, (parts, _, _) = self._run(tmp_path, experiment)
+        # the sparse transient and the classify window share a boundary time
+        assert len(parts) == 2
+        boundary = float(parts[0].times[-1])
+        assert boundary == float(parts[1].times[0])
+        for name, columns in files.items():
+            data = (out / name).read_bytes()
+            assert data == oracle_csv(["t", "l", *columns], oracle_grid_rows(parts, columns))
+            at_boundary = [line for line in data.decode().splitlines()
+                           if line.startswith(oracle_cell(boundary) + ",")]
+            assert len(at_boundary) == cfg.params.N
+
+    def test_covariance_bytes(self, tmp_path):
+        out, cfg, (_, _, snapshot) = self._run(tmp_path, "fluctuations")
+        C = cli._covariance_run(cfg.params, snapshot, cfg, every_sample=False).final_cov.C
+        assert (out / "covariance.csv").read_bytes() == oracle_csv(
+            COVARIANCE_HEADER, oracle_covariance_rows(C)
+        )
+
+    def test_grid_writer_memory_does_not_grow_with_the_file(self, tmp_path):
+        # 100,050 rows: N=50 at 2,001 sample times, in two parts sharing t=1000
+        p = NetworkParams(N=50, d=10, V=1.2, kappa2=0.2)
+        rng = np.random.default_rng(5)
+        parts = [
+            MeanFieldTrajectory(
+                np.arange(t, t + 1001.0),
+                rng.standard_normal((1001, 50)) + 1j * rng.standard_normal((1001, 50)),
+                p,
+            )
+            for t in (0.0, 1000.0)
+        ]
+        path = tmp_path / "grid.csv"
+        tracemalloc.start()
+        try:
+            io.write_csv(path, ["t", "l", "phi", "r2"],
+                         blocks=cli._grid_blocks(parts, ("phi", "r2")))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        data = path.read_bytes()
+        assert data.count(b"\n") == 1 + 2001 * 50
+        assert data == oracle_csv(["t", "l", "phi", "r2"], oracle_grid_rows(parts, ("phi", "r2")))
+        # about 4.6 MB of text; the writer holds one block and one chunk of grid
+        assert peak < len(data) / 8
 
 
 class TestConfigErrors:
@@ -180,6 +302,10 @@ class TestConfigErrors:
             ("reproduce-fig3",
              {"fig_states": [{"name": "chimera", "V": "x", "t0": 12.0}]},
              "fig_states: V must be a number, got 'x'"),
+            # values of the wrong JSON type
+            ("meanfield", {"params": 5}, "params must be a JSON object, got 5"),
+            ("meanfield", {"ic": 5}, "ic must be a JSON object, got 5"),
+            ("meanfield", {"ic_file": 5}, "ic_file must be a path string, got 5"),
         ],
     )
     def test_out_of_range_value_rejected_before_any_write(

@@ -25,6 +25,7 @@ from chimeraq import (
 )
 from chimeraq import fluctuations
 from chimeraq.analysis import shift_covariance
+from chimeraq.core import rk4_step
 from chimeraq.fluctuations import (
     PHYSICALITY_TOL,
     _certified_margin,
@@ -432,6 +433,39 @@ class TestSampleChecks:
         assert ct.certified < len(ct) - 2
         assert len(exact) == len(ct) - ct.certified
         assert ct.min_physicality_margin() >= -PHYSICALITY_TOL * p.hbar
+
+
+class TestExactSymmetry:
+    """Each covariance step keeps an exactly symmetric C exactly symmetric,
+    so symmetrizing the start once gives the bits of symmetrizing every
+    step."""
+
+    @pytest.mark.parametrize("start", ["vacuum", "squeezed", "above threshold"])
+    def test_samples_match_symmetrizing_every_step(self, monkeypatch, start):
+        p = NetworkParams(N=4, d=1, V=1.2, kappa2=0.2)
+        s0 = initial_conditions(
+            p, InitialConditionSpec(seed=2, r0=3.0 if start == "above threshold" else None)
+        )
+        seg = integrate(p, s0, 0.5, dt=1e-3, sample_every=10)
+        C0 = vacuum_covariance(p)
+        if start == "squeezed":
+            r = 0.5
+            C0 = CovarianceMatrix(
+                0.0, 0.5 * p.hbar * np.diag(np.tile([np.exp(-2 * r), np.exp(2 * r)], p.N))
+            )
+        ct = propagate_covariance(p, seg, C0, dt=1e-3)
+        assert len(ct) == 51
+        for C in ct.covs:
+            assert np.array_equal(C, C.T)
+
+        def symmetrizing_rk4(f, y, dt):
+            a, C = rk4_step(f, y, dt)
+            return a, 0.5 * (C + C.T)
+
+        monkeypatch.setattr(fluctuations, "rk4_step", symmetrizing_rk4)
+        ref = propagate_covariance(p, seg, C0, dt=1e-3)
+        assert np.array_equal(ct.final_cov.C, ref.final_cov.C)
+        assert np.array_equal(ct.covs, ref.covs)
 
 
 class TestSampleStack:
