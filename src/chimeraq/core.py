@@ -132,22 +132,50 @@ def coupling_matrix(p: NetworkParams) -> np.ndarray:
     return K
 
 
-def rk4_step(f, y: tuple, dt: float) -> tuple:
-    """One classic fixed-step RK4 step of dy/dt = f(*y).
+class RK4:
+    """Classic fixed-step RK4 of dy/dt = f(y), stepping ``y`` in place.
 
-    ``y`` is a tuple of arrays (parts may differ in shape) and ``f(*y)``
-    returns one derivative per part.  Every integrator in the package takes
-    its steps here; callers apply their own symmetrizations afterwards.
+    ``y`` is a tuple of arrays (parts may differ in shape and dtype), and
+    ``f(x, k)`` writes the derivative at the tuple ``x`` into the arrays of
+    the tuple ``k``, one per part.  The stage input and three slope buffers
+    of every part are made here, once, as one ``(4, *shape)`` array per part
+    in ``work``; a step allocates nothing, and between steps the contents of
+    ``work`` are free, so a caller may use them as scratch there.  Every
+    integrator in the package takes its steps here; callers apply their own
+    symmetrizations afterwards.
+
+    The arithmetic is that of the textbook step, stages ``u + h k`` and
+    update ``u + (dt/6) (k1 + 2 (k2 + k3) + k4)``, in that order, so a step
+    has the bits of one that allocates every intermediate.
     """
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    k1 = f(*y)
-    k2 = f(*[u + half * k for u, k in zip(y, k1)])
-    k3 = f(*[u + half * k for u, k in zip(y, k2)])
-    k4 = f(*[u + dt * k for u, k in zip(y, k3)])
-    return tuple(
-        u + sixth * (a + 2.0 * (b + c) + d) for u, a, b, c, d in zip(y, k1, k2, k3, k4)
-    )
+
+    def __init__(self, f, y: tuple):
+        self.f = f
+        self.work = tuple(np.empty((4,) + u.shape, u.dtype) for u in y)
+        self._x, self._k1, self._k2, self._k3 = zip(*self.work)
+
+    def step(self, y: tuple, dt: float) -> None:
+        """Advance every array of ``y`` by one step of ``dt``, in place."""
+        f, x, k1, k2, k3 = self.f, self._x, self._k1, self._k2, self._k3
+        mul, add = np.multiply, np.add
+        half = 0.5 * dt
+        f(y, k1)
+        for s, u, k in zip(x, y, k1):
+            add(u, mul(half, k, s), s)
+        f(x, k2)
+        for s, u, k in zip(x, y, k2):
+            add(u, mul(half, k, s), s)
+        f(x, k3)
+        for s, u, k, b in zip(x, y, k3, k2):
+            add(u, mul(dt, k, s), s)
+            add(b, k, b)  # k3 lives on in k2 + k3; its buffer takes k4
+        f(x, k3)
+        sixth = dt / 6.0
+        for u, a, s, d in zip(y, k1, k2, k3):
+            mul(2.0, s, s)
+            add(a, s, s)
+            add(s, d, s)
+            add(u, mul(sixth, s, s), u)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ Two integration routes over independent equations are provided:
   cross-validate the first route.
 
 Both advance the mean field jointly with the fluctuations in a single RK4
-state (:func:`~chimeraq.core.rk4_step`), so stage values of alpha are exact
+state (:class:`~chimeraq.core.RK4`), so stage values of alpha are exact
 rather than interpolated.
 """
 
@@ -37,8 +37,8 @@ from .core import (
     MeanFieldState,
     NetworkParams,
     PhysicalityError,
+    RK4,
     coupling_matrix,
-    rk4_step,
     validate_params,
 )
 from .meanfield import MeanFieldTrajectory, _rhs_of, _step_count
@@ -70,9 +70,25 @@ def physicality_margin(C: np.ndarray, hbar: float = 1.0) -> float:
     """
     C = np.asarray(C, dtype=float)
     _require_finite(C, "covariance unphysical")
-    n = C.shape[0] // 2
-    H = C + 0.5j * hbar * symplectic_form(n)
+    H = np.empty(C.shape, dtype=complex)  # one array, no temporaries
+    H.real = C
+    H.imag = 0.0
+    _, _, qp, pq = _site_blocks(H)
+    qp.imag = 0.5 * hbar
+    pq.imag = -0.5 * hbar
     return float(np.linalg.eigvalsh(H).min())
+
+
+def _site_blocks(X: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Strided views of the (q, q), (p, p), (q, p) and (p, q) entries of the N
+    2x2 diagonal site blocks of a C-contiguous 2N x 2N matrix, one entry per
+    site: (2j, 2j), (2j+1, 2j+1), (2j, 2j+1) and (2j+1, 2j)."""
+    if not X.flags.c_contiguous:
+        raise ValueError("site blocks need a C-contiguous matrix")
+    n = X.shape[0]
+    flat = X.reshape(-1)
+    step = 2 * n + 2
+    return flat[::step], flat[n + 1 :: step], flat[1::step], flat[n::step]
 
 
 def _require_finite(C: np.ndarray, what: str) -> None:
@@ -107,9 +123,12 @@ def _factorizes(M: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(d) & (d > 0.0)))
 
 
-def _certified_margin(C: np.ndarray, hbar: float, what: str) -> float | None:
+def _certified_margin(C: np.ndarray, hbar: float, what: str,
+                      work: np.ndarray | None = None) -> float | None:
     """None when a Cholesky factorization certifies that the physicality
     margin of ``C`` is at least -PHYSICALITY_TOL hbar, else the exact margin.
+    The copy that is factored goes into ``work`` (a 2N x 2N float array)
+    when one is given.
 
     The certificate factors C - (hbar/2 - tol) I: since
     (hbar/2)(I + i Omega) >= 0, its positive definiteness bounds the margin
@@ -123,11 +142,22 @@ def _certified_margin(C: np.ndarray, hbar: float, what: str) -> float | None:
             -PHYSICALITY_TOL hbar.
     """
     n = C.shape[0]
-    D = C.copy()
-    D.flat[:: n + 1] -= (0.5 - PHYSICALITY_TOL) * hbar
+    if work is None:
+        D = C.copy()
+    else:
+        D = work
+        np.copyto(D, C)
+    D.reshape(-1)[:: n + 1] -= (0.5 - PHYSICALITY_TOL) * hbar
     if _factorizes(D):
         return None
     return _checked_margin(C, hbar, what)
+
+
+def _symmetric_sum(M: np.ndarray, out: np.ndarray) -> None:
+    """``out = M + M^T``.  Added as M^T + M into a copy of M^T: the same bits
+    (IEEE addition commutes), but ``np.add(M, M.T, out)`` copies M^T first."""
+    np.copyto(out, M.T)
+    out += M
 
 
 def vacuum_covariance(p: NetworkParams, t: float = 0.0) -> CovarianceMatrix:
@@ -145,14 +175,15 @@ class DriftDiffusion:
     B: np.ndarray
 
 
-def _site_block_coeffs(p: NetworkParams, alphas: np.ndarray):
-    """Per-site drift coefficients (m, sr, si) and diffusion diagonal."""
-    mag2 = alphas.real**2 + alphas.imag**2
-    m = p.kappa1 - 4.0 * p.kappa2 * mag2
+def _site_block_coeffs(p: NetworkParams, alphas: np.ndarray, mag2: np.ndarray):
+    """Per-site drift coefficients (m, sr, si) and diffusion diagonal;
+    ``mag2`` is ``alphas.real**2 + alphas.imag**2``."""
+    rate = 4.0 * p.kappa2 * mag2
+    m = p.kappa1 - rate
     a2 = alphas**2
     sr = -2.0 * p.kappa2 * a2.real
     si = -2.0 * p.kappa2 * a2.imag
-    b = p.hbar * (p.kappa1 + 4.0 * p.kappa2 * mag2)
+    b = p.hbar * (p.kappa1 + rate)
     return m, sr, si, b
 
 
@@ -162,11 +193,14 @@ def _coupling_drift(p: NetworkParams) -> np.ndarray:
     return np.kron(coupling_matrix(p), np.array([[0.0, c], [-c, 0.0]]))
 
 
-def _fill_drift(A: np.ndarray, iq, ip, m, sr, si) -> None:
-    A[iq, iq] = m + sr
-    A[ip, ip] = m - sr
-    A[iq, ip] = si
-    A[ip, iq] = si
+def _fill_drift(blocks: tuple[np.ndarray, ...], m, sr, si) -> None:
+    """Write the site blocks [[m + sr, si], [si, m - sr]] of A through the
+    views ``blocks = _site_blocks(A)``."""
+    qq, pp, qp, pq = blocks
+    np.add(m, sr, out=qq)
+    np.subtract(m, sr, out=pp)
+    qp[...] = si
+    pq[...] = si
 
 
 def drift_diffusion(p: NetworkParams, s: MeanFieldState) -> DriftDiffusion:
@@ -180,9 +214,9 @@ def drift_diffusion(p: NetworkParams, s: MeanFieldState) -> DriftDiffusion:
     if s.n_sites != p.N:
         raise ValueError("state length does not match params.N")
     A = _coupling_drift(p)
-    iq = 2 * np.arange(p.N)
-    m, sr, si, b = _site_block_coeffs(p, s.alphas)
-    _fill_drift(A, iq, iq + 1, m, sr, si)
+    a = s.alphas
+    m, sr, si, b = _site_block_coeffs(p, a, a.real**2 + a.imag**2)
+    _fill_drift(_site_blocks(A), m, sr, si)
     return DriftDiffusion(t=s.t, A=A, B=np.diag(np.repeat(b, 2)))
 
 
@@ -237,6 +271,8 @@ def _check_c0(p: NetworkParams, C0: CovarianceMatrix) -> tuple[np.ndarray, float
     if C0.n_sites != p.N:
         raise ValueError("C0 size does not match params.N")
     C = 0.5 * (C0.C + C0.C.T)
+    if np.count_nonzero(C) == C.shape[0] and np.all(np.diagonal(C) == 0.5 * p.hbar):
+        return C, 0.0  # the vacuum (hbar/2) I: the eigensolver gives exactly 0.0
     return C, _checked_margin(C, p.hbar, "initial covariance unphysical")
 
 
@@ -259,19 +295,22 @@ class _Samples:
         self.margin_min = margin0
         self.certified = 0
 
-    def add(self, C: np.ndarray) -> None:
+    def add(self, C: np.ndarray, work: np.ndarray | None = None) -> None:
         """Check the next sample and keep it if asked to; raises
-        PhysicalityError if it fails."""
+        PhysicalityError if it fails.  ``work`` is the certificate's scratch
+        (see :func:`_certified_margin`); ``C`` may be the stack's last slot."""
         times = self.segment.times
         k = self.count
         last = k == len(times) - 1
         if self.every_sample or last:
-            self.covs[-1 if last else k] = C
+            slot = self.covs[-1 if last else k]
+            if not np.may_share_memory(slot, C):
+                slot[...] = C
         what = f"covariance unphysical at t={times[k]:g}"
         if last:
             margin = _checked_margin(C, self.p.hbar, what)
         else:
-            margin = _certified_margin(C, self.p.hbar, what)
+            margin = _certified_margin(C, self.p.hbar, what, work)
         if margin is None:
             self.certified += 1
         else:
@@ -319,31 +358,47 @@ def propagate_covariance(
     subs = _substeps(times, dt)
 
     mf_rhs = _rhs_of(p)
-    iq = 2 * np.arange(p.N)
-    ip = iq + 1
     # A and A C live in buffers reused by every evaluation: _fill_drift
     # rewrites every entry that depends on alpha, so the bits are those of a
     # fresh copy of the coupling drift.  Fresh 2N x 2N temporaries each call
     # let malloc trim the heap and refault them every step at large N.
     A = _coupling_drift(p)
+    blocks = _site_blocks(A)
     M = np.empty_like(A)
 
-    def joint_rhs(alpha: np.ndarray, Cm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        m, sr, si, b = _site_block_coeffs(p, alpha)
-        _fill_drift(A, iq, ip, m, sr, si)
+    def joint_rhs(y: tuple, out: tuple) -> None:
+        alpha, Cm = y
+        # one |alpha|^2 per stage feeds both the drift and the mean-field slope
+        mag2 = alpha.real**2 + alpha.imag**2
+        m, sr, si, b = _site_block_coeffs(p, alpha, mag2)
+        _fill_drift(blocks, m, sr, si)
         np.matmul(A, Cm, out=M)
-        out = M + M.T
-        out.flat[:: 2 * p.N + 1] += np.repeat(b, 2)
-        return mf_rhs(alpha), out
+        dC = out[1]
+        _symmetric_sum(M, dC)
+        qq, pp, _, _ = _site_blocks(dC)
+        qq += b
+        pp += b
+        mf_rhs(alpha, out[0], mag2)
 
-    a = np.array(mf_segment.alphas[0])
     samples = _Samples(p, mf_segment, C, margin0, every_sample)
+    if not every_sample:
+        # C steps in the stack slot that keeps its last sample: no extra copy
+        C = samples.covs[-1]
+        C[...] = samples.covs[0]
+    y = (np.array(mf_segment.alphas[0]), C)
+    stepper = RK4(joint_rhs, y)
+    # between steps, the stage input of C is free scratch for the certificate
+    work = stepper.work[1][0]
     for n_sub in subs:
         # an overflowing step is reported by the sample check, not by warnings
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(n_sub):
-                a, C = rk4_step(joint_rhs, (a, C), dt)
-        samples.add(C)
+                stepper.step(y, dt)
+        if samples.count == len(times) - 1:
+            # the stepper's buffers go before the last, exact check: the
+            # eigensolver's copy reuses their memory instead of raising the peak
+            stepper = work = None
+        samples.add(C, work)
     return samples.trajectory()
 
 
@@ -387,7 +442,7 @@ def moment_oracle(
 
     with F the complex drift and G_l = -2 kappa2 alpha_l^2 the squeezing
     coefficients, then converts each sample to quadratures.  Shares only
-    the mean-field right-hand side and :func:`~chimeraq.core.rk4_step` with
+    the mean-field right-hand side and :class:`~chimeraq.core.RK4` with
     :func:`propagate_covariance`; the moment equations are independent of
     the Lyapunov route, so agreement between the two validates both.
     """
@@ -403,14 +458,15 @@ def moment_oracle(
     eyeN = np.eye(p.N)
     gain = 2.0 * k1 * eyeN
 
-    def moment_rhs(alpha, s, n):
+    def moment_rhs(y, out):
+        alpha, s, n = y
         mag2 = alpha.real**2 + alpha.imag**2
         F = F_stat + np.diag(k1 - 4.0 * k2 * mag2)
         G = -2.0 * k2 * alpha**2
         Gn = G[:, None] * n
-        ds = F @ s + s @ F.T + Gn + Gn.T + np.diag(G)
-        dn = F.conj() @ n + n @ F.T + G.conj()[:, None] * s + s.conj() * G[None, :] + gain
-        return mf_rhs(alpha), ds, dn
+        mf_rhs(alpha, out[0], mag2)
+        out[1][...] = F @ s + s @ F.T + Gn + Gn.T + np.diag(G)
+        out[2][...] = F.conj() @ n + n @ F.T + G.conj()[:, None] * s + s.conj() * G[None, :] + gain
 
     a = np.array(mf_segment.alphas[0])
     s, n = covariance_to_moments(C, p.hbar)
@@ -418,11 +474,13 @@ def moment_oracle(
     n = n.astype(complex)
     C = moments_to_covariance(s, n, p.hbar)
     samples = _Samples(p, mf_segment, C, physicality_margin(C, p.hbar))
+    y = (a, s, n)
+    stepper = RK4(moment_rhs, y)
     for n_sub in subs:
         for _ in range(n_sub):
-            a, s, n = rk4_step(moment_rhs, (a, s, n), dt)
-            s = 0.5 * (s + s.T)
-            n = 0.5 * (n + n.conj().T)
+            stepper.step(y, dt)
+            s[...] = 0.5 * (s + s.T)
+            n[...] = 0.5 * (n + n.conj().T)
         samples.add(moments_to_covariance(s, n, p.hbar))
     return samples.trajectory()
 
@@ -438,12 +496,16 @@ def propagate_frozen(
     """
     n = _step_count(0.0, horizon, dt)
     C = np.array(C0, dtype=float)
+    M = np.empty_like(C)
 
-    def rhs(Cm):
-        M = A @ Cm
-        return (M + M.T + B,)
+    def rhs(y, out):
+        (Cm,), (dC,) = y, out
+        np.matmul(A, Cm, out=M)
+        _symmetric_sum(M, dC)
+        dC += B
 
+    stepper = RK4(rhs, (C,))
     for _ in range(n):
-        (C,) = rk4_step(rhs, (C,), dt)
-        C = 0.5 * (C + C.T)
+        stepper.step((C,), dt)
+        C[...] = 0.5 * (C + C.T)
     return C

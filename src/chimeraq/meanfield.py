@@ -24,8 +24,8 @@ from .core import (
     MeanFieldState,
     NetworkParams,
     RangeError,
+    RK4,
     coupling_matrix,
-    rk4_step,
     validate_params,
 )
 
@@ -109,19 +109,29 @@ def mean_field_rhs(p: NetworkParams, s: MeanFieldState) -> np.ndarray:
 
 
 def _rhs_of(p: NetworkParams):
-    """The right-hand side for ``p`` as a function of the amplitudes alone."""
+    """The right-hand side for ``p`` as a function of the amplitudes alone:
+    ``rhs(alphas, out=None, mag2=None)`` writes the slope into ``out`` (a
+    new array by default); ``mag2``, when given, must hold
+    ``alphas.real**2 + alphas.imag**2``.
+
+    ``alphas`` may be (N,) or batched (B, N).  The coupling is a stack of one
+    vector-matrix product per row with the complex K.T, so each row has the
+    same bits whatever batch it sits in; a (B, N) @ (N, N) product does not
+    guarantee that.
+    """
     KT = np.ascontiguousarray(coupling_matrix(p).T, dtype=complex)
-    cV = p.V / (2.0 * p.d)
-    return lambda alphas: _rhs(alphas, p.kappa1, p.kappa2, cV, KT)
+    k1, c2, cj = p.kappa1, 2.0 * p.kappa2, 1j * (p.V / (2.0 * p.d))
 
+    def rhs(alphas: np.ndarray, out: np.ndarray | None = None,
+            mag2: np.ndarray | None = None) -> np.ndarray:
+        # alphas (k1 - 2 kappa2 |alphas|^2) - 1j (V / 2d) (alphas @ K.T)
+        if mag2 is None:
+            mag2 = alphas.real**2 + alphas.imag**2
+        out = np.multiply(alphas, k1 - c2 * mag2, out)
+        coupling = alphas[..., None, :] @ KT
+        return np.subtract(out, np.multiply(cj, coupling, coupling)[..., 0, :], out)
 
-def _rhs(alphas: np.ndarray, k1: float, k2: float, cV: float, KT: np.ndarray) -> np.ndarray:
-    # alphas may be (N,) or batched (B, N); KT is the complex K.T.  The
-    # coupling is a stack of one vector-matrix product per row, so each row
-    # has the same bits whatever batch it sits in; a (B, N) @ (N, N) product
-    # does not guarantee that.
-    local = alphas * (k1 - 2.0 * k2 * (alphas.real**2 + alphas.imag**2))
-    return local - 1j * cV * (alphas[..., None, :] @ KT)[..., 0, :]
+    return rhs
 
 
 @dataclass(frozen=True)
@@ -222,8 +232,8 @@ def integrate_many(
     n_steps = _step_count(t0, t_end, dt)
     rhs = _rhs_of(p)
 
-    def f(x):
-        return (rhs(x),)
+    def f(x, out):
+        rhs(x[0], out[0])
 
     blow_up = (DIVERGENCE_FACTOR * p.limit_cycle_radius) ** 2
 
@@ -235,12 +245,13 @@ def integrate_many(
     stack[:, 0] = a
     rows = np.arange(a.shape[0])  # batch index of each row still in ``a``
     errors: dict[int, DivergenceError] = {}
+    stepper = RK4(f, (a,))
     k = 1
     # a diverging row can overflow between sample steps; the check below
     # retires it, so numpy's overflow warnings would only clutter stderr
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
-            (a,) = rk4_step(f, (a,), dt)
+            stepper.step((a,), dt)
             if step == sample_steps[k]:
                 mag2 = a.real**2 + a.imag**2
                 bad = ~np.all(mag2 <= blow_up, axis=1)  # NaN and inf fail too
@@ -251,6 +262,7 @@ def integrate_many(
                     a, rows = a[~bad], rows[~bad]
                     if rows.size == 0:
                         break
+                    stepper = RK4(f, (a,))
                 stack[rows, k] = a
                 k += 1
 

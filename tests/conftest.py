@@ -20,3 +20,18 @@ def random_physical_cov(n_sites: int, hbar: float = 1.0, seed: int = 0, scale: f
     rng = np.random.default_rng(seed)
     m = scale * rng.standard_normal((2 * n_sites, 2 * n_sites))
     return 0.5 * hbar * np.eye(2 * n_sites) + hbar * (m @ m.T)
+
+
+def oracle_rk4_step(f, y: tuple, dt: float) -> tuple:
+    """The classic RK4 step that allocates every intermediate, as the package
+    took it before ``core.RK4``: ``f(*y)`` returns one derivative per part.
+    Reference for the bits of the in-place stepper."""
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    k1 = f(*y)
+    k2 = f(*[u + half * k for u, k in zip(y, k1)])
+    k3 = f(*[u + half * k for u, k in zip(y, k2)])
+    k4 = f(*[u + dt * k for u, k in zip(y, k3)])
+    return tuple(
+        u + sixth * (a + 2.0 * (b + c) + d) for u, a, b, c, d in zip(y, k1, k2, k3, k4)
+    )

@@ -12,7 +12,8 @@ from chimeraq import (
     neighbors,
     validate_params,
 )
-from chimeraq.core import rk4_step
+from chimeraq.core import RK4
+from conftest import oracle_rk4_step
 
 
 class TestValidateParams:
@@ -113,14 +114,22 @@ class TestRk4Step:
     lam = np.array([-1.0, 0.5, -2.0])
     A = np.array([[-0.3, 2.0], [-2.0, -0.3]])
 
-    def f(self, v, M):
-        return self.lam * v, self.A @ M
+    def f(self, y, k):
+        v, M = y
+        np.multiply(self.lam, v, out=k[0])
+        np.matmul(self.A, M, out=k[1])
+
+    def start(self):
+        return (np.array([1.0, -2.0, 0.5]), np.array([[1.0, 0.2], [-0.4, 1.5]]))
 
     def integrate(self, dt, T=1.0):
-        y = (np.array([1.0, -2.0, 0.5]), np.array([[1.0, 0.2], [-0.4, 1.5]]))
-        y0 = y
+        y0 = self.start()
+        y = tuple(u.copy() for u in y0)
+        parts = tuple(map(id, y))
+        stepper = RK4(self.f, y)
         for _ in range(int(round(T / dt))):
-            y = rk4_step(self.f, y, dt)
+            stepper.step(y, dt)
+        assert tuple(map(id, y)) == parts  # stepped in place
         c, s = np.cos(2.0 * T), np.sin(2.0 * T)
         exact = (
             y0[0] * np.exp(self.lam * T),
@@ -141,6 +150,26 @@ class TestRk4Step:
             y, exact = self.integrate(dt)
             errs.append(max(np.max(np.abs(g - w)) for g, w in zip(y, exact)))
         assert 14.0 < errs[0] / errs[1] < 18.0
+
+    def test_bits_match_the_allocating_step(self):
+        # a complex part too: the stage scalars multiply complex slopes
+        def f(y, k):
+            self.f(y[:2], k[:2])
+            np.multiply(1j * self.lam - 0.2, y[2], out=k[2])
+
+        def f_new(*y):
+            k = tuple(np.empty_like(u) for u in y)
+            f(y, k)
+            return k
+
+        y = self.start() + (np.array([1.0 + 2.0j, -0.5j, 3.0]),)
+        ref = tuple(u.copy() for u in y)
+        stepper = RK4(f, y)
+        for _ in range(100):
+            stepper.step(y, 0.013)
+            ref = oracle_rk4_step(f_new, ref, 0.013)
+        for got, want in zip(y, ref):
+            assert np.array_equal(got, want)
 
 
 class TestStates:

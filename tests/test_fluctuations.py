@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -25,11 +25,13 @@ from chimeraq import (
 )
 from chimeraq import fluctuations
 from chimeraq.analysis import shift_covariance
-from chimeraq.core import rk4_step
+from chimeraq.core import RK4
 from chimeraq.fluctuations import (
     PHYSICALITY_TOL,
     _certified_margin,
+    _check_c0,
     _factorizes,
+    _site_blocks,
     covariance_to_moments,
     moments_to_covariance,
     propagate_frozen,
@@ -385,7 +387,7 @@ class TestSampleChecks:
         exact = []
 
         def counted(C, hbar=1.0):
-            exact.append(C)
+            exact.append(C.copy())
             return physicality_margin(C, hbar)
 
         monkeypatch.setattr(fluctuations, "physicality_margin", counted)
@@ -401,7 +403,9 @@ class TestSampleChecks:
         assert ct.vacuum_bound_ratio_max() <= 1.0
         assert ct.certified == len(seg.times) - 2 == 49
         assert len(ct) == (51 if every_sample else 2)
-        assert len(exact) == 2
+        # the vacuum start's margin is 0.0 without an eigensolver; only the
+        # final sample is evaluated exactly
+        assert len(exact) == 1
         assert np.array_equal(exact[-1], ct.covs[-1])
         assert ct.min_physicality_margin() == 0.0
 
@@ -431,7 +435,8 @@ class TestSampleChecks:
         ct = propagate_covariance(p, seg, vacuum_covariance(p), dt=1e-3)
         assert ct.vacuum_bound_ratio_max() > 1.0
         assert ct.certified < len(ct) - 2
-        assert len(exact) == len(ct) - ct.certified
+        # every sample but the certified ones and the vacuum start
+        assert len(exact) == len(ct) - ct.certified - 1
         assert ct.min_physicality_margin() >= -PHYSICALITY_TOL * p.hbar
 
 
@@ -458,11 +463,13 @@ class TestExactSymmetry:
         for C in ct.covs:
             assert np.array_equal(C, C.T)
 
-        def symmetrizing_rk4(f, y, dt):
-            a, C = rk4_step(f, y, dt)
-            return a, 0.5 * (C + C.T)
+        class SymmetrizingRK4(RK4):
+            def step(self, y, dt):
+                super().step(y, dt)
+                C = y[1]
+                C[...] = 0.5 * (C + C.T)
 
-        monkeypatch.setattr(fluctuations, "rk4_step", symmetrizing_rk4)
+        monkeypatch.setattr(fluctuations, "RK4", SymmetrizingRK4)
         ref = propagate_covariance(p, seg, C0, dt=1e-3)
         assert np.array_equal(ct.final_cov.C, ref.final_cov.C)
         assert np.array_equal(ct.covs, ref.covs)
@@ -505,6 +512,28 @@ class TestSampleStack:
             assert ct.covs.shape == (2, 2 * p.N, 2 * p.N)
             peaks.append(peak)
         assert peaks[1] <= 1.1 * peaks[0]
+
+    @pytest.mark.parametrize("sample_every, live", [(50, 8), (10, 9)])
+    def test_peak_counts_the_live_buffers(self, sample_every, live):
+        # every_sample=False keeps 8 float 2N x 2N buffers live while stepping:
+        # the two-sample stack (C steps in its last slot), A, the product A C,
+        # and the stepper's stage input and three slopes of C.  A sample
+        # between the ends adds the Cholesky factor numpy returns (the copy
+        # it factors sits in the stepper's free stage input): 9.  Besides
+        # these, the complex K^T is half a buffer and the rest is N-vectors.
+        # One more 2N x 2N temporary per stage, or per check, breaks the bound.
+        p = NetworkParams(N=40, d=8, V=1.2, kappa2=0.2)
+        seg = _ring_segment(p, 1, 0.05, dt=1e-3, sample_every=sample_every)
+        C0 = vacuum_covariance(p)
+        propagate_covariance(p, seg, C0, dt=1e-3, every_sample=False)  # lazy imports
+        tracemalloc.start()
+        try:
+            ct = propagate_covariance(p, seg, C0, dt=1e-3, every_sample=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ct.certified == len(seg.times) - 2
+        assert peak < (live + 0.9) * ct.covs[0].nbytes
 
     @pytest.mark.parametrize("route", [propagate_covariance, moment_oracle])
     def test_samples_are_held_once(self, route):
@@ -574,3 +603,62 @@ class TestPhysicalityRoutes:
         else:
             with pytest.raises(PhysicalityError, match="sample, margin"):
                 _certified_margin(C, hbar, "sample")
+
+
+class TestMarginMatrix:
+    """``physicality_margin`` builds C + i hbar Omega / 2 in one complex array;
+    its eigenvalues keep the bits of the sum with the symplectic form."""
+
+    @staticmethod
+    def summed(C: np.ndarray, hbar: float) -> float:
+        return float(np.linalg.eigvalsh(C + 0.5j * hbar * symplectic_form(C.shape[0] // 2)).min())
+
+    @pytest.mark.parametrize("n_sites", [4, 50, 200])
+    @pytest.mark.parametrize("kind", ["random", "vacuum", "scaled"])
+    def test_bits_match_the_summed_matrix(self, n_sites, kind):
+        hbar = 0.7
+        C = {"random": random_physical_cov(n_sites, hbar, seed=n_sites),
+             "vacuum": 0.5 * hbar * np.eye(2 * n_sites),
+             "scaled": 1e3 * random_physical_cov(n_sites, hbar, seed=1, scale=1.0)}[kind]
+        assert physicality_margin(C, hbar) == self.summed(C, hbar)
+
+    def test_site_blocks_are_views(self):
+        X = np.arange(36.0).reshape(6, 6)
+        qq, pp, qp, pq = _site_blocks(X)
+        assert np.array_equal(qq, [0.0, 14.0, 28.0])
+        assert np.array_equal(pp, [7.0, 21.0, 35.0])
+        assert np.array_equal(qp, [1.0, 15.0, 29.0])
+        assert np.array_equal(pq, [6.0, 20.0, 34.0])
+        qp[...] = -1.0
+        assert X[2, 3] == -1.0
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _site_blocks(X.T)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 64), st.floats(1e-3, 1e3))
+    @example(200, 1.0)
+    @example(100, 1e-3)
+    @example(33, 3.3)
+    def test_vacuum_margin_is_exactly_zero(self, n_sites, hbar):
+        # so a vacuum start can take 0.0 without the eigensolver
+        assert physicality_margin(0.5 * hbar * np.eye(2 * n_sites), hbar) == 0.0
+
+    def test_only_the_vacuum_start_skips_the_eigensolver(self, monkeypatch):
+        p = NetworkParams(N=4, d=1, V=1.2, kappa2=0.2, hbar=0.7)
+        calls = []
+
+        def counted(C, hbar=1.0):
+            calls.append(C.copy())
+            return physicality_margin(C, hbar)
+
+        monkeypatch.setattr(fluctuations, "physicality_margin", counted)
+        C, margin = _check_c0(p, vacuum_covariance(p))
+        assert margin == 0.0 and not calls
+        near = C.copy()
+        near[0, 2] = near[2, 0] = 1e-300
+        C, margin = _check_c0(p, CovarianceMatrix(0.0, near))
+        assert len(calls) == 1 and margin == self.summed(near, p.hbar)
+        squeezed = np.diag(np.tile([0.5, 2.0], p.N)) * 0.5 * p.hbar
+        squeezed[0, 0] = squeezed[1, 1] = 0.5 * p.hbar  # a vacuum site, not a vacuum start
+        _, margin = _check_c0(p, CovarianceMatrix(0.0, squeezed))
+        assert len(calls) == 2 and margin == self.summed(squeezed, p.hbar)
