@@ -15,8 +15,10 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .analysis import (
     weighted_correlation,
 )
 from .core import (
+    CovarianceMatrix,
     MeanFieldState,
     NetworkParams,
     RangeError,
@@ -53,38 +56,12 @@ from .meanfield import (
     spacetime_grid,
 )
 
-EXPERIMENTS = (
-    "meanfield",
-    "fluctuations",
-    "analyze",
-    "scan-mi",
-    "reproduce-fig1",
-    "reproduce-fig2",
-    "reproduce-fig3",
-    "reproduce-fig4",
-)
-
-#: experiments that stop at the mean-field snapshot (no covariance run)
-CLASSICAL = ("meanfield", "reproduce-fig1")
-
-#: experiments that snapshot the FIG_STATES triplet instead of one state at t0
-TRIPLET = ("reproduce-fig3", "reproduce-fig4")
-
 #: (label, coupling strength, snapshot time) of the three reference states
 FIG_STATES = (
     ("chimera", 1.2, 3000.5),
     ("synchronized", 1.6, 25.5),
     ("desynchronized", 0.8, 8000.5),
 )
-
-DEFAULT_T0 = {
-    "meanfield": 3000.5,
-    "fluctuations": 3000.5,
-    "analyze": 3000.5,
-    "scan-mi": 3000.5,
-    "reproduce-fig1": 3000.5,
-    "reproduce-fig2": 3000.0,
-}
 
 ENV_OUT = "CHIMERAQ_OUT"
 
@@ -128,7 +105,7 @@ class ExperimentConfig:
                 self.ic.validate()
             except RangeError as exc:
                 raise ConfigError(str(exc)) from exc
-        for name in _FLOAT_KEYS:
+        for name in ("t0", *_FLOAT_KEYS):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.t0 < 0:
@@ -164,7 +141,7 @@ class ExperimentConfig:
         """Reject snapshot times whose mean-field phases from the start
         state's time ``start`` are off the ``dt_mf`` grid, before any
         integration."""
-        if self.experiment in TRIPLET:
+        if isinstance(EXPERIMENTS[self.experiment].pipeline, _Triplet):
             times = [t_snap for _, _, t_snap in self.fig_states]
         else:
             times = [self.t0]
@@ -178,10 +155,9 @@ class ExperimentConfig:
                 t_from = t_end
 
 
-#: config fields read as floats, with their defaults (t0's default depends on
-#: the experiment, see DEFAULT_T0); each must be finite
+#: config fields read as floats besides ``t0`` (whose default is the
+#: experiment's, see EXPERIMENTS), with their defaults; each must be finite
 _FLOAT_KEYS = {
-    "t0": 3000.5,
     "delta_t": 0.5,
     "dt_mf": 1e-2,
     "dt_cov": 1e-3,
@@ -191,24 +167,7 @@ _FLOAT_KEYS = {
     "z_threshold": 0.80,
 }
 
-_CONFIG_KEYS = {
-    "experiment",
-    "params",
-    "ic",
-    "ic_file",
-    "t0",
-    "delta_t",
-    "dt_mf",
-    "dt_cov",
-    "sample_spacing",
-    "window_spacing",
-    "classify_window",
-    "z_threshold",
-    "w_min",
-    "mi_partition",
-    "outputs",
-    "fig_states",
-}
+_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
 def load_config(path: str, experiment: str, seed: int | None, out: str | None) -> ExperimentConfig:
@@ -222,6 +181,8 @@ def load_config(path: str, experiment: str, seed: int | None, out: str | None) -
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
+    if experiment not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment: {experiment}")
     unknown = set(obj) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -246,7 +207,7 @@ def load_config(path: str, experiment: str, seed: int | None, out: str | None) -
             if seed is not None:
                 ic = replace(ic, seed=seed)
         n = params.N
-        defaults = {**_FLOAT_KEYS, "t0": DEFAULT_T0.get(experiment, _FLOAT_KEYS["t0"])}
+        defaults = {"t0": EXPERIMENTS[experiment].t0, **_FLOAT_KEYS}
         numbers = {key: io.read_float(obj, key, default) for key, default in defaults.items()}
         numbers["w_min"] = io.read_int(obj, "w_min", 5)
         numbers["mi_partition"] = io.read_int(
@@ -354,22 +315,6 @@ def _classify_window(
     )
 
 
-def _covariance_run(
-    p: NetworkParams, snapshot: MeanFieldState, cfg: ExperimentConfig, every_sample: bool
-) -> CovarianceTrajectory:
-    """Covariance over ``delta_t`` from a vacuum start at ``snapshot``,
-    checked every ``delta_t / 50``; the samples in between are kept only
-    with ``every_sample``."""
-    spacing = max(cfg.dt_cov, cfg.delta_t / 50.0)
-    seg = integrate(
-        p, snapshot, snapshot.t + cfg.delta_t, dt=cfg.dt_cov,
-        sample_every=_sample_every(spacing, cfg.dt_cov),
-    )
-    return propagate_covariance(
-        p, seg, vacuum_covariance(p, t=snapshot.t), dt=cfg.dt_cov, every_sample=every_sample
-    )
-
-
 #: rows per grid chunk: the phase and r^2 grids are computed this many rows
 #: at a time, so a grid's memory does not grow with the length of a part
 _GRID_CHUNK_ROWS = 4096
@@ -407,36 +352,49 @@ def _regime_dict(label) -> dict | None:
     }
 
 
-def _state_run(
-    cfg: ExperimentConfig, p: NetworkParams, snap, manifest: dict, name: str | None = None,
-    every_sample: bool = False,
-):
-    """Snapshot (one ``_snapshot_run`` result) -> regime label -> covariance
-    over ``delta_t``, keeping its first and last sample, or every sample
-    with ``every_sample``.
-
-    Records the regime, the minimum exact physicality margin, the number of
-    samples that passed on a Cholesky certificate and the largest
-    ``kappa2 |alpha|^2 / kappa1`` on the segment in ``manifest``, suffixed
-    with ``name`` for the fig3/fig4 triplet.  Classical experiments stop
-    after the label and return no covariance trajectory.
-    """
+def _label(r: _Run, snap, name: str | None = None):
+    """Classify one ``_snapshot_run`` result and record its regime in the
+    manifest, under ``name`` for the fig3/fig4 triplet; returns (parts,
+    snapshot, label)."""
     if isinstance(snap, Exception):
         raise snap
     parts, fine, snapshot = snap
-    label = _classify_window(fine, cfg)
+    label = _classify_window(fine, r.cfg)
     if name is None:
-        manifest["regime"] = _regime_dict(label)
+        r.manifest["regime"] = _regime_dict(label)
     else:
-        manifest["regime"][name] = _regime_dict(label)
-    if cfg.experiment in CLASSICAL:
-        return parts, snapshot, label, None
-    cov_traj = _covariance_run(p, snapshot, cfg, every_sample)
+        r.manifest["regime"][name] = _regime_dict(label)
+    return parts, snapshot, label
+
+
+def _covariance(
+    r: _Run, p: NetworkParams, snapshot: MeanFieldState, name: str | None = None, observe=None
+) -> CovarianceTrajectory:
+    """Covariance over ``delta_t`` from a vacuum start at ``snapshot``,
+    checked every ``delta_t / 50``; ``observe`` is shown each checked sample
+    (see :func:`propagate_covariance`).
+
+    Records in the manifest the minimum exact physicality margin, the
+    number of samples that passed on a Cholesky certificate and the largest
+    ``kappa2 |alpha|^2 / kappa1`` on the segment, suffixed with ``name``
+    for the triplet, and whether ``delta_t`` is beyond the validated
+    horizon.
+    """
+    cfg = r.cfg
+    spacing = max(cfg.dt_cov, cfg.delta_t / 50.0)
+    seg = integrate(
+        p, snapshot, snapshot.t + cfg.delta_t, dt=cfg.dt_cov,
+        sample_every=_sample_every(spacing, cfg.dt_cov),
+    )
+    cov_traj = propagate_covariance(
+        p, seg, vacuum_covariance(p, t=snapshot.t), dt=cfg.dt_cov, observe=observe
+    )
     suffix = "" if name is None else f"_{name}"
-    manifest[f"physicality_margin_min{suffix}"] = cov_traj.min_physicality_margin()
-    manifest[f"physicality_certified{suffix}"] = cov_traj.certified
-    manifest[f"vacuum_bound_ratio_max{suffix}"] = cov_traj.vacuum_bound_ratio_max()
-    return parts, snapshot, label, cov_traj
+    r.manifest[f"physicality_margin_min{suffix}"] = cov_traj.margin_min
+    r.manifest[f"physicality_certified{suffix}"] = cov_traj.certified
+    r.manifest[f"vacuum_bound_ratio_max{suffix}"] = cov_traj.vacuum_bound_ratio_max()
+    r.manifest["beyond_validated_horizon"] = bool(cfg.delta_t > VALIDATED_HORIZON + 1e-12)
+    return cov_traj
 
 
 class _Run:
@@ -491,7 +449,7 @@ def _run_seeds(cfgs: list[ExperimentConfig]) -> tuple[list[dict | Exception], fl
     live = [i for i, r in enumerate(runs) if isinstance(r, _Run)]
     cfg = cfgs[0]
     t_start = time.monotonic()
-    if cfg.experiment in TRIPLET:
+    if isinstance(EXPERIMENTS[cfg.experiment].pipeline, _Triplet):
         snaps = [None] * len(live)
     else:
         snaps = _attempt(_snapshot_run, cfg.params, [runs[i].state0 for i in live], cfg.t0, cfg)
@@ -514,133 +472,170 @@ def run(cfg: ExperimentConfig) -> dict:
 
 
 def _finish(r: _Run, snap) -> dict:
-    """Classify, propagate and write one run from its snapshot; the manifest
-    is written last."""
+    """Run the experiment's pipeline on one run's snapshot; the manifest is
+    written last."""
     t_start = time.monotonic()
-    cfg, manifest, emit, state0 = r.cfg, r.manifest, r.emit, r.state0
-    p = cfg.params
-    if cfg.experiment == "reproduce-fig3":
-        _run_fig3(cfg, state0, emit, manifest)
-    elif cfg.experiment == "reproduce-fig4":
-        _run_fig4(cfg, state0, emit, manifest)
-    else:
-        parts, snapshot, label, cov_traj = _state_run(cfg, p, snap, manifest)
-        emit("snapshot.json", io.save_state, snapshot, p, None)
-
-        if cfg.experiment == "meanfield":
-            emit("meanfield_grid.csv", io.write_csv, ["t", "l", "phi", "r2"],
-                 blocks=_grid_blocks(parts, ("phi", "r2")))
-        elif cfg.experiment == "reproduce-fig1":
-            emit("fig1_phi.csv", io.write_csv, ["t", "l", "phi"],
-                 blocks=_grid_blocks(parts, ("phi",)))
-            emit("fig1_r2.csv", io.write_csv, ["t", "l", "r2"],
-                 blocks=_grid_blocks(parts, ("r2",)))
-        else:
-            cov = cov_traj.final_cov
-            if cfg.experiment == "fluctuations":
-                emit("covariance.csv", io.write_covariance, cov)
-                emit("covariance_meta.json", io.write_json, {
-                    "params": io.params_to_json(p),
-                    "t_i": snapshot.t,
-                    "delta_t": cfg.delta_t,
-                    "dt_cov": cfg.dt_cov,
-                    "physicality_margin_min": cov_traj.min_physicality_margin(),
-                })
-            elif cfg.experiment == "scan-mi":
-                scan = mi_scan(p, cov)
-                emit("mi_scan.csv", io.write_csv, ["L", "I2"], sorted(scan.items()))
-            elif cfg.experiment == "analyze":
-                record = build_record(p, cov, regime=label)
-                emit("analysis.json", io.write_json, _record_dict(record))
-                emit("mi_scan.csv", io.write_csv, ["L", "I2"], sorted(record.mi_scan.items()))
-                emit("ellipses.csv", io.write_csv,
-                     ["l", "lambda_min", "lambda_max", "theta"],
-                     [(e.site, e.lambda_min, e.lambda_max, e.theta) for e in record.ellipses])
-                manifest["mi_value"] = record.mi_scan[cfg.mi_partition]
-                manifest["mi_partition"] = cfg.mi_partition
-            elif cfg.experiment == "reproduce-fig2":
-                a = snapshot.alphas
-                scale = np.sqrt(2.0 * p.hbar)
-                emit("fig2_phases.csv", io.write_csv, ["l", "q", "p", "phi", "r"],
-                     [(l + 1, scale * a[l].real, scale * a[l].imag,
-                       float(np.angle(a[l])), float(np.abs(a[l])))
-                      for l in range(p.N)])
-                ellipses = squeezing(p, cov)
-                emit("fig2_ellipses.csv", io.write_csv,
-                     ["l", "lambda_min", "lambda_max", "theta"],
-                     [(e.site, e.lambda_min, e.lambda_max, e.theta) for e in ellipses])
-                rows = []
-                for l in range(1, p.N + 1):
-                    H = husimi_marginal(p, cov, l)
-                    rows.append((l, H[0, 0], H[0, 1], H[1, 1]))
-                emit("fig2_husimi.csv", io.write_csv, ["l", "qq", "qp", "pp"], rows)
-
-    if cfg.experiment not in CLASSICAL:
-        manifest["beyond_validated_horizon"] = bool(cfg.delta_t > VALIDATED_HORIZON + 1e-12)
-    manifest["files"] = r.files + ["manifest.json"]
-    manifest["wall_time_s"] = r.wall_s + time.monotonic() - t_start
-    io.write_json(r.outdir / "manifest.json", manifest)
-    return manifest
+    EXPERIMENTS[r.cfg.experiment].pipeline(r, snap)
+    r.manifest["files"] = r.files + ["manifest.json"]
+    r.manifest["wall_time_s"] = r.wall_s + time.monotonic() - t_start
+    io.write_json(r.outdir / "manifest.json", r.manifest)
+    return r.manifest
 
 
-def _run_fig3(cfg: ExperimentConfig, state0: MeanFieldState, emit, manifest: dict) -> None:
-    manifest["regime"] = {}
-    for tag, (name, V, t_snap) in zip("abc", cfg.fig_states):
-        p = replace(cfg.params, V=V)
-        (snap,) = _snapshot_run(p, [state0], t_snap, cfg)
-        _, snapshot, _, cov_traj = _state_run(cfg, p, snap, manifest, name)
-        cov = cov_traj.final_cov
+def _one_state(r: _Run, snap):
+    """The snapshot at ``t0``: label recorded, ``snapshot.json`` written;
+    returns (parts, snapshot, label)."""
+    parts, snapshot, label = _label(r, snap)
+    r.emit("snapshot.json", io.save_state, snapshot, r.cfg.params, None)
+    return parts, snapshot, label
+
+
+def _ellipse_rows(ellipses) -> list[tuple]:
+    return [(e.site, e.lambda_min, e.lambda_max, e.theta) for e in ellipses]
+
+
+def _meanfield(r: _Run, snap) -> None:
+    parts, _, _ = _one_state(r, snap)
+    r.emit("meanfield_grid.csv", io.write_csv, ["t", "l", "phi", "r2"],
+           blocks=_grid_blocks(parts, ("phi", "r2")))
+
+
+def _fig1(r: _Run, snap) -> None:
+    parts, _, _ = _one_state(r, snap)
+    for column in ("phi", "r2"):
+        r.emit(f"fig1_{column}.csv", io.write_csv, ["t", "l", column],
+               blocks=_grid_blocks(parts, (column,)))
+
+
+def _fluctuations(r: _Run, snap) -> None:
+    p = r.cfg.params
+    _, snapshot, _ = _one_state(r, snap)
+    cov_traj = _covariance(r, p, snapshot)
+    r.emit("covariance.csv", io.write_covariance, cov_traj.final_cov)
+    r.emit("covariance_meta.json", io.write_json, {
+        "params": io.params_to_json(p),
+        "t_i": snapshot.t,
+        "delta_t": r.cfg.delta_t,
+        "dt_cov": r.cfg.dt_cov,
+        "physicality_margin_min": cov_traj.margin_min,
+    })
+
+
+def _scan_mi(r: _Run, snap) -> None:
+    p = r.cfg.params
+    _, snapshot, _ = _one_state(r, snap)
+    scan = mi_scan(p, _covariance(r, p, snapshot).final_cov)
+    r.emit("mi_scan.csv", io.write_csv, ["L", "I2"], sorted(scan.items()))
+
+
+def _analyze(r: _Run, snap) -> None:
+    cfg, p = r.cfg, r.cfg.params
+    _, snapshot, label = _one_state(r, snap)
+    record = build_record(p, _covariance(r, p, snapshot).final_cov, regime=label)
+    r.emit("analysis.json", io.write_json, _record_dict(record))
+    r.emit("mi_scan.csv", io.write_csv, ["L", "I2"], sorted(record.mi_scan.items()))
+    r.emit("ellipses.csv", io.write_csv, ["l", "lambda_min", "lambda_max", "theta"],
+           _ellipse_rows(record.ellipses))
+    r.manifest["mi_value"] = record.mi_scan[cfg.mi_partition]
+    r.manifest["mi_partition"] = cfg.mi_partition
+
+
+def _fig2(r: _Run, snap) -> None:
+    p = r.cfg.params
+    _, snapshot, _ = _one_state(r, snap)
+    cov = _covariance(r, p, snapshot).final_cov
+    a = snapshot.alphas
+    scale = np.sqrt(2.0 * p.hbar)
+    r.emit("fig2_phases.csv", io.write_csv, ["l", "q", "p", "phi", "r"],
+           [(l + 1, scale * a[l].real, scale * a[l].imag,
+             float(np.angle(a[l])), float(np.abs(a[l])))
+            for l in range(p.N)])
+    r.emit("fig2_ellipses.csv", io.write_csv, ["l", "lambda_min", "lambda_max", "theta"],
+           _ellipse_rows(squeezing(p, cov)))
+    rows = []
+    for l in range(1, p.N + 1):
+        H = husimi_marginal(p, cov, l)
+        rows.append((l, H[0, 0], H[0, 1], H[1, 1]))
+    r.emit("fig2_husimi.csv", io.write_csv, ["l", "qq", "qp", "pp"], rows)
+
+
+@dataclass(frozen=True)
+class _Triplet:
+    """Pipeline over the ``fig_states`` triplet: ``body(r, states)`` reads
+    the states from the one loop over them.  Each state starts from the
+    run's start state, with its own V and snapshot time, so a triplet
+    takes no snapshot at ``t0``."""
+
+    body: Callable[[_Run, object], None]
+
+    def __call__(self, r: _Run, snap) -> None:
+        self.body(r, self.states(r))
+
+    @staticmethod
+    def states(r: _Run):
+        """(tag, name, V, params, snapshot) of each state in turn, its
+        regime recorded under its name."""
+        r.manifest["regime"] = {}
+        for tag, (name, V, t_snap) in zip("abc", r.cfg.fig_states):
+            p = replace(r.cfg.params, V=V)
+            (snap,) = _snapshot_run(p, [r.state0], t_snap, r.cfg)
+            _, snapshot, _ = _label(r, snap, name)
+            yield tag, name, V, p, snapshot
+
+
+@_Triplet
+def _fig3(r: _Run, states) -> None:
+    for tag, name, _, p, snapshot in states:
+        cov = _covariance(r, p, snapshot, name).final_cov
         a = snapshot.alphas
-        emit(f"fig3{tag}_phases.csv", io.write_csv, ["l", "phi"],
-             [(l + 1, float(np.angle(a[l]))) for l in range(p.N)])
-        emit(f"fig3{tag}_covariance.csv", io.write_covariance, cov)
+        r.emit(f"fig3{tag}_phases.csv", io.write_csv, ["l", "phi"],
+               [(l + 1, float(np.angle(a[l]))) for l in range(p.N)])
+        r.emit(f"fig3{tag}_covariance.csv", io.write_covariance, cov)
         psi = weighted_correlation(p, cov)
-        emit(f"fig3{tag}_psi.csv", io.write_csv, ["l", "psi"],
-             [(l + 1, psi[l]) for l in range(p.N)])
+        r.emit(f"fig3{tag}_psi.csv", io.write_csv, ["l", "psi"],
+               [(l + 1, psi[l]) for l in range(p.N)])
 
 
-def _run_fig4(cfg: ExperimentConfig, state0: MeanFieldState, emit, manifest: dict) -> None:
-    manifest["regime"] = {}
+@_Triplet
+def _fig4(r: _Run, states) -> None:
+    part = Partition(r.cfg.mi_partition)
     scan_rows = []
-    mi_rows = []
-    part = Partition(cfg.mi_partition)
-    for name, V, t_snap in cfg.fig_states:
-        p = replace(cfg.params, V=V)
-        (snap,) = _snapshot_run(p, [state0], t_snap, cfg)
-        _, _, _, cov_traj = _state_run(cfg, p, snap, manifest, name, every_sample=True)
-        scan = mi_scan(p, cov_traj.final_cov)
+    mi_rows = []  # one I2 per checked covariance sample, as it is produced
+    for _, name, V, p, snapshot in states:
+        def observe(t, C):
+            mi_rows.append((name, V, t, mutual_information(p, CovarianceMatrix(t, C), part)))
+
+        scan = mi_scan(p, _covariance(r, p, snapshot, name, observe).final_cov)
         scan_rows.extend((name, V, L, scan[L]) for L in sorted(scan))
-        for k in range(len(cov_traj)):
-            mi_rows.append(
-                (name, V, float(cov_traj.times[k]),
-                 mutual_information(p, cov_traj.cov(k), part))
-            )
-    emit("fig4a_mi_scan.csv", io.write_csv, ["state", "V", "L", "I2"], scan_rows)
-    emit("fig4b_mi_vs_t.csv", io.write_csv, ["state", "V", "t", "I2"], mi_rows)
-    manifest["mi_partition"] = cfg.mi_partition
+    r.emit("fig4a_mi_scan.csv", io.write_csv, ["state", "V", "L", "I2"], scan_rows)
+    r.emit("fig4b_mi_vs_t.csv", io.write_csv, ["state", "V", "t", "I2"], mi_rows)
+    r.manifest["mi_partition"] = r.cfg.mi_partition
+
+
+class _Experiment(NamedTuple):
+    pipeline: Callable[[_Run, object], None]
+    t0: float  # default snapshot time
+
+
+#: every experiment, by name
+EXPERIMENTS = {
+    "meanfield": _Experiment(_meanfield, 3000.5),
+    "fluctuations": _Experiment(_fluctuations, 3000.5),
+    "analyze": _Experiment(_analyze, 3000.5),
+    "scan-mi": _Experiment(_scan_mi, 3000.5),
+    "reproduce-fig1": _Experiment(_fig1, 3000.5),
+    "reproduce-fig2": _Experiment(_fig2, 3000.0),
+    "reproduce-fig3": _Experiment(_fig3, 3000.5),
+    "reproduce-fig4": _Experiment(_fig4, 3000.5),
+}
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    return {
-        "experiment": cfg.experiment,
-        "params": io.params_to_json(cfg.params),
-        "ic": None if cfg.ic is None else io.ic_spec_to_json(cfg.ic),
-        "ic_file": cfg.ic_file,
-        "t0": cfg.t0,
-        "delta_t": cfg.delta_t,
-        "dt_mf": cfg.dt_mf,
-        "dt_cov": cfg.dt_cov,
-        "sample_spacing": cfg.sample_spacing,
-        "window_spacing": cfg.window_spacing,
-        "classify_window": cfg.classify_window,
-        "z_threshold": cfg.z_threshold,
-        "w_min": cfg.w_min,
-        "mi_partition": cfg.mi_partition,
-        "outputs": cfg.outputs,
-        "fig_states": [
-            {"name": n, "V": v, "t0": t} for n, v, t in cfg.fig_states
-        ],
-    }
+    echo = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    echo["params"] = io.params_to_json(cfg.params)
+    echo["ic"] = None if cfg.ic is None else io.ic_spec_to_json(cfg.ic)
+    echo["fig_states"] = [{"name": n, "V": v, "t0": t} for n, v, t in cfg.fig_states]
+    return echo
 
 
 def _record_dict(record) -> dict:

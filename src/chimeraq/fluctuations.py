@@ -222,15 +222,14 @@ def drift_diffusion(p: NetworkParams, s: MeanFieldState) -> DriftDiffusion:
 
 @dataclass(frozen=True)
 class CovarianceTrajectory:
-    """Covariance samples along one mean-field segment.
+    """The first and the last covariance sample of one mean-field segment.
 
-    ``covs`` has shape (T, 2N, 2N) and holds the kept samples at ``times``:
-    every sample of the segment's grid, or only its first and last.  Every
-    sample on the grid, kept or not, passed the physicality check: the first
-    and the last by their exact margin, the others by a Cholesky certificate
-    where one holds (counted in ``certified``) and by their exact margin
-    otherwise.  ``margin_min`` is the minimum over the exactly evaluated
-    samples.
+    ``covs`` has shape (2, 2N, 2N) and holds them at ``times``, the
+    segment's first and last grid times.  Every sample on the grid passed
+    the physicality check: the first and the last by their exact margin,
+    the others by a Cholesky certificate where one holds (counted in
+    ``certified``) and by their exact margin otherwise.  ``margin_min`` is
+    the minimum over the exactly evaluated samples.
     """
 
     times: np.ndarray
@@ -240,18 +239,9 @@ class CovarianceTrajectory:
     margin_min: float
     certified: int
 
-    def __len__(self) -> int:
-        return self.times.shape[0]
-
-    def cov(self, k: int) -> CovarianceMatrix:
-        return CovarianceMatrix(t=float(self.times[k]), C=self.covs[k])
-
     @property
     def final_cov(self) -> CovarianceMatrix:
-        return self.cov(len(self) - 1)
-
-    def min_physicality_margin(self) -> float:
-        return self.margin_min
+        return CovarianceMatrix(t=float(self.times[-1]), C=self.covs[-1])
 
     def vacuum_bound_ratio_max(self) -> float:
         """Largest kappa2 |alpha|^2 / kappa1 over the segment's samples; at
@@ -279,33 +269,37 @@ def _check_c0(p: NetworkParams, C0: CovarianceMatrix) -> tuple[np.ndarray, float
 class _Samples:
     """Covariance samples on a segment's time grid, checked for physicality
     as they are added: the last by its exact margin, the ones in between by
-    :func:`_certified_margin`.  The kept samples, every one or only the first
-    and the last, are written into one preallocated stack."""
+    :func:`_certified_margin`.  Only the first and the last are kept, in a
+    two-slot stack; ``observe`` (see :func:`propagate_covariance`) is shown
+    the start and every sample that passes."""
 
     def __init__(self, p: NetworkParams, segment: MeanFieldTrajectory, C0: np.ndarray,
-                 margin0: float, every_sample: bool = True):
+                 margin0: float, observe=None):
         self.p = p
         self.segment = segment
-        self.every_sample = every_sample
-        n = len(segment.times)
-        self.kept = np.arange(n) if every_sample else np.unique([0, n - 1])
-        self.covs = np.empty((len(self.kept),) + C0.shape)
+        self.observe = observe
+        self.covs = np.empty((2,) + C0.shape)
         self.covs[0] = C0
         self.count = 1
         self.margin_min = margin0
         self.certified = 0
+        self._show(0, self.covs[0])
+
+    def _show(self, k: int, C: np.ndarray) -> None:
+        if self.observe is not None:
+            view = C.view()
+            view.flags.writeable = False
+            self.observe(float(self.segment.times[k]), view)
 
     def add(self, C: np.ndarray, work: np.ndarray | None = None) -> None:
-        """Check the next sample and keep it if asked to; raises
+        """Check the next sample, keeping it if it is the last; raises
         PhysicalityError if it fails.  ``work`` is the certificate's scratch
         (see :func:`_certified_margin`); ``C`` may be the stack's last slot."""
         times = self.segment.times
         k = self.count
         last = k == len(times) - 1
-        if self.every_sample or last:
-            slot = self.covs[-1 if last else k]
-            if not np.may_share_memory(slot, C):
-                slot[...] = C
+        if last and not np.may_share_memory(self.covs[1], C):
+            self.covs[1] = C
         what = f"covariance unphysical at t={times[k]:g}"
         if last:
             margin = _checked_margin(C, self.p.hbar, what)
@@ -316,10 +310,11 @@ class _Samples:
         else:
             self.margin_min = min(self.margin_min, margin)
         self.count += 1
+        self._show(k, C)
 
     def trajectory(self) -> CovarianceTrajectory:
         return CovarianceTrajectory(
-            times=self.segment.times[self.kept],
+            times=self.segment.times[[0, -1]],
             covs=self.covs,
             params=self.p,
             source=self.segment,
@@ -333,7 +328,7 @@ def propagate_covariance(
     mf_segment: MeanFieldTrajectory,
     C0: CovarianceMatrix,
     dt: float = 1e-3,
-    every_sample: bool = True,
+    observe=None,
 ) -> CovarianceTrajectory:
     """RK4 on the Lyapunov equation dC/dt = A C + C A^T + B.
 
@@ -343,14 +338,16 @@ def propagate_covariance(
     since each stage derivative ``M + M^T + diag(b)`` is (IEEE addition
     commutes) and the RK4 combinations are elementwise.  ``dt`` must divide
     the segment spacing.
-    With ``every_sample`` false only the first and the last sample are
-    kept, so the result holds two matrices however fine the grid; the
-    checks are the same.
+    The result keeps the first and the last sample, so it holds two
+    matrices however fine the grid.  ``observe(t, C)``, when given, is
+    called with the start and with each later sample once it has passed
+    its check; ``C`` is a read-only view, valid only during the call, so an
+    observer that keeps a sample copies it.
 
     Raises:
-        PhysicalityError: if a covariance on the grid, kept or not, violates
-            the uncertainty bound beyond tolerance (linearization breakdown
-            or too-large dt).
+        PhysicalityError: if a covariance on the grid violates the
+            uncertainty bound beyond tolerance (linearization breakdown or
+            too-large dt).
     """
     validate_params(p)
     C, margin0 = _check_c0(p, C0)
@@ -380,11 +377,10 @@ def propagate_covariance(
         pp += b
         mf_rhs(alpha, out[0], mag2)
 
-    samples = _Samples(p, mf_segment, C, margin0, every_sample)
-    if not every_sample:
-        # C steps in the stack slot that keeps its last sample: no extra copy
-        C = samples.covs[-1]
-        C[...] = samples.covs[0]
+    samples = _Samples(p, mf_segment, C, margin0, observe)
+    # C steps in the stack slot that keeps its last sample: no extra copy
+    C = samples.covs[-1]
+    C[...] = samples.covs[0]
     y = (np.array(mf_segment.alphas[0]), C)
     stepper = RK4(joint_rhs, y)
     # between steps, the stage input of C is free scratch for the certificate
@@ -447,7 +443,13 @@ def moment_oracle(
     the Lyapunov route, so agreement between the two validates both.
     """
     validate_params(p)
-    C, _ = _check_c0(p, C0)
+    # the start is symmetrized as _check_c0 does, and only its round trip
+    # through the moments is checked: the round trip is exactly symmetric,
+    # so _check_c0 keeps its bits, and a vacuum start stays the vacuum
+    with np.errstate(invalid="ignore"):  # a non-finite start fails the check
+        s, n = covariance_to_moments(0.5 * (C0.C + C0.C.T), p.hbar)
+        C = moments_to_covariance(s, n, p.hbar)
+    C, margin0 = _check_c0(p, CovarianceMatrix(C0.t, C))
     times = mf_segment.times
     subs = _substeps(times, dt)
 
@@ -469,11 +471,7 @@ def moment_oracle(
         out[2][...] = F.conj() @ n + n @ F.T + G.conj()[:, None] * s + s.conj() * G[None, :] + gain
 
     a = np.array(mf_segment.alphas[0])
-    s, n = covariance_to_moments(C, p.hbar)
-    s = s.astype(complex)
-    n = n.astype(complex)
-    C = moments_to_covariance(s, n, p.hbar)
-    samples = _Samples(p, mf_segment, C, physicality_margin(C, p.hbar))
+    samples = _Samples(p, mf_segment, C, margin0)
     y = (a, s, n)
     stepper = RK4(moment_rhs, y)
     for n_sub in subs:

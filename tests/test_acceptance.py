@@ -70,7 +70,7 @@ def two_phase(p: NetworkParams, states, t_end: float):
 def propagate(p: NetworkParams, snapshot: MeanFieldState, tag: str):
     seg = integrate(p, snapshot, snapshot.t + DELTA_T, dt=DT_COV, sample_every=10)
     ct = propagate_covariance(p, seg, vacuum_covariance(p, t=snapshot.t), dt=DT_COV)
-    MARGINS.append((tag, ct.min_physicality_margin()))
+    MARGINS.append((tag, ct.margin_min))
     return ct
 
 
@@ -171,7 +171,7 @@ def test_c05_oracle_equivalence(canonical_chimera):
     seg3 = integrate(p3, s0, DELTA_T, dt=DT_COV, sample_every=10)
     a = propagate_covariance(p3, seg3, vacuum_covariance(p3), dt=DT_COV)
     b = moment_oracle(p3, seg3, vacuum_covariance(p3), dt=DT_COV)
-    MARGINS.append(("oracle-n3", a.min_physicality_margin()))
+    MARGINS.append(("oracle-n3", a.margin_min))
     rel3 = np.linalg.norm(a.covs[-1] - b.covs[-1]) / np.linalg.norm(a.covs[-1])
 
     # chimera segment at full size
@@ -180,7 +180,7 @@ def test_c05_oracle_equivalence(canonical_chimera):
     seg50 = integrate(PAPER, snap, snap.t + DELTA_T, dt=DT_COV, sample_every=10)
     c = propagate_covariance(PAPER, seg50, vacuum_covariance(PAPER, t=snap.t), dt=DT_COV)
     d = moment_oracle(PAPER, seg50, vacuum_covariance(PAPER, t=snap.t), dt=DT_COV)
-    MARGINS.append(("oracle-n50", c.min_physicality_margin()))
+    MARGINS.append(("oracle-n50", c.margin_min))
     rel50 = np.linalg.norm(c.covs[-1] - d.covs[-1]) / np.linalg.norm(c.covs[-1])
 
     # frozen coefficients at the exact fixed point alpha = 0
@@ -188,7 +188,7 @@ def test_c05_oracle_equivalence(canonical_chimera):
     zero = MeanFieldState(0.0, np.zeros(3, dtype=complex))
     segf = integrate(pf, zero, 0.3, dt=DT_COV, sample_every=10)
     ct = propagate_covariance(pf, segf, vacuum_covariance(pf), dt=DT_COV)
-    MARGINS.append(("oracle-frozen", ct.min_physicality_margin()))
+    MARGINS.append(("oracle-frozen", ct.margin_min))
     dd = drift_diffusion(pf, zero)
     t = 0.3
     n_nodes = 3000

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from chimeraq import analysis, cli, io
 from chimeraq.cli import main
 from chimeraq.core import CovarianceMatrix, MeanFieldState, NetworkParams
-from chimeraq.meanfield import InitialConditionSpec, MeanFieldTrajectory, spacetime_grid
+from chimeraq.meanfield import InitialConditionSpec, MeanFieldTrajectory, integrate, spacetime_grid
+from test_stepper import oracle_covariance
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -165,10 +167,66 @@ class TestCsvBytes:
 
     def test_covariance_bytes(self, tmp_path):
         out, cfg, (_, _, snapshot) = self._run(tmp_path, "fluctuations")
-        C = cli._covariance_run(cfg.params, snapshot, cfg, every_sample=False).final_cov.C
+        p = cfg.params
+        # checked every delta_t / 50 = 10 steps of dt_cov, from the vacuum
+        seg = integrate(p, snapshot, snapshot.t + cfg.delta_t, dt=cfg.dt_cov, sample_every=10)
+        covs, _, _ = oracle_covariance(p, seg, 0.5 * p.hbar * np.eye(2 * p.N), cfg.dt_cov)
         assert (out / "covariance.csv").read_bytes() == oracle_csv(
-            COVARIANCE_HEADER, oracle_covariance_rows(C)
+            COVARIANCE_HEADER, oracle_covariance_rows(covs[-1])
         )
+
+    def test_triplet_bytes(self, tmp_path):
+        # the scaled-down triplet of test_fig3_and_fig4_scaled_down; every
+        # covariance sample comes from the allocating oracle stepper, so
+        # each fig4b row is the I2 of a sample the pipeline never stored
+        fig_states = [
+            {"name": "chimera", "V": 1.2, "t0": 12.0},
+            {"name": "synchronized", "V": 1.6, "t0": 12.0},
+            {"name": "desynchronized", "V": 0.8, "t0": 12.0},
+        ]
+        cfg_path = write_config(tmp_path / "c.json", fig_states=fig_states, mi_partition=2)
+        outs = {}
+        for experiment in ("reproduce-fig3", "reproduce-fig4"):
+            outs[experiment] = tmp_path / experiment
+            assert main([experiment, "--config", str(cfg_path),
+                         "--out", str(outs[experiment])]) == 0
+        cfg = cli.load_config(str(cfg_path), "reproduce-fig4", None, None)
+        state0 = cli._initial_state(cfg, cfg.params)
+        part = analysis.Partition(cfg.mi_partition)
+        fig3, scan_rows, mi_rows = {}, [], []
+        for tag, (name, V, t_snap) in zip("abc", cfg.fig_states):
+            p = replace(cfg.params, V=V)
+            ((_, _, snapshot),) = cli._snapshot_run(p, [state0], t_snap, cfg)
+            seg = integrate(p, snapshot, snapshot.t + cfg.delta_t, dt=cfg.dt_cov,
+                            sample_every=10)
+            covs, _, _ = oracle_covariance(p, seg, 0.5 * p.hbar * np.eye(2 * p.N), cfg.dt_cov)
+            assert len(covs) == 51
+            final = CovarianceMatrix(float(seg.times[-1]), covs[-1])
+            a = snapshot.alphas
+            psi = analysis.weighted_correlation(p, final)
+            fig3[f"fig3{tag}_phases.csv"] = oracle_csv(
+                ["l", "phi"], [(l + 1, float(np.angle(a[l]))) for l in range(p.N)])
+            fig3[f"fig3{tag}_covariance.csv"] = oracle_csv(
+                COVARIANCE_HEADER, oracle_covariance_rows(covs[-1]))
+            fig3[f"fig3{tag}_psi.csv"] = oracle_csv(
+                ["l", "psi"], [(l + 1, psi[l]) for l in range(p.N)])
+            scan = analysis.mi_scan(p, final)
+            scan_rows.extend((name, V, L, scan[L]) for L in sorted(scan))
+            mi_rows.extend(
+                (name, V, float(t), analysis.mutual_information(p, CovarianceMatrix(float(t), C), part))
+                for t, C in zip(seg.times, covs)
+            )
+        fig4 = {
+            "fig4a_mi_scan.csv": oracle_csv(["state", "V", "L", "I2"], scan_rows),
+            "fig4b_mi_vs_t.csv": oracle_csv(["state", "V", "t", "I2"], mi_rows),
+        }
+        for experiment, payloads in (("reproduce-fig3", fig3), ("reproduce-fig4", fig4)):
+            out = outs[experiment]
+            for name, data in payloads.items():
+                assert (out / name).read_bytes() == data, name
+            assert read_manifest(out)["files"] == (
+                ["initial_conditions.json", *payloads, "manifest.json"]
+            )
 
     def test_grid_writer_memory_does_not_grow_with_the_file(self, tmp_path):
         # 100,050 rows: N=50 at 2,001 sample times, in two parts sharing t=1000

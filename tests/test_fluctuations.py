@@ -90,6 +90,13 @@ def random_limit_cycle_state(p: NetworkParams, seed: int) -> MeanFieldState:
     return MeanFieldState(0.0, r * np.exp(1j * rng.uniform(-np.pi, np.pi, p.N)))
 
 
+def copying_observer():
+    """(observer, samples): the observer appends (t, a copy of C) for every
+    sample it is shown."""
+    samples = []
+    return (lambda t, C: samples.append((t, C.copy()))), samples
+
+
 class TestSymplecticForm:
     def test_block_structure(self):
         O = symplectic_form(2)
@@ -229,10 +236,12 @@ class TestPropagateCovariance:
     def test_symmetry_and_physicality(self):
         p = NetworkParams(N=5, d=2, V=1.2, kappa2=0.2)
         seg = integrate(p, random_limit_cycle_state(p, 11), 0.5, dt=1e-3, sample_every=100)
-        ct = propagate_covariance(p, seg, vacuum_covariance(p), dt=1e-3)
-        for k in range(len(ct)):
-            assert ct.cov(k).symmetry_defect() < 1e-10
-        assert ct.min_physicality_margin() >= -1e-9
+        observe, samples = copying_observer()
+        ct = propagate_covariance(p, seg, vacuum_covariance(p), dt=1e-3, observe=observe)
+        assert len(samples) == len(seg.times)
+        for t, C in samples:
+            assert CovarianceMatrix(t, C).symmetry_defect() < 1e-10
+        assert ct.margin_min >= -1e-9
 
     def test_cyclic_shift_conjugates_covariance(self):
         p = NetworkParams(N=6, d=2, V=1.1, kappa2=0.2)
@@ -302,11 +311,13 @@ class TestVacuumBound:
         phases = np.array([0.0, 0.9, -2.1])
         s0 = MeanFieldState(0.0, p.limit_cycle_radius * np.exp(1j * phases))
         seg = integrate(p, s0, 0.5, dt=1e-3, sample_every=50)
-        ct = propagate_covariance(p, seg, vacuum_covariance(p), dt=1e-3)
-        for k, t in enumerate(ct.times):
+        observe, samples = copying_observer()
+        propagate_covariance(p, seg, vacuum_covariance(p), dt=1e-3, observe=observe)
+        assert [t for t, _ in samples] == seg.times.tolist()
+        for t, C in samples:
             want_min = hbar * (0.75 - 0.25 * np.exp(-4.0 * p.kappa1 * t))
             want_max = hbar * (0.5 + 3.0 * p.kappa1 * t)
-            for e in squeezing(p, ct.cov(k)):
+            for e in squeezing(p, CovarianceMatrix(t, C)):
                 assert abs(e.lambda_min - want_min) < 1e-10
                 assert abs(e.lambda_max - want_max) < 1e-10
 
@@ -319,9 +330,11 @@ class TestVacuumBound:
         seg = integrate(p, random_limit_cycle_state(p, seed), 0.5, dt=1e-3, sample_every=20)
         load = p.kappa2 * np.abs(seg.alphas) ** 2 / p.kappa1
         assert load.max() <= 1.0  # precondition of the bound
-        ct = propagate_covariance(p, seg, vacuum_covariance(p), dt=1e-3)
+        observe, samples = copying_observer()
+        propagate_covariance(p, seg, vacuum_covariance(p), dt=1e-3, observe=observe)
+        assert len(samples) == len(seg.times)
         eye = np.eye(2 * p.N)
-        for C in ct.covs:
+        for _, C in samples:
             assert np.linalg.eigvalsh(C - 0.5 * p.hbar * eye).min() >= -1e-12 * p.hbar
 
     @pytest.mark.parametrize("load, sub_vacuum", [(0.98, False), (1.6, True)])
@@ -348,13 +361,31 @@ class TestSampleChecks:
     """Intermediate samples pass on a Cholesky certificate; the first and the
     last sample, and any sample no certificate covers, get exact margins."""
 
-    @pytest.mark.parametrize("every_sample", [True, False])
-    def test_unstable_dt_fails_inside_the_segment(self, every_sample):
+    @pytest.mark.parametrize("observed", [True, False])
+    def test_unstable_dt_fails_inside_the_segment(self, observed):
         # a sample that is not kept is still checked
         seg = _ring_segment(UNSTABLE, 1, 100.0, dt=1.0, sample_every=10)
+        observe = copying_observer()[0] if observed else None
         with pytest.raises(PhysicalityError, match=r"covariance unphysical at t=10,"):
             propagate_covariance(UNSTABLE, seg, vacuum_covariance(UNSTABLE), dt=1.0,
-                                 every_sample=every_sample)
+                                 observe=observe)
+
+    def test_observer_never_sees_a_failing_sample(self):
+        # the sample at t=10 fails its check: only the start is shown
+        seg = _ring_segment(UNSTABLE, 1, 100.0, dt=1.0, sample_every=10)
+        observe, samples = copying_observer()
+        with pytest.raises(PhysicalityError, match=r"covariance unphysical at t=10,"):
+            propagate_covariance(UNSTABLE, seg, vacuum_covariance(UNSTABLE), dt=1.0,
+                                 observe=observe)
+        assert [t for t, _ in samples] == [0.0]
+        assert np.array_equal(samples[0][1], vacuum_covariance(UNSTABLE).C)
+
+    def test_observer_gets_a_read_only_view(self):
+        seg = _ring_segment(UNSTABLE, 1, 0.1, dt=1e-3, sample_every=10)
+        flags = []
+        propagate_covariance(UNSTABLE, seg, vacuum_covariance(UNSTABLE), dt=1e-3,
+                             observe=lambda t, C: flags.append(C.flags.writeable))
+        assert flags == [False] * len(seg.times)
 
     def test_overflowing_segment_is_unphysical(self):
         # 500 unstable steps between two samples overflow C to inf and NaN
@@ -393,21 +424,23 @@ class TestSampleChecks:
         monkeypatch.setattr(fluctuations, "physicality_margin", counted)
         return exact
 
-    @pytest.mark.parametrize("every_sample", [True, False])
-    def test_vacuum_start_certifies_intermediate_samples(self, monkeypatch, every_sample):
+    @pytest.mark.parametrize("observed", [True, False])
+    def test_vacuum_start_certifies_intermediate_samples(self, monkeypatch, observed):
         p = NetworkParams(N=4, d=1, V=1.2, kappa2=0.2)
         seg = _ring_segment(p, 2, 0.5, dt=1e-3, sample_every=10)
         exact = self._exact_calls(monkeypatch)
+        observe, samples = copying_observer()
         ct = propagate_covariance(p, seg, vacuum_covariance(p), dt=1e-3,
-                                  every_sample=every_sample)
+                                  observe=observe if observed else None)
         assert ct.vacuum_bound_ratio_max() <= 1.0
         assert ct.certified == len(seg.times) - 2 == 49
-        assert len(ct) == (51 if every_sample else 2)
+        assert len(ct.covs) == 2
+        assert len(samples) == (51 if observed else 0)
         # the vacuum start's margin is 0.0 without an eigensolver; only the
         # final sample is evaluated exactly
         assert len(exact) == 1
         assert np.array_equal(exact[-1], ct.covs[-1])
-        assert ct.min_physicality_margin() == 0.0
+        assert ct.margin_min == 0.0
 
     def test_squeezed_start_falls_back_to_exact_margins(self, monkeypatch):
         # a pure squeezed start has C < (hbar/2) I along q, so the certificate
@@ -417,13 +450,14 @@ class TestSampleChecks:
         r = 0.5
         C0 = 0.5 * p.hbar * np.diag(np.tile([np.exp(-2 * r), np.exp(2 * r)], p.N))
         exact = self._exact_calls(monkeypatch)
-        ct = propagate_covariance(p, seg, CovarianceMatrix(0.0, C0), dt=1e-3)
+        observe, samples = copying_observer()
+        ct = propagate_covariance(p, seg, CovarianceMatrix(0.0, C0), dt=1e-3, observe=observe)
         eye = np.eye(2 * p.N)
-        below = [np.linalg.eigvalsh(C - 0.5 * p.hbar * eye).min() < 0 for C in ct.covs[1:-1]]
+        below = [np.linalg.eigvalsh(C - 0.5 * p.hbar * eye).min() < 0 for _, C in samples[1:-1]]
         assert sum(below) == 18
-        assert ct.certified == len(ct) - 2 - 18
+        assert ct.certified == len(samples) - 2 - 18
         assert len(exact) == 2 + 18
-        assert ct.min_physicality_margin() == 0.0
+        assert ct.margin_min == 0.0
 
     def test_segment_above_threshold_falls_back_to_exact_margins(self, monkeypatch):
         # amplitudes above the limit cycle decay through kappa2 |alpha|^2 > kappa1,
@@ -434,10 +468,28 @@ class TestSampleChecks:
         exact = self._exact_calls(monkeypatch)
         ct = propagate_covariance(p, seg, vacuum_covariance(p), dt=1e-3)
         assert ct.vacuum_bound_ratio_max() > 1.0
-        assert ct.certified < len(ct) - 2
+        assert ct.certified < len(seg.times) - 2
         # every sample but the certified ones and the vacuum start
-        assert len(exact) == len(ct) - ct.certified - 1
-        assert ct.min_physicality_margin() >= -PHYSICALITY_TOL * p.hbar
+        assert len(exact) == len(seg.times) - ct.certified - 1
+        assert ct.margin_min >= -PHYSICALITY_TOL * p.hbar
+
+    @pytest.mark.parametrize("start, calls", [("vacuum", 1), ("squeezed", 20)])
+    def test_oracle_takes_the_exact_margins_of_propagation(self, monkeypatch, start, calls):
+        # the moment oracle checks its round-tripped start once, as
+        # propagate_covariance checks its symmetrized start
+        p = NetworkParams(N=4, d=1, V=1.2, kappa2=0.2)
+        seg = _ring_segment(p, 2, 0.5, dt=1e-3, sample_every=10)
+        C0 = vacuum_covariance(p)
+        if start == "squeezed":
+            r = 0.5
+            C0 = CovarianceMatrix(
+                0.0, 0.5 * p.hbar * np.diag(np.tile([np.exp(-2 * r), np.exp(2 * r)], p.N))
+            )
+        exact = self._exact_calls(monkeypatch)
+        propagate_covariance(p, seg, C0, dt=1e-3)
+        assert len(exact) == calls
+        moment_oracle(p, seg, C0, dt=1e-3)
+        assert len(exact) == 2 * calls
 
 
 class TestExactSymmetry:
@@ -458,9 +510,10 @@ class TestExactSymmetry:
             C0 = CovarianceMatrix(
                 0.0, 0.5 * p.hbar * np.diag(np.tile([np.exp(-2 * r), np.exp(2 * r)], p.N))
             )
-        ct = propagate_covariance(p, seg, C0, dt=1e-3)
-        assert len(ct) == 51
-        for C in ct.covs:
+        observe, samples = copying_observer()
+        ct = propagate_covariance(p, seg, C0, dt=1e-3, observe=observe)
+        assert len(samples) == 51
+        for _, C in samples:
             assert np.array_equal(C, C.T)
 
         class SymmetrizingRK4(RK4):
@@ -470,30 +523,33 @@ class TestExactSymmetry:
                 C[...] = 0.5 * (C + C.T)
 
         monkeypatch.setattr(fluctuations, "RK4", SymmetrizingRK4)
-        ref = propagate_covariance(p, seg, C0, dt=1e-3)
+        observe, ref_samples = copying_observer()
+        ref = propagate_covariance(p, seg, C0, dt=1e-3, observe=observe)
         assert np.array_equal(ct.final_cov.C, ref.final_cov.C)
         assert np.array_equal(ct.covs, ref.covs)
+        assert np.array_equal([C for _, C in samples], [C for _, C in ref_samples])
 
 
 class TestSampleStack:
     @pytest.mark.parametrize("r0", [None, 3.0])
-    def test_endpoints_only_match_every_sample(self, r0):
+    def test_endpoints_match_the_observed_samples(self, r0):
         # r0 = 3.0 starts above the limit cycle, where intermediate samples
         # are evaluated exactly and enter margin_min
         p = NetworkParams(N=4, d=1, V=1.2, kappa2=0.2)
         s0 = initial_conditions(p, InitialConditionSpec(seed=2, r0=r0))
         seg = integrate(p, s0, 0.5, dt=1e-3, sample_every=10)
-        full, ends = (
-            propagate_covariance(p, seg, vacuum_covariance(p), dt=1e-3, every_sample=keep)
-            for keep in (True, False)
-        )
+        observe, samples = copying_observer()
+        seen = propagate_covariance(p, seg, vacuum_covariance(p), dt=1e-3, observe=observe)
+        ends = propagate_covariance(p, seg, vacuum_covariance(p), dt=1e-3)
+        assert [t for t, _ in samples] == seg.times.tolist()
         assert np.array_equal(ends.times, seg.times[[0, -1]])
-        assert np.array_equal(ends.covs, full.covs[[0, -1]])
-        assert np.array_equal(ends.final_cov.C, full.final_cov.C)
-        assert ends.final_cov.t == full.final_cov.t
-        assert ends.margin_min == full.margin_min
-        assert ends.certified == full.certified
-        assert ends.vacuum_bound_ratio_max() == full.vacuum_bound_ratio_max()
+        assert np.array_equal(ends.covs, [samples[0][1], samples[-1][1]])
+        assert np.array_equal(ends.covs, seen.covs)
+        assert np.array_equal(ends.final_cov.C, samples[-1][1])
+        assert ends.final_cov.t == samples[-1][0]
+        assert ends.margin_min == seen.margin_min
+        assert ends.certified == seen.certified
+        assert ends.vacuum_bound_ratio_max() == seen.vacuum_bound_ratio_max()
 
     def test_endpoints_only_memory_does_not_grow_with_the_grid(self):
         # every sample at 201 samples would hold 10.3 MB against 2.6 MB at 51
@@ -504,7 +560,7 @@ class TestSampleStack:
             C0 = vacuum_covariance(p)
             tracemalloc.start()
             try:
-                ct = propagate_covariance(p, seg, C0, dt=1e-3, every_sample=False)
+                ct = propagate_covariance(p, seg, C0, dt=1e-3)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -513,44 +569,34 @@ class TestSampleStack:
             peaks.append(peak)
         assert peaks[1] <= 1.1 * peaks[0]
 
+    @pytest.mark.parametrize("observed", [False, True])
     @pytest.mark.parametrize("sample_every, live", [(50, 8), (10, 9)])
-    def test_peak_counts_the_live_buffers(self, sample_every, live):
-        # every_sample=False keeps 8 float 2N x 2N buffers live while stepping:
-        # the two-sample stack (C steps in its last slot), A, the product A C,
-        # and the stepper's stage input and three slopes of C.  A sample
-        # between the ends adds the Cholesky factor numpy returns (the copy
-        # it factors sits in the stepper's free stage input): 9.  Besides
-        # these, the complex K^T is half a buffer and the rest is N-vectors.
-        # One more 2N x 2N temporary per stage, or per check, breaks the bound.
+    def test_peak_counts_the_live_buffers(self, sample_every, live, observed):
+        # 8 float 2N x 2N buffers are live while stepping: the two-sample
+        # stack (C steps in its last slot), A, the product A C, and the
+        # stepper's stage input and three slopes of C.  A sample between the
+        # ends adds the Cholesky factor numpy returns (the copy it factors
+        # sits in the stepper's free stage input): 9.  Besides these, the
+        # complex K^T is half a buffer and the rest is N-vectors.  One more
+        # 2N x 2N temporary per stage, or per check, breaks the bound; so
+        # does a sample held for an observer that reads one scalar of it.
         p = NetworkParams(N=40, d=8, V=1.2, kappa2=0.2)
         seg = _ring_segment(p, 1, 0.05, dt=1e-3, sample_every=sample_every)
         C0 = vacuum_covariance(p)
-        propagate_covariance(p, seg, C0, dt=1e-3, every_sample=False)  # lazy imports
+        traces = []
+        observe = (lambda t, C: traces.append(C.trace())) if observed else None
+        propagate_covariance(p, seg, C0, dt=1e-3, observe=observe)  # lazy imports
+        traces.clear()
         tracemalloc.start()
         try:
-            ct = propagate_covariance(p, seg, C0, dt=1e-3, every_sample=False)
+            ct = propagate_covariance(p, seg, C0, dt=1e-3, observe=observe)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert ct.certified == len(seg.times) - 2
-        assert peak < (live + 0.9) * ct.covs[0].nbytes
-
-    @pytest.mark.parametrize("route", [propagate_covariance, moment_oracle])
-    def test_samples_are_held_once(self, route):
-        # 51 samples at N=40 make a 2.61 MB stack; a list of per-sample copies
-        # stacked at the end would hold it twice at the peak
-        p = NetworkParams(N=40, d=8, V=1.2, kappa2=0.2)
-        seg = _ring_segment(p, 1, 0.5, dt=1e-3, sample_every=10)
-        C0 = vacuum_covariance(p)
-        tracemalloc.start()
-        try:
-            ct = route(p, seg, C0, dt=1e-3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert ct.covs.shape == (51, 2 * p.N, 2 * p.N)
+        assert len(traces) == (len(seg.times) if observed else 0)
         assert ct.covs.dtype == np.float64
-        assert peak < 1.5 * ct.covs.nbytes
+        assert peak < (live + 0.9) * ct.covs[0].nbytes
 
 
 def symplectic_margin(C: np.ndarray, hbar: float) -> float:

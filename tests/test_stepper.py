@@ -162,16 +162,20 @@ class TestBitsMatchOracles:
                 assert f"t={bad_step * dt:g}" in str(got)
         assert retired == 1
 
-    @pytest.mark.parametrize("every_sample", [True, False])
+    @pytest.mark.parametrize("observed", [True, False])
     @pytest.mark.parametrize("start, r0", [("vacuum", None), ("squeezed", None),
                                            ("above threshold", 3.0)])
-    def test_covariance(self, start, r0, every_sample):
+    def test_covariance(self, start, r0, observed):
         seg = _segment(r0)
         C0 = _start(start)
+        samples = []
+        observe = (lambda t, C: samples.append(C.copy())) if observed else None
         ct = propagate_covariance(RING, seg, CovarianceMatrix(0.0, C0), dt=1e-3,
-                                  every_sample=every_sample)
+                                  observe=observe)
         covs, margin_min, certified = oracle_covariance(RING, seg, C0, 1e-3)
-        assert np.array_equal(ct.covs, covs if every_sample else covs[[0, -1]])
+        assert np.array_equal(ct.covs, covs[[0, -1]])
+        if observed:
+            assert np.array_equal(samples, covs)
         assert ct.margin_min == margin_min
         assert ct.certified == certified
         if start == "vacuum":
