@@ -155,8 +155,15 @@ def mutual_information(p: NetworkParams, cov: CovarianceMatrix, part: Partition)
     """
     validate_params(p)
     part.validate(cov.n_sites)
-    C = cov.C
-    k = 2 * part.L
+    return _mutual_information(cov.C, part.L)
+
+
+def _mutual_information(C: np.ndarray, L: int) -> float:
+    """:func:`mutual_information` of a 2N x 2N array, for sites 1..L against
+    the rest, unchecked.  The blocks are factored from views, so a
+    read-only view (an observed sample, see
+    :func:`~chimeraq.fluctuations.propagate_covariance`) is not copied."""
+    k = 2 * L
     ld_a = _logdet_pd(C[:k, :k])
     ld_b = _logdet_pd(C[k:, k:])
     ld = _logdet_pd(C)

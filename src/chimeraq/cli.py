@@ -24,16 +24,14 @@ import numpy as np
 
 from . import __version__, io
 from .analysis import (
-    Partition,
+    _mutual_information,
     build_record,
     husimi_marginal,
     mi_scan,
-    mutual_information,
     squeezing,
     weighted_correlation,
 )
 from .core import (
-    CovarianceMatrix,
     MeanFieldState,
     NetworkParams,
     RangeError,
@@ -62,6 +60,9 @@ FIG_STATES = (
     ("synchronized", 1.6, 25.5),
     ("desynchronized", 0.8, 8000.5),
 )
+
+#: file-name tag of each ``fig_states`` entry, in order (``fig3a_*``, ...)
+_FIG_TAGS = "abc"
 
 ENV_OUT = "CHIMERAQ_OUT"
 
@@ -127,6 +128,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"mi_partition must be in 1..{self.params.N - 1}, got {self.mi_partition}"
             )
+        if not 1 <= len(self.fig_states) <= len(_FIG_TAGS):
+            raise ConfigError(
+                f"fig_states needs 1 to {len(_FIG_TAGS)} entries, got {len(self.fig_states)}"
+            )
+        names = [name for name, _, _ in self.fig_states]
+        if len(set(names)) != len(names):
+            raise ConfigError(f"fig_states has repeated names: {names}")
         for name, V, t_snap in self.fig_states:
             if not (math.isfinite(V) and math.isfinite(t_snap)) or V < 0 or t_snap < 0:
                 raise ConfigError(
@@ -375,7 +383,7 @@ def _covariance(
     (see :func:`propagate_covariance`).
 
     Records in the manifest the minimum exact physicality margin, the
-    number of samples that passed on a Cholesky certificate and the largest
+    number of samples that passed on a certificate and the largest
     ``kappa2 |alpha|^2 / kappa1`` on the segment, suffixed with ``name``
     for the triplet, and whether ``delta_t`` is beyond the validated
     horizon.
@@ -576,7 +584,7 @@ class _Triplet:
         """(tag, name, V, params, snapshot) of each state in turn, its
         regime recorded under its name."""
         r.manifest["regime"] = {}
-        for tag, (name, V, t_snap) in zip("abc", r.cfg.fig_states):
+        for tag, (name, V, t_snap) in zip(_FIG_TAGS, r.cfg.fig_states):
             p = replace(r.cfg.params, V=V)
             (snap,) = _snapshot_run(p, [r.state0], t_snap, r.cfg)
             _, snapshot, _ = _label(r, snap, name)
@@ -598,12 +606,11 @@ def _fig3(r: _Run, states) -> None:
 
 @_Triplet
 def _fig4(r: _Run, states) -> None:
-    part = Partition(r.cfg.mi_partition)
     scan_rows = []
     mi_rows = []  # one I2 per checked covariance sample, as it is produced
     for _, name, V, p, snapshot in states:
         def observe(t, C):
-            mi_rows.append((name, V, t, mutual_information(p, CovarianceMatrix(t, C), part)))
+            mi_rows.append((name, V, t, _mutual_information(C, r.cfg.mi_partition)))
 
         scan = mi_scan(p, _covariance(r, p, snapshot, name, observe).final_cov)
         scan_rows.extend((name, V, L, scan[L]) for L in sorted(scan))

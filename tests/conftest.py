@@ -1,7 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from chimeraq import NetworkParams
+
+# HYPOTHESIS_PROFILE=ci makes every property test draw the same examples on
+# each run, so a CI failure reproduces
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

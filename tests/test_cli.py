@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -313,7 +316,8 @@ class TestConfigErrors:
         assert "dt_mf grid" in err["error"]["message"]
         assert not (out / "snapshot.json").exists()
 
-    def test_off_grid_fig_state_rejected(self, tmp_path):
+    def test_off_grid_fig_state_rejected(self, tmp_path, capsys):
+        # two entries are a valid triplet: the config gets to the grid check
         out = tmp_path / "out"
         fig_states = [
             {"name": "chimera", "V": 1.2, "t0": 12.0},
@@ -321,6 +325,7 @@ class TestConfigErrors:
         ]
         cfg = write_config(tmp_path / "c.json", outputs=str(out), fig_states=fig_states)
         assert main(["reproduce-fig3", "--config", str(cfg)]) == 2
+        assert "dt_mf grid" in json.loads(capsys.readouterr().err)["error"]["message"]
         assert not out.exists()
 
     PARAMS = {"N": 6, "d": 2, "V": 0.9, "kappa2": 0.2, "hbar": 1.0}
@@ -345,6 +350,17 @@ class TestConfigErrors:
              {"fig_states": [{"name": "chimera", "V": float("nan"), "t0": 12.0}]}, "V=nan"),
             ("reproduce-fig3",
              {"fig_states": [{"name": "chimera", "V": 1.2, "t0": float("inf")}]}, "t0=inf"),
+            # the triplet writes entries as a, b, c and keys the manifest by
+            # name: a fourth entry never ran, though the manifest echoed it,
+            # and a repeated name overwrote the first one's keys
+            ("reproduce-fig3", {"fig_states": []}, "fig_states needs 1 to 3 entries, got 0"),
+            ("reproduce-fig4",
+             {"fig_states": [{"name": n, "V": 1.2, "t0": 12.0} for n in "wxyz"]},
+             "fig_states needs 1 to 3 entries, got 4"),
+            ("reproduce-fig4",
+             {"fig_states": [{"name": "chimera", "V": 1.2, "t0": 12.0},
+                             {"name": "chimera", "V": 1.6, "t0": 12.0}]},
+             "fig_states has repeated names"),
             # integer keys take integral numbers only, float keys numbers only
             ("meanfield", {"w_min": 2.7}, "w_min must be an integer, got 2.7"),
             ("meanfield", {"w_min": True}, "w_min must be an integer, got True"),
@@ -405,6 +421,39 @@ class TestConfigErrors:
         assert main(["meanfield", "--config", str(cfg)]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "DivergenceError"
+
+
+class TestBlasThreads:
+    def test_payload_bytes_do_not_depend_on_the_thread_count(self, tmp_path):
+        # an N=50 analyze in two children, with one and with two BLAS threads
+        # set in each child's environment; at N=200 the bytes differ (README)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "params": {"N": 50, "d": 10, "V": 1.2, "kappa2": 0.2},
+            "ic": {"seed": 3}, "t0": 10.5, "delta_t": 0.5, "dt_cov": 1e-3,
+        }))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            subprocess.run(
+                [sys.executable, "-m", "chimeraq.cli", "analyze",
+                 "--config", str(cfg), "--out", str(out)],
+                env=env, check=True, timeout=300,
+            )
+            manifest = json.loads((out / "manifest.json").read_text())
+            del manifest["wall_time_s"], manifest["config"]["outputs"]
+            payloads = {name: (out / name).read_bytes()
+                        for name in manifest["files"] if name != "manifest.json"}
+            runs.append((manifest, payloads))
+        (m1, p1), (m2, p2) = runs
+        assert m1 == m2
+        assert set(p1) == {"initial_conditions.json", "snapshot.json", "analysis.json",
+                           "mi_scan.csv", "ellipses.csv"}
+        for name in p1:
+            assert p1[name] == p2[name], name
 
 
 class TestErrorTaxonomy:

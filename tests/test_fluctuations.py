@@ -24,10 +24,11 @@ from chimeraq import (
     vacuum_covariance,
 )
 from chimeraq import fluctuations
-from chimeraq.analysis import shift_covariance
+from chimeraq.analysis import _mutual_information, shift_covariance
 from chimeraq.core import RK4
 from chimeraq.fluctuations import (
     PHYSICALITY_TOL,
+    _block_dominant,
     _certified_margin,
     _check_c0,
     _factorizes,
@@ -358,8 +359,9 @@ UNSTABLE = NetworkParams(N=3, d=1, V=0.5, kappa2=0.2)
 
 
 class TestSampleChecks:
-    """Intermediate samples pass on a Cholesky certificate; the first and the
-    last sample, and any sample no certificate covers, get exact margins."""
+    """Intermediate samples pass on a certificate (block diagonal dominance,
+    else Cholesky); the first and the last sample, and any sample neither
+    certificate covers, get exact margins."""
 
     @pytest.mark.parametrize("observed", [True, False])
     def test_unstable_dt_fails_inside_the_segment(self, observed):
@@ -409,6 +411,7 @@ class TestSampleChecks:
     def test_non_finite_sample_is_never_certified(self, bad):
         C = 0.5 * np.eye(6)
         C[4, 4] = bad
+        assert not _block_dominant(C, 0.4, np.empty_like(C))
         assert not _factorizes(C)
         with pytest.raises(PhysicalityError, match="non-finite"):
             _certified_margin(C, 1.0, "covariance unphysical at t=1")
@@ -575,11 +578,14 @@ class TestSampleStack:
         # 8 float 2N x 2N buffers are live while stepping: the two-sample
         # stack (C steps in its last slot), A, the product A C, and the
         # stepper's stage input and three slopes of C.  A sample between the
-        # ends adds the Cholesky factor numpy returns (the copy it factors
-        # sits in the stepper's free stage input): 9.  Besides these, the
-        # complex K^T is half a buffer and the rest is N-vectors.  One more
-        # 2N x 2N temporary per stage, or per check, breaks the bound; so
-        # does a sample held for an observer that reads one scalar of it.
+        # ends is checked in the stepper's free stage input: the block
+        # dominance test squares C there, and allocates only N-vectors, so
+        # these samples, which all pass it, peak near 8.8.  A sample that
+        # falls through to the Cholesky tier (its copy in the same buffer)
+        # adds the factor numpy returns: 9.  Besides these, the complex K^T
+        # is half a buffer and the rest is N-vectors.  One more 2N x 2N
+        # temporary per stage, or per check, breaks the bound; so does a
+        # sample held for an observer that reads one scalar of it.
         p = NetworkParams(N=40, d=8, V=1.2, kappa2=0.2)
         seg = _ring_segment(p, 1, 0.05, dt=1e-3, sample_every=sample_every)
         C0 = vacuum_covariance(p)
@@ -597,6 +603,34 @@ class TestSampleStack:
         assert len(traces) == (len(seg.times) if observed else 0)
         assert ct.covs.dtype == np.float64
         assert peak < (live + 0.9) * ct.covs[0].nbytes
+
+
+    def test_mutual_information_observer_copies_no_sample(self):
+        # I2 needs log det C, so an I2 observer holds one Cholesky factor of
+        # the sample: it peaks with an observer that factors the sample and
+        # reads one scalar, a buffer above one that only reads one scalar.
+        # Wrapping the view in a CovarianceMatrix, whose constructor copies
+        # it, adds one more: 10.7 against 9.7 buffers.
+        p = NetworkParams(N=40, d=8, V=1.2, kappa2=0.2)
+        seg = _ring_segment(p, 1, 0.05, dt=1e-3, sample_every=10)
+        C0 = vacuum_covariance(p)
+        observers = {
+            "scalar": lambda t, C: C.trace(),
+            "factor": lambda t, C: np.linalg.cholesky(C)[-1, -1],
+            "I2": lambda t, C: _mutual_information(C, 16),
+        }
+        peaks = {}
+        for name, observe in observers.items():
+            propagate_covariance(p, seg, C0, dt=1e-3, observe=observe)  # lazy imports
+            tracemalloc.start()
+            try:
+                ct = propagate_covariance(p, seg, C0, dt=1e-3, observe=observe)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks[name] = peak / ct.covs[0].nbytes
+        assert abs(peaks["I2"] - peaks["factor"]) < 0.2
+        assert peaks["I2"] < peaks["scalar"] + 1.2
 
 
 def symplectic_margin(C: np.ndarray, hbar: float) -> float:
@@ -628,8 +662,8 @@ def gaussian_covariances(draw):
 
 class TestPhysicalityRoutes:
     """The eigenvalue margin and the symplectic-eigenvalue route agree on
-    random covariances away from the boundary, and the Cholesky certificate
-    passes only physical ones."""
+    random covariances away from the boundary, and both certificates pass
+    only physical ones."""
 
     @settings(max_examples=200, deadline=None)
     @given(gaussian_covariances())
@@ -643,12 +677,165 @@ class TestPhysicalityRoutes:
         n = C.shape[0]
         if _factorizes(C - (0.5 - PHYSICALITY_TOL) * hbar * np.eye(n)):
             assert physical
+        if _block_dominant(C, (0.5 - PHYSICALITY_TOL) * hbar, np.empty_like(C)):
+            assert physical
         if physical:
             certified = _certified_margin(C, hbar, "sample")
             assert certified is None or certified >= -PHYSICALITY_TOL * hbar
         else:
             with pytest.raises(PhysicalityError, match="sample, margin"):
                 _certified_margin(C, hbar, "sample")
+
+
+def shifted(C: np.ndarray, shift: float) -> np.ndarray:
+    """C - shift I, its diagonal rounded as the block test rounds it."""
+    D = C.copy()
+    D.reshape(-1)[:: C.shape[0] + 1] -= shift
+    return D
+
+
+def boundary_case(n: int, hbar: float, seed: int, scale: float, delta: float):
+    """(C, shift): C = D + shift I, with shift = (hbar/2 - tol hbar), for a
+    symmetric 2n x 2n D on which both the block test and D's smallest
+    eigenvalue read ``delta`` (in units of ``scale hbar``), up to rounding.
+
+    D has off-diagonal blocks -w_ij e e^T (W >= 0 symmetric, zero diagonal)
+    and diagonal blocks (R_i + delta) e e^T + mu_i f f^T, for an orthonormal
+    pair e, f, with R_i = sum_j w_ij (the Frobenius norms of row i's
+    off-diagonal blocks) and mu_i > R_i + |delta|.  So each site's smallest
+    block eigenvalue exceeds R_i by delta.  On e (x) x, D acts as
+    delta I + diag(R) - W, a graph Laplacian plus delta whose smallest
+    eigenvalue is delta (x = ones); on f (x) x, as diag(mu)."""
+    rng = np.random.default_rng(seed)
+    scale *= hbar
+    delta *= scale
+    W = np.triu(scale * rng.uniform(0.0, 1.0, (n, n)) / n, 1)
+    W += W.T
+    R = W.sum(axis=1)
+    theta = rng.uniform(0.0, np.pi)
+    e = np.array([np.cos(theta), np.sin(theta)])
+    f = np.array([-e[1], e[0]])
+    mu = R + abs(delta) + scale * rng.uniform(0.1, 1.0, n)
+    D = np.kron(-W, np.outer(e, e))
+    for i in range(n):
+        D[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = (
+            (R[i] + delta) * np.outer(e, e) + mu[i] * np.outer(f, f)
+        )
+    shift = (0.5 - PHYSICALITY_TOL) * hbar
+    C = 0.5 * (D + D.T)
+    C.reshape(-1)[:: 2 * n + 1] += shift
+    return C, shift
+
+
+@st.composite
+def boundary_cases(draw):
+    """``boundary_case`` at N in 1..8, delta within a few to a few tens of
+    eps of the boundary on either side, or anywhere in [-0.5, 0.5]."""
+    eps = np.finfo(float).eps
+    delta = draw(st.one_of(
+        st.integers(-8, 8).map(lambda k: k * eps),
+        st.integers(-80, 80).map(lambda k: k * eps),
+        st.floats(-0.5, 0.5),
+    ))
+    return boundary_case(
+        draw(st.integers(1, 8)), draw(st.floats(0.1, 10.0)),
+        draw(st.integers(0, 2**32 - 1)), draw(st.floats(0.25, 4.0)), delta,
+    ), delta
+
+
+class TestBlockDominance:
+    """The block diagonal dominance tier is sound: it never certifies a C
+    whose D = C - (hbar/2 - tol hbar) I has a smallest eigenvalue (from
+    eigvalsh) at or below 0, and it certifies what the tiers above it are
+    for: samples early in a segment from a vacuum start."""
+
+    # on the boundary: without the rounding slack the block test certifies
+    # these three, whose smallest eigenvalue eigvalsh reads as 0.0, -2.2e-16
+    # and -1.1e-16 (one OpenBLAS build)
+    @settings(max_examples=400, deadline=None)
+    @given(boundary_cases())
+    @example((boundary_case(1, 1.0, 10, 1.0, 0.0), 0.0))
+    @example((boundary_case(2, 1.0, 24, 1.0, 0.0), 0.0))
+    @example((boundary_case(4, 1.0, 35, 1.0, np.finfo(float).eps), np.finfo(float).eps))
+    def test_never_certifies_a_non_positive_definite_shift(self, case):
+        (C, shift), delta = case
+        certified = _block_dominant(C, shift, np.empty_like(C))
+        lam = np.linalg.eigvalsh(shifted(C, shift)).min()
+        if certified:
+            assert lam > 0.0
+        # the construction puts D's smallest eigenvalue at delta: well below
+        # the boundary D is indefinite, and well above it the test certifies
+        if delta < -1e-6:
+            assert lam < 0.0
+        if delta > 1e-6:
+            assert certified
+
+    @settings(max_examples=100, deadline=None)
+    @given(boundary_cases(), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+    def test_non_finite_entries_never_pass(self, case, bad, data):
+        (C, shift), _ = case
+        n = C.shape[0]
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        C[i, j] = C[j, i] = bad
+        assert not _block_dominant(C, shift, np.empty_like(C))
+
+    @pytest.mark.parametrize("N, d, t_end, sample_every, tiers", [
+        # the inter-site blocks grow until the block test fails at t = 0.35
+        (4, 1, 0.5, 10, ["block"] * 34 + ["cholesky"] * 15),
+        # an analyze-wide-like horizon: the block test passes every sample
+        (40, 8, 0.05, 1, ["block"] * 49),
+    ])
+    def test_tiers_run_in_order_of_cost(self, monkeypatch, N, d, t_end, sample_every, tiers):
+        p = NetworkParams(N=N, d=d, V=1.2, kappa2=0.2)
+        seg = _ring_segment(p, 2, t_end, dt=1e-3, sample_every=sample_every)
+        seen = []
+
+        def block(*args):
+            passed = _block_dominant(*args)
+            seen.append("block" if passed else "fell through")
+            return passed
+
+        def cholesky(M):
+            passed = _factorizes(M)
+            seen[-1] = "cholesky" if passed else "exact"
+            return passed
+
+        monkeypatch.setattr(fluctuations, "_block_dominant", block)
+        monkeypatch.setattr(fluctuations, "_factorizes", cholesky)
+        exact = TestSampleChecks._exact_calls(monkeypatch)
+        ct = propagate_covariance(p, seg, vacuum_covariance(p), dt=1e-3)
+        assert seen == tiers
+        assert ct.certified == len(tiers)
+        assert len(exact) == 1  # the last sample
+        assert ct.margin_min == 0.0
+
+    def test_block_diagonal_states_are_certified(self):
+        # without inter-site blocks, each site's own block decides: thermal
+        # and squeezed sites with both block eigenvalues above hbar/2 pass
+        hbar = 0.7
+        blocks = [np.array([[1.5, 0.2], [0.2, 0.8]]), np.array([[0.6, 0.0], [0.0, 3.0]])]
+        C = np.kron(np.diag([1.0, 0.0]), blocks[0]) + np.kron(np.diag([0.0, 1.0]), blocks[1])
+        C *= hbar
+        assert _block_dominant(C, (0.5 - PHYSICALITY_TOL) * hbar, np.empty_like(C))
+        C[0, 0] = C[1, 1] = 0.5 * hbar * 0.99  # a site below the vacuum
+        assert not _block_dominant(C, (0.5 - PHYSICALITY_TOL) * hbar, np.empty_like(C))
+
+    def test_allocates_no_2n_buffer(self):
+        # the squares go into the stage buffer; the rest is N-vectors and
+        # one N x N view into that buffer
+        n_sites, hbar = 200, 1.0
+        rng = np.random.default_rng(0)
+        noise = 1e-6 * rng.standard_normal((2 * n_sites, 2 * n_sites))
+        C = 0.6 * hbar * np.eye(2 * n_sites) + noise + noise.T
+        work = np.empty_like(C)
+        assert _certified_margin(C, hbar, "sample", work) is None
+        tracemalloc.start()
+        try:
+            assert _certified_margin(C, hbar, "sample", work) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * C.nbytes
 
 
 class TestMarginMatrix:
