@@ -573,32 +573,44 @@ class TestSampleStack:
         assert peaks[1] <= 1.1 * peaks[0]
 
     @pytest.mark.parametrize("observed", [False, True])
-    @pytest.mark.parametrize("sample_every, live", [(50, 8), (10, 9)])
-    def test_peak_counts_the_live_buffers(self, sample_every, live, observed):
+    @pytest.mark.parametrize("t_end, sample_every, live, cholesky", [
+        (0.05, 50, 8, 0), (0.05, 10, 8, 0), (0.5, 100, 9, 1),
+    ])
+    def test_peak_counts_the_live_buffers(self, monkeypatch, t_end, sample_every, live,
+                                          cholesky, observed):
         # 8 float 2N x 2N buffers are live while stepping: the two-sample
         # stack (C steps in its last slot), A, the product A C, and the
         # stepper's stage input and three slopes of C.  A sample between the
         # ends is checked in the stepper's free stage input: the block
         # dominance test squares C there, and allocates only N-vectors, so
-        # these samples, which all pass it, peak near 8.8.  A sample that
+        # segments whose samples all pass it peak near 8.8.  A sample that
         # falls through to the Cholesky tier (its copy in the same buffer)
-        # adds the factor numpy returns: 9.  Besides these, the complex K^T
-        # is half a buffer and the rest is N-vectors.  One more 2N x 2N
-        # temporary per stage, or per check, breaks the bound; so does a
-        # sample held for an observer that reads one scalar of it.
+        # adds the factor numpy returns: 9.7 on the longer segment, where
+        # one sample does.  Besides these, the complex K^T is half a buffer
+        # and the rest is N-vectors.  One more 2N x 2N temporary per stage,
+        # or per check, breaks the bound; so does a sample held for an
+        # observer that reads one scalar of it.
         p = NetworkParams(N=40, d=8, V=1.2, kappa2=0.2)
-        seg = _ring_segment(p, 1, 0.05, dt=1e-3, sample_every=sample_every)
+        seg = _ring_segment(p, 1, t_end, dt=1e-3, sample_every=sample_every)
         C0 = vacuum_covariance(p)
         traces = []
         observe = (lambda t, C: traces.append(C.trace())) if observed else None
         propagate_covariance(p, seg, C0, dt=1e-3, observe=observe)  # lazy imports
         traces.clear()
+        factored = []
+
+        def counted(M):
+            factored.append(None)
+            return _factorizes(M)
+
+        monkeypatch.setattr(fluctuations, "_factorizes", counted)
         tracemalloc.start()
         try:
             ct = propagate_covariance(p, seg, C0, dt=1e-3, observe=observe)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert len(factored) == cholesky
         assert ct.certified == len(seg.times) - 2
         assert len(traces) == (len(seg.times) if observed else 0)
         assert ct.covs.dtype == np.float64
