@@ -13,7 +13,6 @@ from .core import (
     SingularMatrixError,
     coupling_matrix,
     neighbor_offsets,
-    neighbors,
     validate_params,
 )
 from .meanfield import (
@@ -33,12 +32,8 @@ from .meanfield import (
 )
 from .fluctuations import (
     CovarianceTrajectory,
-    DriftDiffusion,
-    drift_diffusion,
-    moment_oracle,
     physicality_margin,
     propagate_covariance,
-    symplectic_form,
     vacuum_covariance,
 )
 from .analysis import (

@@ -87,12 +87,6 @@ def squeezing(p: NetworkParams, cov: CovarianceMatrix) -> list[SqueezingEllipse]
     return out
 
 
-def axial_circular_variance(angles: np.ndarray) -> float:
-    """Circular variance 1 - |<e^{2 i theta}>| for axial (period-pi) data."""
-    a = np.asarray(angles, dtype=float)
-    return float(1.0 - np.abs(np.exp(2j * a).mean()))
-
-
 def husimi_marginal(p: NetworkParams, cov: CovarianceMatrix, site: int) -> np.ndarray:
     """2x2 covariance of the site's Husimi distribution.
 

@@ -205,6 +205,8 @@ def load_config(path: str, experiment: str, seed: int | None, out: str | None) -
             raise ConfigError(f"{key} must be a JSON object, got {obj[key]!r}")
     if obj.get("ic_file") is not None and not isinstance(obj["ic_file"], str):
         raise ConfigError(f"ic_file must be a path string, got {obj['ic_file']!r}")
+    if obj.get("outputs") is not None and not isinstance(obj["outputs"], str):
+        raise ConfigError(f"outputs must be a path string, got {obj['outputs']!r}")
     if "ic" in obj and obj.get("ic_file") is not None:
         raise ConfigError("give either ic or ic_file, not both")
     try:

@@ -6,8 +6,8 @@ Unit conventions used throughout the package:
   all other rates are stored as multiples of it),
 * ``hbar`` is kept configurable (default 1) so that scaling bugs in the
   quantum-fluctuation machinery remain testable,
-* site indices are 1-based in all I/O and public topology queries
-  (``l = 1..N``), 0-based inside array code.
+* site indices are 1-based in all I/O and in every public function that
+  takes a site (``l = 1..N``), 0-based inside array code.
 """
 
 from __future__ import annotations
@@ -57,11 +57,6 @@ class NetworkParams:
     def limit_cycle_radius(self) -> float:
         """Radius sqrt(kappa1 / 2 kappa2) of the uncoupled limit cycle."""
         return float(np.sqrt(self.kappa1 / (2.0 * self.kappa2)))
-
-    @property
-    def all_to_all(self) -> bool:
-        """True when the coupling window covers every other site."""
-        return 2 * self.d >= self.N - 1
 
 
 def validate_params(p: NetworkParams) -> NetworkParams:
@@ -113,15 +108,6 @@ def neighbor_offsets(p: NetworkParams) -> tuple[int, ...]:
             seen.add(r)
             offsets.append(r)
     return tuple(offsets)
-
-
-def neighbors(p: NetworkParams, l: int) -> tuple[int, ...]:
-    """1-based sites coupled to site ``l``, in window order l-d..l+d.
-
-    Exactly 2d sites, or N-1 after de-duplication in the all-to-all case.
-    """
-    site0 = (int(l) - 1) % p.N
-    return tuple((site0 + r) % p.N + 1 for r in neighbor_offsets(p))
 
 
 def coupling_matrix(p: NetworkParams) -> np.ndarray:
@@ -227,6 +213,3 @@ class CovarianceMatrix:
         """2x2 (q, p) covariance block of 1-based site ``l``."""
         i = 2 * ((int(l) - 1) % self.n_sites)
         return np.array(self.C[i : i + 2, i : i + 2])
-
-    def symmetry_defect(self) -> float:
-        return float(np.max(np.abs(self.C - self.C.T)))

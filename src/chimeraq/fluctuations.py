@@ -14,16 +14,11 @@ differential equation
 
     dC/dt = A(t) C + C A(t)^T + B(t).
 
-Two integration routes over independent equations are provided:
-
-* :func:`propagate_covariance` advances the quadrature Lyapunov equation,
-* :func:`moment_oracle` advances the complex second moments <a_l a_m> and
-  <a_l^dagger a_m> and converts at the end; it exists purely to
-  cross-validate the first route.
-
-Both advance the mean field jointly with the fluctuations in a single RK4
-state (:class:`~chimeraq.core.RK4`), so stage values of alpha are exact
-rather than interpolated.
+:func:`propagate_covariance` advances that equation jointly with the mean
+field in a single RK4 state (:class:`~chimeraq.core.RK4`), so stage values
+of alpha are exact rather than interpolated.  The tests cross-validate it
+against an integration of the complex second moments <a_l a_m> and
+<a_l^dagger a_m> (``moment_oracle`` in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -34,7 +29,6 @@ import numpy as np
 
 from .core import (
     CovarianceMatrix,
-    MeanFieldState,
     NetworkParams,
     PhysicalityError,
     RK4,
@@ -50,12 +44,6 @@ PHYSICALITY_TOL = 1e-9
 #: fluctuation horizons beyond this many 1/kappa1 are outside the validated
 #: short-time regime and get flagged in run metadata
 VALIDATED_HORIZON = 0.5
-
-
-def symplectic_form(n_sites: int) -> np.ndarray:
-    """2N x 2N symplectic form, block-diagonal [[0, 1], [-1, 0]] per site."""
-    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return np.kron(np.eye(n_sites), J)
 
 
 def physicality_margin(C: np.ndarray, hbar: float = 1.0) -> float:
@@ -223,15 +211,6 @@ def vacuum_covariance(p: NetworkParams, t: float = 0.0) -> CovarianceMatrix:
     return CovarianceMatrix(t=t, C=0.5 * p.hbar * np.eye(2 * p.N))
 
 
-@dataclass(frozen=True)
-class DriftDiffusion:
-    """Drift A and diffusion B of the covariance equation at one instant."""
-
-    t: float
-    A: np.ndarray
-    B: np.ndarray
-
-
 def _site_block_coeffs(p: NetworkParams, alphas: np.ndarray, mag2: np.ndarray):
     """Per-site drift coefficients (m, sr, si) and diffusion diagonal;
     ``mag2`` is ``alphas.real**2 + alphas.imag**2``."""
@@ -258,23 +237,6 @@ def _fill_drift(blocks: tuple[np.ndarray, ...], m, sr, si) -> None:
     np.subtract(m, sr, out=pp)
     qp[...] = si
     pq[...] = si
-
-
-def drift_diffusion(p: NetworkParams, s: MeanFieldState) -> DriftDiffusion:
-    """Drift and diffusion matrices of the linearized dynamics at state ``s``.
-
-    A equals the Jacobian of the mean-field equations expressed in
-    quadratures; B is diagonal with hbar (kappa1 + 4 kappa2 |alpha_l|^2) on
-    both quadratures of site l.
-    """
-    validate_params(p)
-    if s.n_sites != p.N:
-        raise ValueError("state length does not match params.N")
-    A = _coupling_drift(p)
-    a = s.alphas
-    m, sr, si, b = _site_block_coeffs(p, a, a.real**2 + a.imag**2)
-    _fill_drift(_site_blocks(A), m, sr, si)
-    return DriftDiffusion(t=s.t, A=A, B=np.diag(np.repeat(b, 2)))
 
 
 @dataclass(frozen=True)
@@ -324,63 +286,6 @@ def _check_c0(p: NetworkParams, C0: CovarianceMatrix) -> tuple[np.ndarray, float
     return C, _checked_margin(C, p.hbar, "initial covariance unphysical")
 
 
-class _Samples:
-    """Covariance samples on a segment's time grid, checked for physicality
-    as they are added: the last by its exact margin, the ones in between by
-    :func:`_certified_margin`.  Only the first and the last are kept, in a
-    two-slot stack; ``observe`` (see :func:`propagate_covariance`) is shown
-    the start and every sample that passes."""
-
-    def __init__(self, p: NetworkParams, segment: MeanFieldTrajectory, C0: np.ndarray,
-                 margin0: float, observe=None):
-        self.p = p
-        self.segment = segment
-        self.observe = observe
-        self.covs = np.empty((2,) + C0.shape)
-        self.covs[0] = C0
-        self.count = 1
-        self.margin_min = margin0
-        self.certified = 0
-        self._show(0, self.covs[0])
-
-    def _show(self, k: int, C: np.ndarray) -> None:
-        if self.observe is not None:
-            view = C.view()
-            view.flags.writeable = False
-            self.observe(float(self.segment.times[k]), view)
-
-    def add(self, C: np.ndarray, work: np.ndarray | None = None) -> None:
-        """Check the next sample, keeping it if it is the last; raises
-        PhysicalityError if it fails.  ``work`` is the certificate's scratch
-        (see :func:`_certified_margin`); ``C`` may be the stack's last slot."""
-        times = self.segment.times
-        k = self.count
-        last = k == len(times) - 1
-        if last and not np.may_share_memory(self.covs[1], C):
-            self.covs[1] = C
-        what = f"covariance unphysical at t={times[k]:g}"
-        if last:
-            margin = _checked_margin(C, self.p.hbar, what)
-        else:
-            margin = _certified_margin(C, self.p.hbar, what, work)
-        if margin is None:
-            self.certified += 1
-        else:
-            self.margin_min = min(self.margin_min, margin)
-        self.count += 1
-        self._show(k, C)
-
-    def trajectory(self) -> CovarianceTrajectory:
-        return CovarianceTrajectory(
-            times=self.segment.times[[0, -1]],
-            covs=self.covs,
-            params=self.p,
-            source=self.segment,
-            margin_min=self.margin_min,
-            certified=self.certified,
-        )
-
-
 def propagate_covariance(
     p: NetworkParams,
     mf_segment: MeanFieldTrajectory,
@@ -408,7 +313,11 @@ def propagate_covariance(
             too-large dt).
     """
     validate_params(p)
-    C, margin0 = _check_c0(p, C0)
+    # C steps in the slot of the two-sample stack that keeps the last sample
+    covs = np.empty((2, 2 * p.N, 2 * p.N))
+    covs[0], margin_min = _check_c0(p, C0)
+    C = covs[1]
+    C[...] = covs[0]
     times = mf_segment.times
     subs = _substeps(times, dt)
 
@@ -435,133 +344,41 @@ def propagate_covariance(
         pp += b
         mf_rhs(alpha, out[0], mag2)
 
-    samples = _Samples(p, mf_segment, C, margin0, observe)
-    # C steps in the stack slot that keeps its last sample: no extra copy
-    C = samples.covs[-1]
-    C[...] = samples.covs[0]
+    def show(k: int, sample: np.ndarray) -> None:
+        if observe is not None:
+            view = sample.view()
+            view.flags.writeable = False
+            observe(float(times[k]), view)
+
+    show(0, covs[0])
+    certified = 0
     y = (np.array(mf_segment.alphas[0]), C)
     stepper = RK4(joint_rhs, y)
     # between steps, the stage input of C is free scratch for the certificate
     work = stepper.work[1][0]
-    for n_sub in subs:
+    for k, n_sub in enumerate(subs, start=1):
         # an overflowing step is reported by the sample check, not by warnings
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(n_sub):
                 stepper.step(y, dt)
-        if samples.count == len(times) - 1:
+        what = f"covariance unphysical at t={times[k]:g}"
+        if k < len(subs):
+            margin = _certified_margin(C, p.hbar, what, work)
+        else:
             # the stepper's buffers go before the last, exact check: the
             # eigensolver's copy reuses their memory instead of raising the peak
             stepper = work = None
-        samples.add(C, work)
-    return samples.trajectory()
-
-
-def moments_to_covariance(s: np.ndarray, n: np.ndarray, hbar: float) -> np.ndarray:
-    """Quadrature covariance from complex moments s_lm = <a_l a_m>,
-    n_lm = <a_l^dagger a_m> (co-moving frame, zero first moments)."""
-    N = s.shape[0]
-    eye = np.eye(N)
-    C = np.empty((2 * N, 2 * N))
-    C[0::2, 0::2] = hbar * (s.real + n.real + 0.5 * eye)
-    C[1::2, 1::2] = hbar * (-s.real + n.real + 0.5 * eye)
-    C[0::2, 1::2] = hbar * (s.imag + n.imag)
-    C[1::2, 0::2] = hbar * (s.imag - n.imag)
-    return 0.5 * (C + C.T)
-
-
-def covariance_to_moments(C: np.ndarray, hbar: float) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`moments_to_covariance`."""
-    Cqq = C[0::2, 0::2]
-    Cpp = C[1::2, 1::2]
-    Cqp = C[0::2, 1::2]
-    Cpq = C[1::2, 0::2]
-    N = Cqq.shape[0]
-    n = (Cqq + Cpp) / (2.0 * hbar) - 0.5 * np.eye(N) + 1j * (Cqp - Cpq) / (2.0 * hbar)
-    s = (Cqq - Cpp) / (2.0 * hbar) + 1j * (Cqp + Cpq) / (2.0 * hbar)
-    return s, n
-
-
-def moment_oracle(
-    p: NetworkParams,
-    mf_segment: MeanFieldTrajectory,
-    C0: CovarianceMatrix,
-    dt: float = 1e-3,
-) -> CovarianceTrajectory:
-    """Independent route to the covariance via complex second moments.
-
-    Integrates the closed system
-
-        ds/dt = F s + s F^T + G n + (G n)^T + diag(G)
-        dn/dt = F* n + n F^T + G* s + s* G + 2 kappa1 I
-
-    with F the complex drift and G_l = -2 kappa2 alpha_l^2 the squeezing
-    coefficients, then converts each sample to quadratures.  Shares only
-    the mean-field right-hand side and :class:`~chimeraq.core.RK4` with
-    :func:`propagate_covariance`; the moment equations are independent of
-    the Lyapunov route, so agreement between the two validates both.
-    """
-    validate_params(p)
-    # the start is symmetrized as _check_c0 does, and only its round trip
-    # through the moments is checked: the round trip is exactly symmetric,
-    # so _check_c0 keeps its bits, and a vacuum start stays the vacuum
-    with np.errstate(invalid="ignore"):  # a non-finite start fails the check
-        s, n = covariance_to_moments(0.5 * (C0.C + C0.C.T), p.hbar)
-        C = moments_to_covariance(s, n, p.hbar)
-    C, margin0 = _check_c0(p, CovarianceMatrix(C0.t, C))
-    times = mf_segment.times
-    subs = _substeps(times, dt)
-
-    mf_rhs = _rhs_of(p)
-    k1, k2 = p.kappa1, p.kappa2
-    cV = p.V / (2.0 * p.d)
-    F_stat = (-1j * cV) * coupling_matrix(p).astype(complex)
-    eyeN = np.eye(p.N)
-    gain = 2.0 * k1 * eyeN
-
-    def moment_rhs(y, out):
-        alpha, s, n = y
-        mag2 = alpha.real**2 + alpha.imag**2
-        F = F_stat + np.diag(k1 - 4.0 * k2 * mag2)
-        G = -2.0 * k2 * alpha**2
-        Gn = G[:, None] * n
-        mf_rhs(alpha, out[0], mag2)
-        out[1][...] = F @ s + s @ F.T + Gn + Gn.T + np.diag(G)
-        out[2][...] = F.conj() @ n + n @ F.T + G.conj()[:, None] * s + s.conj() * G[None, :] + gain
-
-    a = np.array(mf_segment.alphas[0])
-    samples = _Samples(p, mf_segment, C, margin0)
-    y = (a, s, n)
-    stepper = RK4(moment_rhs, y)
-    for n_sub in subs:
-        for _ in range(n_sub):
-            stepper.step(y, dt)
-            s[...] = 0.5 * (s + s.T)
-            n[...] = 0.5 * (n + n.conj().T)
-        samples.add(moments_to_covariance(s, n, p.hbar))
-    return samples.trajectory()
-
-
-def propagate_frozen(
-    A: np.ndarray, B: np.ndarray, C0: np.ndarray, horizon: float, dt: float
-) -> np.ndarray:
-    """RK4 for dC/dt = A C + C A^T + B with constant coefficients.
-
-    Validation helper: lets tests drive the Lyapunov stepper with arbitrary
-    frozen matrices (the full propagator always rebuilds A, B from the
-    mean field).
-    """
-    n = _step_count(0.0, horizon, dt)
-    C = np.array(C0, dtype=float)
-    M = np.empty_like(C)
-
-    def rhs(y, out):
-        (Cm,), (dC,) = y, out
-        np.matmul(A, Cm, out=M)
-        _symmetric_sum(M, dC)
-        dC += B
-
-    stepper = RK4(rhs, (C,))
-    for _ in range(n):
-        stepper.step((C,), dt)
-        C[...] = 0.5 * (C + C.T)
-    return C
+            margin = _checked_margin(C, p.hbar, what)
+        if margin is None:
+            certified += 1
+        else:
+            margin_min = min(margin_min, margin)
+        show(k, C)
+    return CovarianceTrajectory(
+        times=times[[0, -1]],
+        covs=covs,
+        params=p,
+        source=mf_segment,
+        margin_min=margin_min,
+        certified=certified,
+    )

@@ -179,18 +179,3 @@ def write_covariance(path: Path, cov: CovarianceMatrix) -> None:
     )
     write_csv(path, ["row_site", "row_quad", "col_site", "col_quad", "value"], blocks=blocks)
 
-
-def load_covariance(path: Path, t: float = 0.0) -> CovarianceMatrix:
-    rows = Path(path).read_text().strip().split("\n")[1:]
-    entries = []
-    for line in rows:
-        si, qi, sj, qj, value = line.split(",")
-        i = 2 * (int(si) - 1) + (0 if qi == "q" else 1)
-        j = 2 * (int(sj) - 1) + (0 if qj == "q" else 1)
-        entries.append((i, j, float(value)))
-    n2 = max(i for i, _, _ in entries) + 1
-    C = np.zeros((n2, n2))
-    for i, j, value in entries:
-        C[i, j] = value
-        C[j, i] = value
-    return CovarianceMatrix(t=t, C=C)

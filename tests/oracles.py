@@ -1,0 +1,230 @@
+"""Test references that the program itself does not call.
+
+* :func:`moment_oracle` reaches the covariance through the complex second
+  moments, a route independent of the quadrature Lyapunov equation that
+  :func:`chimeraq.fluctuations.propagate_covariance` integrates; the two
+  share only the mean-field right-hand side and :class:`chimeraq.core.RK4`.
+* :func:`propagate_frozen` drives the Lyapunov RK4 with constant,
+  arbitrary matrices.
+* :func:`drift_diffusion` assembles A and B at one state from the
+  program's own drift helpers, so the Jacobian tests test that assembly.
+* :func:`oracle_margin` is the physicality margin read off the summed
+  matrix ``C + i hbar Omega / 2``.
+* :func:`neighbors`, :func:`axial_circular_variance` and
+  :func:`load_covariance` are a topology query, a circular statistic and a
+  reader of ``covariance.csv``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+from chimeraq.core import (
+    RK4,
+    CovarianceMatrix,
+    MeanFieldState,
+    NetworkParams,
+    coupling_matrix,
+    neighbor_offsets,
+    validate_params,
+)
+from chimeraq.fluctuations import (
+    CovarianceTrajectory,
+    _check_c0,
+    _checked_margin,
+    _coupling_drift,
+    _fill_drift,
+    _site_block_coeffs,
+    _site_blocks,
+    _substeps,
+    _symmetric_sum,
+)
+from chimeraq.meanfield import MeanFieldTrajectory, _rhs_of, _step_count
+
+
+def symplectic_form(n_sites: int) -> np.ndarray:
+    """2N x 2N symplectic form, block-diagonal [[0, 1], [-1, 0]] per site."""
+    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    return np.kron(np.eye(n_sites), J)
+
+
+def oracle_margin(C: np.ndarray, hbar: float) -> float:
+    """Smallest eigenvalue of the sum C + i hbar Omega / 2."""
+    return float(np.linalg.eigvalsh(C + 0.5j * hbar * symplectic_form(C.shape[0] // 2)).min())
+
+
+@dataclass(frozen=True)
+class DriftDiffusion:
+    """Drift A and diffusion B of the covariance equation at one instant."""
+
+    t: float
+    A: np.ndarray
+    B: np.ndarray
+
+
+def drift_diffusion(p: NetworkParams, s: MeanFieldState) -> DriftDiffusion:
+    """Drift and diffusion matrices of the linearized dynamics at state ``s``.
+
+    A equals the Jacobian of the mean-field equations expressed in
+    quadratures; B is diagonal with hbar (kappa1 + 4 kappa2 |alpha_l|^2) on
+    both quadratures of site l.
+    """
+    validate_params(p)
+    if s.n_sites != p.N:
+        raise ValueError("state length does not match params.N")
+    A = _coupling_drift(p)
+    a = s.alphas
+    m, sr, si, b = _site_block_coeffs(p, a, a.real**2 + a.imag**2)
+    _fill_drift(_site_blocks(A), m, sr, si)
+    return DriftDiffusion(t=s.t, A=A, B=np.diag(np.repeat(b, 2)))
+
+
+def moments_to_covariance(s: np.ndarray, n: np.ndarray, hbar: float) -> np.ndarray:
+    """Quadrature covariance from complex moments s_lm = <a_l a_m>,
+    n_lm = <a_l^dagger a_m> (co-moving frame, zero first moments)."""
+    N = s.shape[0]
+    eye = np.eye(N)
+    C = np.empty((2 * N, 2 * N))
+    C[0::2, 0::2] = hbar * (s.real + n.real + 0.5 * eye)
+    C[1::2, 1::2] = hbar * (-s.real + n.real + 0.5 * eye)
+    C[0::2, 1::2] = hbar * (s.imag + n.imag)
+    C[1::2, 0::2] = hbar * (s.imag - n.imag)
+    return 0.5 * (C + C.T)
+
+
+def covariance_to_moments(C: np.ndarray, hbar: float) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`moments_to_covariance`."""
+    Cqq = C[0::2, 0::2]
+    Cpp = C[1::2, 1::2]
+    Cqp = C[0::2, 1::2]
+    Cpq = C[1::2, 0::2]
+    N = Cqq.shape[0]
+    n = (Cqq + Cpp) / (2.0 * hbar) - 0.5 * np.eye(N) + 1j * (Cqp - Cpq) / (2.0 * hbar)
+    s = (Cqq - Cpp) / (2.0 * hbar) + 1j * (Cqp + Cpq) / (2.0 * hbar)
+    return s, n
+
+
+def moment_oracle(
+    p: NetworkParams,
+    mf_segment: MeanFieldTrajectory,
+    C0: CovarianceMatrix,
+    dt: float = 1e-3,
+) -> CovarianceTrajectory:
+    """Independent route to the covariance via complex second moments.
+
+    Integrates the closed system
+
+        ds/dt = F s + s F^T + G n + (G n)^T + diag(G)
+        dn/dt = F* n + n F^T + G* s + s* G + 2 kappa1 I
+
+    with F the complex drift and G_l = -2 kappa2 alpha_l^2 the squeezing
+    coefficients, then converts each sample on the segment's grid to
+    quadratures.  The start is checked once, as ``propagate_covariance``
+    checks it, and every later sample by its exact margin: ``margin_min``
+    is over all of them and ``certified`` is 0.  Only the first and the
+    last sample are returned.
+    """
+    validate_params(p)
+    # the start is symmetrized as _check_c0 does, and only its round trip
+    # through the moments is checked: the round trip is exactly symmetric,
+    # so _check_c0 keeps its bits, and a vacuum start stays the vacuum
+    with np.errstate(invalid="ignore"):  # a non-finite start fails the check
+        s, n = covariance_to_moments(0.5 * (C0.C + C0.C.T), p.hbar)
+        C = moments_to_covariance(s, n, p.hbar)
+    first, margin_min = _check_c0(p, CovarianceMatrix(C0.t, C))
+    times = mf_segment.times
+    subs = _substeps(times, dt)
+
+    mf_rhs = _rhs_of(p)
+    k1, k2 = p.kappa1, p.kappa2
+    cV = p.V / (2.0 * p.d)
+    F_stat = (-1j * cV) * coupling_matrix(p).astype(complex)
+    gain = 2.0 * k1 * np.eye(p.N)
+
+    def moment_rhs(y, out):
+        alpha, s, n = y
+        mag2 = alpha.real**2 + alpha.imag**2
+        F = F_stat + np.diag(k1 - 4.0 * k2 * mag2)
+        G = -2.0 * k2 * alpha**2
+        Gn = G[:, None] * n
+        mf_rhs(alpha, out[0], mag2)
+        out[1][...] = F @ s + s @ F.T + Gn + Gn.T + np.diag(G)
+        out[2][...] = F.conj() @ n + n @ F.T + G.conj()[:, None] * s + s.conj() * G[None, :] + gain
+
+    y = (np.array(mf_segment.alphas[0]), s, n)
+    stepper = RK4(moment_rhs, y)
+    C = first
+    for t, n_sub in zip(times[1:], subs):
+        for _ in range(n_sub):
+            stepper.step(y, dt)
+            s[...] = 0.5 * (s + s.T)
+            n[...] = 0.5 * (n + n.conj().T)
+        C = moments_to_covariance(s, n, p.hbar)
+        margin = _checked_margin(C, p.hbar, f"covariance unphysical at t={t:g}")
+        margin_min = min(margin_min, margin)
+    return CovarianceTrajectory(
+        times=times[[0, -1]],
+        covs=np.array([first, C]),
+        params=p,
+        source=mf_segment,
+        margin_min=margin_min,
+        certified=0,
+    )
+
+
+def propagate_frozen(
+    A: np.ndarray, B: np.ndarray, C0: np.ndarray, horizon: float, dt: float
+) -> np.ndarray:
+    """RK4 for dC/dt = A C + C A^T + B with constant coefficients, so tests
+    can drive the Lyapunov step with arbitrary frozen matrices (the full
+    propagator always rebuilds A and B from the mean field)."""
+    n = _step_count(0.0, horizon, dt)
+    C = np.array(C0, dtype=float)
+    M = np.empty_like(C)
+
+    def rhs(y, out):
+        (Cm,), (dC,) = y, out
+        np.matmul(A, Cm, out=M)
+        _symmetric_sum(M, dC)
+        dC += B
+
+    stepper = RK4(rhs, (C,))
+    for _ in range(n):
+        stepper.step((C,), dt)
+        C[...] = 0.5 * (C + C.T)
+    return C
+
+
+def neighbors(p: NetworkParams, l: int) -> tuple[int, ...]:
+    """1-based sites coupled to site ``l``, in window order l-d..l+d.
+
+    Exactly 2d sites, or N-1 after de-duplication in the all-to-all case.
+    """
+    site0 = (int(l) - 1) % p.N
+    return tuple((site0 + r) % p.N + 1 for r in neighbor_offsets(p))
+
+
+def axial_circular_variance(angles: np.ndarray) -> float:
+    """Circular variance 1 - |<e^{2 i theta}>| for axial (period-pi) data."""
+    a = np.asarray(angles, dtype=float)
+    return float(1.0 - np.abs(np.exp(2j * a).mean()))
+
+
+def load_covariance(path: Path, t: float = 0.0) -> CovarianceMatrix:
+    """Read a lower-triangle ``covariance.csv`` back into the full matrix."""
+    rows = Path(path).read_text().strip().split("\n")[1:]
+    entries = []
+    for line in rows:
+        si, qi, sj, qj, value = line.split(",")
+        i = 2 * (int(si) - 1) + (0 if qi == "q" else 1)
+        j = 2 * (int(sj) - 1) + (0 if qj == "q" else 1)
+        entries.append((i, j, float(value)))
+    n2 = max(i for i, _, _ in entries) + 1
+    C = np.zeros((n2, n2))
+    for i, j, value in entries:
+        C[i, j] = value
+        C[j, i] = value
+    return CovarianceMatrix(t=t, C=C)

@@ -18,12 +18,10 @@ from chimeraq import (
     NetworkParams,
     Partition,
     classify,
-    drift_diffusion,
     initial_conditions,
     integrate,
     integrate_many,
     mi_scan,
-    moment_oracle,
     mutual_information,
     propagate_covariance,
     renyi2_entropy,
@@ -31,9 +29,10 @@ from chimeraq import (
     vacuum_covariance,
     weighted_correlation,
 )
-from chimeraq.analysis import axial_circular_variance, shift_covariance
+from chimeraq.analysis import shift_covariance
 from chimeraq.fluctuations import physicality_margin
 from chimeraq.meanfield import largest_block
+from oracles import axial_circular_variance, drift_diffusion, moment_oracle
 
 R0 = 1.5811388300841898  # sqrt(1 / 0.4)
 PAPER = NetworkParams(N=50, d=10, V=1.2, kappa2=0.2)

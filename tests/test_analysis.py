@@ -15,14 +15,14 @@ from chimeraq import (
     husimi_marginal,
     mi_scan,
     mutual_information,
-    neighbors,
     renyi2_entropy,
     squeezing,
     vacuum_covariance,
     weighted_correlation,
 )
-from chimeraq.analysis import axial_circular_variance, shift_covariance
+from chimeraq.analysis import shift_covariance
 from conftest import random_physical_cov
+from oracles import axial_circular_variance, neighbors
 
 LN2 = 0.6931471805599453
 

@@ -14,6 +14,7 @@ from chimeraq import analysis, cli, io
 from chimeraq.cli import main
 from chimeraq.core import CovarianceMatrix, MeanFieldState, NetworkParams
 from chimeraq.meanfield import InitialConditionSpec, MeanFieldTrajectory, integrate, spacetime_grid
+from oracles import load_covariance
 from test_stepper import oracle_covariance
 
 
@@ -116,7 +117,7 @@ class TestIo:
             C[5, 2] = C[2, 5] = C[3, 3] = value
         cov = CovarianceMatrix(0.0, C)
         io.write_covariance(tmp_path / "c.csv", cov)
-        loaded = io.load_covariance(tmp_path / "c.csv")
+        loaded = load_covariance(tmp_path / "c.csv")
         assert np.array_equal(loaded.C, cov.C)
         assert np.array_equal(np.signbit(loaded.C), np.signbit(cov.C))
         header = (tmp_path / "c.csv").read_text().splitlines()[0]
@@ -393,6 +394,18 @@ class TestConfigErrors:
         assert key in err["message"]
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("value", [{"a": 1}, 7, True])
+    def test_outputs_must_be_a_path_string(self, tmp_path, monkeypatch, capsys, value):
+        # str() of these named the run directory ({'a': 1}, 7, True)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli.ENV_OUT, raising=False)
+        cfg = write_config(tmp_path / "c.json", outputs=value)
+        assert main(["meanfield", "--config", str(cfg)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError"
+        assert f"outputs must be a path string, got {value!r}" in err["message"]
+        assert os.listdir(tmp_path) == ["c.json"]
+
     def test_off_grid_t0_from_ic_file_start(self, tmp_path, capsys):
         first = tmp_path / "first"
         cfg = write_config(tmp_path / "c1.json", outputs=str(first), t0=12.0)
@@ -525,7 +538,7 @@ class TestRunPipelines:
         assert manifest["beyond_validated_horizon"] is False
         meta = json.loads((out / "covariance_meta.json").read_text())
         assert meta["t_i"] == pytest.approx(12.0)
-        loaded = io.load_covariance(out / "covariance.csv")
+        loaded = load_covariance(out / "covariance.csv")
         assert loaded.C.shape == (12, 12)
 
     def test_analyze_run(self, tmp_path):

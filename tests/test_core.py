@@ -9,11 +9,11 @@ from chimeraq import (
     RangeError,
     coupling_matrix,
     neighbor_offsets,
-    neighbors,
     validate_params,
 )
 from chimeraq.core import RK4
 from conftest import oracle_rk4_step
+from oracles import neighbors
 
 
 class TestValidateParams:
@@ -25,8 +25,10 @@ class TestValidateParams:
             validate_params(NetworkParams(N=50, d=30, V=1.2, kappa2=0.2))
 
     def test_all_to_all_odd_n(self):
+        # the window of d = (N+1)/2 covers every other site
         p = NetworkParams(N=3, d=2, V=1.0, kappa2=0.2)
-        assert validate_params(p).all_to_all
+        assert validate_params(p) is p
+        assert np.array_equal(coupling_matrix(p), 1.0 - np.eye(3))
 
     def test_even_n_has_no_all_to_all_exception(self):
         with pytest.raises(RangeError, match="d"):

@@ -16,15 +16,14 @@ from chimeraq import (
     initial_conditions,
     integrate,
     integrate_many,
-    moment_oracle,
     propagate_covariance,
-    symplectic_form,
     vacuum_covariance,
 )
-from chimeraq import fluctuations
 from chimeraq.fluctuations import PHYSICALITY_TOL
 from chimeraq.meanfield import DIVERGENCE_FACTOR
+import oracles
 from conftest import oracle_rk4_step
+from oracles import moment_oracle, oracle_margin
 
 
 def oracle_mean_field_rhs(p: NetworkParams, alphas: np.ndarray) -> np.ndarray:
@@ -73,10 +72,6 @@ def oracle_joint_rhs(p: NetworkParams):
         return oracle_mean_field_rhs(p, alpha), dC
 
     return f
-
-
-def oracle_margin(C: np.ndarray, hbar: float) -> float:
-    return float(np.linalg.eigvalsh(C + 0.5j * hbar * symplectic_form(C.shape[0] // 2)).min())
 
 
 def oracle_covariance(p: NetworkParams, seg, C0: np.ndarray, dt: float):
@@ -187,7 +182,7 @@ class TestBitsMatchOracles:
         seg = _segment(None)
         C0 = CovarianceMatrix(0.0, _start("squeezed"))
         got = moment_oracle(RING, seg, C0, dt=1e-3)
-        monkeypatch.setattr(fluctuations, "RK4", OracleRK4)
+        monkeypatch.setattr(oracles, "RK4", OracleRK4)
         ref = moment_oracle(RING, seg, C0, dt=1e-3)
         assert np.array_equal(got.covs, ref.covs)
         assert got.margin_min == ref.margin_min
