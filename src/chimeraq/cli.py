@@ -1,6 +1,11 @@
 """Experiment runner: mean-field runs, fluctuation propagation, analysis,
 and figure-data pipelines, driven by JSON configs.
 
+Every experiment reads its mean-field states through one snapshot loop:
+the state at ``t0``, or each entry of the fig3/fig4 triplet, is integrated
+as one batch over the seeds of a run or sweep, then each run classifies
+its states and runs its pipeline on them.
+
 Every run writes its artifacts plus a ``manifest.json`` echoing the config;
 CSV payloads are byte-identical across reruns with the same inputs.
 
@@ -46,6 +51,7 @@ from .fluctuations import (
 from .meanfield import (
     InitialConditionSpec,
     MeanFieldTrajectory,
+    RegimeLabel,
     _step_count,
     classify,
     initial_conditions,
@@ -91,14 +97,10 @@ class ExperimentConfig:
     fig_states: tuple = FIG_STATES
 
     def validate(self) -> "ExperimentConfig":
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment: {self.experiment}")
         try:
             validate_params(self.params)
         except RangeError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.ic is not None and self.ic_file is not None:
-            raise ConfigError("give either ic or ic_file, not both")
         if self.ic_file is not None and not Path(self.ic_file).exists():
             raise ConfigError(f"ic_file does not exist: {self.ic_file}")
         if self.ic is not None:
@@ -145,15 +147,19 @@ class ExperimentConfig:
             self.check_grid(0.0)
         return self
 
+    def snapshots(self) -> list[tuple[str | None, NetworkParams, float]]:
+        """(name, params, snapshot time) of each state the experiment reads:
+        the state at ``t0``, or for the triplet each ``fig_states`` entry
+        with its own V.  Every state starts from the run's start state."""
+        if EXPERIMENTS[self.experiment].triplet:
+            return [(name, replace(self.params, V=V), t) for name, V, t in self.fig_states]
+        return [(None, self.params, self.t0)]
+
     def check_grid(self, start: float) -> None:
         """Reject snapshot times whose mean-field phases from the start
         state's time ``start`` are off the ``dt_mf`` grid, before any
         integration."""
-        if isinstance(EXPERIMENTS[self.experiment].pipeline, _Triplet):
-            times = [t_snap for _, _, t_snap in self.fig_states]
-        else:
-            times = [self.t0]
-        for t_snap in (t for t in times if t > start):
+        for t_snap in (t for _, _, t in self.snapshots() if t > start):
             t_from = start
             for t_end, _ in _phases(start, t_snap, self):
                 try:
@@ -179,7 +185,8 @@ _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
 def load_config(path: str, experiment: str, seed: int | None, out: str | None) -> ExperimentConfig:
-    """Parse and validate a config file against the requested experiment."""
+    """Parse and validate a config file against the requested experiment;
+    ``seed`` overrides the inline ``ic`` seed, ``out`` the output path."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -203,12 +210,16 @@ def load_config(path: str, experiment: str, seed: int | None, out: str | None) -
     for key in ("params", "ic"):
         if key in obj and not isinstance(obj[key], dict):
             raise ConfigError(f"{key} must be a JSON object, got {obj[key]!r}")
-    if obj.get("ic_file") is not None and not isinstance(obj["ic_file"], str):
-        raise ConfigError(f"ic_file must be a path string, got {obj['ic_file']!r}")
-    if obj.get("outputs") is not None and not isinstance(obj["outputs"], str):
-        raise ConfigError(f"outputs must be a path string, got {obj['outputs']!r}")
-    if "ic" in obj and obj.get("ic_file") is not None:
-        raise ConfigError("give either ic or ic_file, not both")
+    for key in ("ic_file", "outputs"):
+        if obj.get(key) is not None and not (isinstance(obj[key], str) and obj[key]):
+            raise ConfigError(f"{key} must be a path string, got {obj[key]!r}")
+    if out == "":
+        raise ConfigError("--out must be a path, got ''")
+    if obj.get("ic_file") is not None:
+        if "ic" in obj:
+            raise ConfigError("give either ic or ic_file, not both")
+        if seed is not None:
+            raise ConfigError("a seed override needs inline ic, not ic_file")
     try:
         params = io.params_from_json(obj["params"])
         ic = None
@@ -362,35 +373,29 @@ def _regime_dict(label) -> dict | None:
     }
 
 
-def _label(r: _Run, snap, name: str | None = None):
-    """Classify one ``_snapshot_run`` result and record its regime in the
-    manifest, under ``name`` for the fig3/fig4 triplet; returns (parts,
-    snapshot, label)."""
-    if isinstance(snap, Exception):
-        raise snap
-    parts, fine, snapshot = snap
-    label = _classify_window(fine, r.cfg)
-    if name is None:
-        r.manifest["regime"] = _regime_dict(label)
-    else:
-        r.manifest["regime"][name] = _regime_dict(label)
-    return parts, snapshot, label
+class _State(NamedTuple):
+    """One state an experiment reads (see ``ExperimentConfig.snapshots``):
+    its transient parts, snapshot and regime label."""
+
+    name: str | None
+    params: NetworkParams
+    parts: list[MeanFieldTrajectory]
+    snapshot: MeanFieldState
+    label: RegimeLabel | None
 
 
-def _covariance(
-    r: _Run, p: NetworkParams, snapshot: MeanFieldState, name: str | None = None, observe=None
-) -> CovarianceTrajectory:
-    """Covariance over ``delta_t`` from a vacuum start at ``snapshot``,
-    checked every ``delta_t / 50``; ``observe`` is shown each checked sample
-    (see :func:`propagate_covariance`).
+def _covariance(r: _Run, s: _State, observe=None) -> CovarianceTrajectory:
+    """Covariance over ``delta_t`` from a vacuum start at the state's
+    snapshot, checked every ``delta_t / 50``; ``observe`` is shown each
+    checked sample (see :func:`propagate_covariance`).
 
     Records in the manifest the minimum exact physicality margin, the
     number of samples that passed on a certificate and the largest
-    ``kappa2 |alpha|^2 / kappa1`` on the segment, suffixed with ``name``
-    for the triplet, and whether ``delta_t`` is beyond the validated
+    ``kappa2 |alpha|^2 / kappa1`` on the segment, suffixed with the state's
+    name for the triplet, and whether ``delta_t`` is beyond the validated
     horizon.
     """
-    cfg = r.cfg
+    cfg, p, snapshot = r.cfg, s.params, s.snapshot
     spacing = max(cfg.dt_cov, cfg.delta_t / 50.0)
     seg = integrate(
         p, snapshot, snapshot.t + cfg.delta_t, dt=cfg.dt_cov,
@@ -399,7 +404,7 @@ def _covariance(
     cov_traj = propagate_covariance(
         p, seg, vacuum_covariance(p, t=snapshot.t), dt=cfg.dt_cov, observe=observe
     )
-    suffix = "" if name is None else f"_{name}"
+    suffix = "" if s.name is None else f"_{s.name}"
     r.manifest[f"physicality_margin_min{suffix}"] = cov_traj.margin_min
     r.manifest[f"physicality_certified{suffix}"] = cov_traj.certified
     r.manifest[f"vacuum_bound_ratio_max{suffix}"] = cov_traj.vacuum_bound_ratio_max()
@@ -446,30 +451,33 @@ def _attempt(fn, *args):
 def _run_seeds(cfgs: list[ExperimentConfig]) -> tuple[list[dict | Exception], float]:
     """Run configs that differ only in IC seed and output directory.
 
-    Every run first draws and writes its start state.  The mean-field
-    transient and classify window to ``t0`` then run once, as one batch (the
-    fig3/fig4 triplet integrates its own states inside each run).  Each run
-    then classifies, propagates and writes on its own.
+    Every run first draws and writes its start state.  Then, for each state
+    the experiment reads (``ExperimentConfig.snapshots``), the mean-field
+    transient and classify window of every run still going run once, as
+    one batch; a run whose transient fails skips its later states.  Each
+    run then classifies, propagates and writes on its own.
 
     Returns, per config, the manifest or the exception that ended that run,
-    and the wall time of the batched transient.  A run's ``wall_time_s``
-    counts that transient only when the batch held that run alone.
+    and the wall time of the batched transients.  A run's ``wall_time_s``
+    counts them only when the batch held that run alone.
     """
     runs: list = [_attempt(_Run, cfg) for cfg in cfgs]
-    live = [i for i, r in enumerate(runs) if isinstance(r, _Run)]
-    cfg = cfgs[0]
+    # per started run, its snapshots so far, or the error that ended it
+    snaps = {i: [] for i, r in enumerate(runs) if isinstance(r, _Run)}
     t_start = time.monotonic()
-    if isinstance(EXPERIMENTS[cfg.experiment].pipeline, _Triplet):
-        snaps = [None] * len(live)
-    else:
-        snaps = _attempt(_snapshot_run, cfg.params, [runs[i].state0 for i in live], cfg.t0, cfg)
-        if isinstance(snaps, Exception):
-            snaps = [snaps] * len(live)
+    for _, p, t_snap in cfgs[0].snapshots():
+        live = [i for i, got in snaps.items() if isinstance(got, list)]
+        batch = _attempt(_snapshot_run, p, [runs[i].state0 for i in live], t_snap, cfgs[0])
+        for i, snap in zip(live, [batch] * len(live) if isinstance(batch, Exception) else batch):
+            if isinstance(snap, Exception):
+                snaps[i] = snap
+            else:
+                snaps[i].append(snap)
     transient_s = time.monotonic() - t_start
-    for i, snap in zip(live, snaps):
-        if len(live) == 1:
+    for i, got in snaps.items():
+        if len(snaps) == 1:
             runs[i].wall_s += transient_s
-        runs[i] = _attempt(_finish, runs[i], snap)
+        runs[i] = _attempt(_finish, runs[i], got)
     return runs, transient_s
 
 
@@ -481,80 +489,84 @@ def run(cfg: ExperimentConfig) -> dict:
     return result
 
 
-def _finish(r: _Run, snap) -> dict:
-    """Run the experiment's pipeline on one run's snapshot; the manifest is
-    written last."""
+def _finish(r: _Run, snaps: list | Exception) -> dict:
+    """Classify one run's ``_snapshot_run`` results, one per state, and
+    record their regimes (a single state also writes ``snapshot.json``),
+    then run the experiment's pipeline on them; the manifest is written
+    last."""
+    if isinstance(snaps, Exception):
+        raise snaps
     t_start = time.monotonic()
-    EXPERIMENTS[r.cfg.experiment].pipeline(r, snap)
+    states = [
+        _State(name, p, parts, snapshot, _classify_window(fine, r.cfg))
+        for (name, p, _), (parts, fine, snapshot) in zip(r.cfg.snapshots(), snaps)
+    ]
+    experiment = EXPERIMENTS[r.cfg.experiment]
+    if experiment.triplet:
+        r.manifest["regime"] = {s.name: _regime_dict(s.label) for s in states}
+    else:
+        (s,) = states
+        r.manifest["regime"] = _regime_dict(s.label)
+        r.emit("snapshot.json", io.save_state, s.snapshot, s.params, None)
+    experiment.pipeline(r, states)
     r.manifest["files"] = r.files + ["manifest.json"]
     r.manifest["wall_time_s"] = r.wall_s + time.monotonic() - t_start
     io.write_json(r.outdir / "manifest.json", r.manifest)
     return r.manifest
 
 
-def _one_state(r: _Run, snap):
-    """The snapshot at ``t0``: label recorded, ``snapshot.json`` written;
-    returns (parts, snapshot, label)."""
-    parts, snapshot, label = _label(r, snap)
-    r.emit("snapshot.json", io.save_state, snapshot, r.cfg.params, None)
-    return parts, snapshot, label
-
-
 def _ellipse_rows(ellipses) -> list[tuple]:
     return [(e.site, e.lambda_min, e.lambda_max, e.theta) for e in ellipses]
 
 
-def _meanfield(r: _Run, snap) -> None:
-    parts, _, _ = _one_state(r, snap)
+def _meanfield(r: _Run, states: list[_State]) -> None:
+    (s,) = states
     r.emit("meanfield_grid.csv", io.write_csv, ["t", "l", "phi", "r2"],
-           blocks=_grid_blocks(parts, ("phi", "r2")))
+           blocks=_grid_blocks(s.parts, ("phi", "r2")))
 
 
-def _fig1(r: _Run, snap) -> None:
-    parts, _, _ = _one_state(r, snap)
+def _fig1(r: _Run, states: list[_State]) -> None:
+    (s,) = states
     for column in ("phi", "r2"):
         r.emit(f"fig1_{column}.csv", io.write_csv, ["t", "l", column],
-               blocks=_grid_blocks(parts, (column,)))
+               blocks=_grid_blocks(s.parts, (column,)))
 
 
-def _fluctuations(r: _Run, snap) -> None:
-    p = r.cfg.params
-    _, snapshot, _ = _one_state(r, snap)
-    cov_traj = _covariance(r, p, snapshot)
+def _fluctuations(r: _Run, states: list[_State]) -> None:
+    (s,) = states
+    cov_traj = _covariance(r, s)
     r.emit("covariance.csv", io.write_covariance, cov_traj.final_cov)
     r.emit("covariance_meta.json", io.write_json, {
-        "params": io.params_to_json(p),
-        "t_i": snapshot.t,
+        "params": io.params_to_json(s.params),
+        "t_i": s.snapshot.t,
         "delta_t": r.cfg.delta_t,
         "dt_cov": r.cfg.dt_cov,
         "physicality_margin_min": cov_traj.margin_min,
     })
 
 
-def _scan_mi(r: _Run, snap) -> None:
-    p = r.cfg.params
-    _, snapshot, _ = _one_state(r, snap)
-    scan = mi_scan(p, _covariance(r, p, snapshot).final_cov)
+def _scan_mi(r: _Run, states: list[_State]) -> None:
+    (s,) = states
+    scan = mi_scan(s.params, _covariance(r, s).final_cov)
     r.emit("mi_scan.csv", io.write_csv, ["L", "I2"], sorted(scan.items()))
 
 
-def _analyze(r: _Run, snap) -> None:
-    cfg, p = r.cfg, r.cfg.params
-    _, snapshot, label = _one_state(r, snap)
-    record = build_record(p, _covariance(r, p, snapshot).final_cov, regime=label)
+def _analyze(r: _Run, states: list[_State]) -> None:
+    (s,) = states
+    record = build_record(s.params, _covariance(r, s).final_cov, regime=s.label)
     r.emit("analysis.json", io.write_json, _record_dict(record))
     r.emit("mi_scan.csv", io.write_csv, ["L", "I2"], sorted(record.mi_scan.items()))
     r.emit("ellipses.csv", io.write_csv, ["l", "lambda_min", "lambda_max", "theta"],
            _ellipse_rows(record.ellipses))
-    r.manifest["mi_value"] = record.mi_scan[cfg.mi_partition]
-    r.manifest["mi_partition"] = cfg.mi_partition
+    r.manifest["mi_value"] = record.mi_scan[r.cfg.mi_partition]
+    r.manifest["mi_partition"] = r.cfg.mi_partition
 
 
-def _fig2(r: _Run, snap) -> None:
-    p = r.cfg.params
-    _, snapshot, _ = _one_state(r, snap)
-    cov = _covariance(r, p, snapshot).final_cov
-    a = snapshot.alphas
+def _fig2(r: _Run, states: list[_State]) -> None:
+    (s,) = states
+    p = s.params
+    cov = _covariance(r, s).final_cov
+    a = s.snapshot.alphas
     scale = np.sqrt(2.0 * p.hbar)
     r.emit("fig2_phases.csv", io.write_csv, ["l", "q", "p", "phi", "r"],
            [(l + 1, scale * a[l].real, scale * a[l].imag,
@@ -569,35 +581,11 @@ def _fig2(r: _Run, snap) -> None:
     r.emit("fig2_husimi.csv", io.write_csv, ["l", "qq", "qp", "pp"], rows)
 
 
-@dataclass(frozen=True)
-class _Triplet:
-    """Pipeline over the ``fig_states`` triplet: ``body(r, states)`` reads
-    the states from the one loop over them.  Each state starts from the
-    run's start state, with its own V and snapshot time, so a triplet
-    takes no snapshot at ``t0``."""
-
-    body: Callable[[_Run, object], None]
-
-    def __call__(self, r: _Run, snap) -> None:
-        self.body(r, self.states(r))
-
-    @staticmethod
-    def states(r: _Run):
-        """(tag, name, V, params, snapshot) of each state in turn, its
-        regime recorded under its name."""
-        r.manifest["regime"] = {}
-        for tag, (name, V, t_snap) in zip(_FIG_TAGS, r.cfg.fig_states):
-            p = replace(r.cfg.params, V=V)
-            (snap,) = _snapshot_run(p, [r.state0], t_snap, r.cfg)
-            _, snapshot, _ = _label(r, snap, name)
-            yield tag, name, V, p, snapshot
-
-
-@_Triplet
-def _fig3(r: _Run, states) -> None:
-    for tag, name, _, p, snapshot in states:
-        cov = _covariance(r, p, snapshot, name).final_cov
-        a = snapshot.alphas
+def _fig3(r: _Run, states: list[_State]) -> None:
+    for tag, s in zip(_FIG_TAGS, states):
+        p = s.params
+        cov = _covariance(r, s).final_cov
+        a = s.snapshot.alphas
         r.emit(f"fig3{tag}_phases.csv", io.write_csv, ["l", "phi"],
                [(l + 1, float(np.angle(a[l]))) for l in range(p.N)])
         r.emit(f"fig3{tag}_covariance.csv", io.write_covariance, cov)
@@ -606,15 +594,16 @@ def _fig3(r: _Run, states) -> None:
                [(l + 1, psi[l]) for l in range(p.N)])
 
 
-@_Triplet
-def _fig4(r: _Run, states) -> None:
+def _fig4(r: _Run, states: list[_State]) -> None:
     scan_rows = []
     mi_rows = []  # one I2 per checked covariance sample, as it is produced
-    for _, name, V, p, snapshot in states:
+    for s in states:
+        name, V = s.name, s.params.V
+
         def observe(t, C):
             mi_rows.append((name, V, t, _mutual_information(C, r.cfg.mi_partition)))
 
-        scan = mi_scan(p, _covariance(r, p, snapshot, name, observe).final_cov)
+        scan = mi_scan(s.params, _covariance(r, s, observe).final_cov)
         scan_rows.extend((name, V, L, scan[L]) for L in sorted(scan))
     r.emit("fig4a_mi_scan.csv", io.write_csv, ["state", "V", "L", "I2"], scan_rows)
     r.emit("fig4b_mi_vs_t.csv", io.write_csv, ["state", "V", "t", "I2"], mi_rows)
@@ -622,8 +611,10 @@ def _fig4(r: _Run, states) -> None:
 
 
 class _Experiment(NamedTuple):
-    pipeline: Callable[[_Run, object], None]
+    pipeline: Callable[[_Run, list[_State]], None]
     t0: float  # default snapshot time
+    #: reads the ``fig_states`` triplet instead of the one state at ``t0``
+    triplet: bool = False
 
 
 #: every experiment, by name
@@ -634,8 +625,8 @@ EXPERIMENTS = {
     "scan-mi": _Experiment(_scan_mi, 3000.5),
     "reproduce-fig1": _Experiment(_fig1, 3000.5),
     "reproduce-fig2": _Experiment(_fig2, 3000.0),
-    "reproduce-fig3": _Experiment(_fig3, 3000.5),
-    "reproduce-fig4": _Experiment(_fig4, 3000.5),
+    "reproduce-fig3": _Experiment(_fig3, 3000.5, triplet=True),
+    "reproduce-fig4": _Experiment(_fig4, 3000.5, triplet=True),
 }
 
 
@@ -664,7 +655,8 @@ def _record_dict(record) -> dict:
 
 def seed_sweep(cfg: ExperimentConfig, seeds: list[int]) -> tuple[dict, int]:
     """Run the experiment once per seed, with one batched mean-field
-    transient for all seeds; summarize regimes and MI values.
+    transient for all seeds per state it reads; summarize regimes (of a
+    single-state experiment) and MI values.
 
     Returns (sweep manifest, exit code); a failed seed yields exit code 4
     and is listed with its error in the report, successful seeds are still
@@ -696,10 +688,9 @@ def seed_sweep(cfg: ExperimentConfig, seeds: list[int]) -> tuple[dict, int]:
             errors[str(seed)] = _error_dict(res)
             rows.append((seed, "failed", "", "", ""))
             continue
-        regime = res.get("regime") or {}
-        if isinstance(regime, dict) and "regime" in regime:
-            reg_name = regime["regime"]
-            width = regime["coherent_width"]
+        regime = None if EXPERIMENTS[cfg.experiment].triplet else res["regime"]
+        if regime is not None:
+            reg_name, width = regime["regime"], regime["coherent_width"]
             widths.append(width)
         else:
             reg_name, width = "", ""
@@ -753,6 +744,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        seed, sweep_seeds = args.seed, None
         if args.seeds is not None:
             if args.seed is not None:
                 raise ConfigError("give either --seed or --seeds, not both")
@@ -762,17 +754,15 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(
                     f"--seeds must be comma-separated integers, got {args.seeds!r}"
                 ) from exc
-        cfg = load_config(args.config, args.experiment, args.seed, args.out)
-        if args.seeds is not None:
-            if cfg.ic is None:
-                raise ConfigError("seed sweep requires inline ic, not ic_file")
             if len(seeds) == 1:
-                cfg = replace(cfg, ic=replace(cfg.ic, seed=seeds[0]))
-                run(cfg)
-                return 0
-            sweep, code = seed_sweep(cfg, seeds)
-            for seed, error in sweep["errors"].items():
-                print(json.dumps({"seed": int(seed), "error": error}), file=sys.stderr)
+                (seed,) = seeds
+            else:
+                sweep_seeds = seeds
+        cfg = load_config(args.config, args.experiment, seed, args.out)
+        if sweep_seeds is not None:
+            sweep, code = seed_sweep(cfg, sweep_seeds)
+            for failed, error in sweep["errors"].items():
+                print(json.dumps({"seed": int(failed), "error": error}), file=sys.stderr)
             return code
         run(cfg)
         return 0

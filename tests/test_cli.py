@@ -381,6 +381,9 @@ class TestConfigErrors:
             ("meanfield", {"params": 5}, "params must be a JSON object, got 5"),
             ("meanfield", {"ic": 5}, "ic must be a JSON object, got 5"),
             ("meanfield", {"ic_file": 5}, "ic_file must be a path string, got 5"),
+            # an empty path named the working directory (without ic, the
+            # run made its output directory, then exited 3)
+            ("meanfield", {"ic_file": ""}, "ic_file must be a path string, got ''"),
         ],
     )
     def test_out_of_range_value_rejected_before_any_write(
@@ -394,9 +397,10 @@ class TestConfigErrors:
         assert key in err["message"]
         assert not out.exists() or not any(out.iterdir())
 
-    @pytest.mark.parametrize("value", [{"a": 1}, 7, True])
+    @pytest.mark.parametrize("value", [{"a": 1}, 7, True, ""])
     def test_outputs_must_be_a_path_string(self, tmp_path, monkeypatch, capsys, value):
-        # str() of these named the run directory ({'a': 1}, 7, True)
+        # str() of these named the run directory ({'a': 1}, 7, True), and
+        # an empty path fell back to runs/<experiment>
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv(cli.ENV_OUT, raising=False)
         cfg = write_config(tmp_path / "c.json", outputs=value)
@@ -405,6 +409,36 @@ class TestConfigErrors:
         assert err["type"] == "ConfigError"
         assert f"outputs must be a path string, got {value!r}" in err["message"]
         assert os.listdir(tmp_path) == ["c.json"]
+
+    def test_empty_out_flag(self, tmp_path, monkeypatch, capsys):
+        # it fell back to the config's outputs, or to runs/<experiment>
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli.ENV_OUT, raising=False)
+        cfg = write_config(tmp_path / "c.json")
+        assert main(["meanfield", "--config", str(cfg), "--out", ""]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError"
+        assert "--out must be a path" in err["message"]
+        assert os.listdir(tmp_path) == ["c.json"]
+
+    @pytest.mark.parametrize("flags", [["--seed", "5"], ["--seeds", "5"]])
+    def test_seed_override_with_ic_file(self, tmp_path, capsys, flags):
+        # --seed was ignored (seeds 5 and 9 wrote the same grid); both flags
+        # now meet one check in load_config
+        first = tmp_path / "first"
+        cfg = write_config(tmp_path / "c1.json", outputs=str(first))
+        assert main(["meanfield", "--config", str(cfg)]) == 0
+        obj = json.loads(cfg.read_text())
+        del obj["ic"]
+        out = tmp_path / "second"
+        obj.update(ic_file=str(first / "initial_conditions.json"), outputs=str(out))
+        (tmp_path / "c2.json").write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["meanfield", "--config", str(tmp_path / "c2.json"), *flags]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError"
+        assert "seed override needs inline ic, not ic_file" in err["message"]
+        assert not out.exists()
 
     def test_off_grid_t0_from_ic_file_start(self, tmp_path, capsys):
         first = tmp_path / "first"
@@ -655,6 +689,13 @@ class TestRunPipelines:
         assert (env_out / "manifest.json").exists()
         assert not (tmp_path / "ignored").exists()
 
+    def test_empty_env_var_is_unset(self, tmp_path, monkeypatch):
+        out = tmp_path / "from_config"
+        cfg = write_config(tmp_path / "c.json", outputs=str(out))
+        monkeypatch.setenv("CHIMERAQ_OUT", "")
+        assert main(["meanfield", "--config", str(cfg)]) == 0
+        assert (out / "manifest.json").exists()
+
     def test_out_flag_beats_env_var(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "c.json")
         monkeypatch.setenv("CHIMERAQ_OUT", str(tmp_path / "env"))
@@ -824,14 +865,38 @@ class TestSeedSweep:
         assert err["error"]["type"] == "ConfigError"
         assert not out.exists()
 
-    def test_sweep_grids_match_solo_runs(self, tmp_path):
+    @pytest.mark.parametrize("experiment, overrides, files", [
+        ("meanfield", {}, ["meanfield_grid.csv"]),
+        # the triplet's states, each batched over the seeds
+        ("reproduce-fig4",
+         {"fig_states": [{"name": "chimera", "V": 1.2, "t0": 12.0},
+                         {"name": "desynchronized", "V": 0.8, "t0": 20.0}],
+          "mi_partition": 2},
+         ["fig4a_mi_scan.csv", "fig4b_mi_vs_t.csv"]),
+    ], ids=["meanfield", "fig4"])
+    def test_sweep_grids_match_solo_runs(self, tmp_path, experiment, overrides, files):
         out = tmp_path / "sweep"
-        cfg = write_config(tmp_path / "c.json", outputs=str(out))
-        assert main(["meanfield", "--config", str(cfg), "--seeds", "1,2"]) == 0
+        cfg = write_config(tmp_path / "c.json", outputs=str(out), **overrides)
+        assert main([experiment, "--config", str(cfg), "--seeds", "1,2"]) == 0
         for seed in (1, 2):
             solo = tmp_path / f"solo_{seed}"
             assert main(
-                ["meanfield", "--config", str(cfg), "--seed", str(seed), "--out", str(solo)]
+                [experiment, "--config", str(cfg), "--seed", str(seed), "--out", str(solo)]
             ) == 0
-            grid = (out / f"seed_{seed}" / "meanfield_grid.csv").read_bytes()
-            assert grid == (solo / "meanfield_grid.csv").read_bytes()
+            for name in files:
+                data = (out / f"seed_{seed}" / name).read_bytes()
+                assert data == (solo / name).read_bytes(), name
+
+    def test_triplet_sweep_summary(self, tmp_path):
+        # a state named "regime" made the summary read the name-keyed
+        # regimes as one label: KeyError after every seed ran
+        out = tmp_path / "sweep"
+        fig_states = [{"name": "regime", "V": 1.2, "t0": 12.0},
+                      {"name": "sync", "V": 1.6, "t0": 12.0}]
+        cfg = write_config(tmp_path / "c.json", outputs=str(out), fig_states=fig_states)
+        assert main(["reproduce-fig3", "--config", str(cfg), "--seeds", "1,2"]) == 0
+        lines = (out / "sweep_summary.csv").read_text().splitlines()
+        assert lines[1:3] == ["1,ok,,,", "2,ok,,,"]
+        sweep = json.loads((out / "sweep_manifest.json").read_text())
+        assert sweep["files"] == ["sweep_summary.csv", "sweep_manifest.json", "seed_1", "seed_2"]
+        assert set(read_manifest(out / "seed_1")["regime"]) == {"regime", "sync"}
