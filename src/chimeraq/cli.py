@@ -21,13 +21,14 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__, io
+from .io import PathName
 from .analysis import (
     _mutual_information,
     build_record,
@@ -60,11 +61,25 @@ from .meanfield import (
     spacetime_grid,
 )
 
-#: (label, coupling strength, snapshot time) of the three reference states
+
+@dataclass(frozen=True)
+class FigState:
+    """One ``fig_states`` entry: a reference state of the fig3/fig4 triplet,
+    integrated with its own coupling strength to its own snapshot time."""
+
+    name: str
+    V: float
+    t0: float
+
+    def __iter__(self):
+        return iter((self.name, self.V, self.t0))
+
+
+#: the three reference states of the paper's figures
 FIG_STATES = (
-    ("chimera", 1.2, 3000.5),
-    ("synchronized", 1.6, 25.5),
-    ("desynchronized", 0.8, 8000.5),
+    FigState("chimera", 1.2, 3000.5),
+    FigState("synchronized", 1.6, 25.5),
+    FigState("desynchronized", 0.8, 8000.5),
 )
 
 #: file-name tag of each ``fig_states`` entry, in order (``fig3a_*``, ...)
@@ -79,45 +94,49 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A parsed config: each field is a config key, read as the kind it is
+    annotated with (see ``io.read``), with the default it declares;
+    :meth:`validate` holds the ranges and the rules that join keys."""
+
     experiment: str
     params: NetworkParams
-    ic: InitialConditionSpec | None
-    ic_file: str | None
-    t0: float
-    delta_t: float
-    dt_mf: float
-    dt_cov: float
-    sample_spacing: float
-    window_spacing: float
-    classify_window: float
-    z_threshold: float
-    w_min: int
-    mi_partition: int
-    outputs: str
-    fig_states: tuple = FIG_STATES
+    t0: float  # default: the experiment's (EXPERIMENTS)
+    mi_partition: int  # default: from N, in load_config
+    outputs: PathName  # default: runs/<experiment>
+    ic: InitialConditionSpec | None = InitialConditionSpec()
+    ic_file: PathName | None = None
+    delta_t: float = 0.5
+    dt_mf: float = 0.01
+    dt_cov: float = 0.001
+    sample_spacing: float = 1.0
+    window_spacing: float = 0.1
+    classify_window: float = 10.0
+    z_threshold: float = 0.8
+    w_min: int = 5
+    fig_states: tuple[FigState, ...] = FIG_STATES
+    #: the start state read from ``ic_file`` by load_config; not a key
+    ic_state: MeanFieldState | None = field(default=None, compare=False, metadata={"key": False})
 
     def validate(self) -> "ExperimentConfig":
         try:
             validate_params(self.params)
+            if self.ic is not None:
+                self.ic.validate()
         except RangeError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.ic_file is not None and not Path(self.ic_file).exists():
-            raise ConfigError(f"ic_file does not exist: {self.ic_file}")
-        if self.ic is not None:
-            try:
-                self.ic.validate()
-            except RangeError as exc:
-                raise ConfigError(str(exc)) from exc
-        for name in ("t0", *_FLOAT_KEYS):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.ic_state is not None and self.ic_state.n_sites != self.params.N:
+            raise ConfigError(
+                f"ic_file has N={self.ic_state.n_sites}, config has N={self.params.N}"
+            )
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.t0 < 0:
             raise ConfigError(f"t0 must be >= 0, got {self.t0}")
-        if self.delta_t <= 0:
-            raise ConfigError(f"delta_t must be > 0, got {self.delta_t}")
-        for name in ("dt_mf", "dt_cov", "sample_spacing", "window_spacing", "classify_window"):
+        for name in ("delta_t", "dt_mf", "dt_cov", "sample_spacing", "window_spacing",
+                     "classify_window"):
             if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0")
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
         if not 0 < self.z_threshold <= 1:
             raise ConfigError(f"z_threshold must be in (0, 1], got {self.z_threshold}")
         if self.w_min < 1:
@@ -143,8 +162,17 @@ class ExperimentConfig:
                     f"invalid fig state {name}: V and t0 must be finite and >= 0, "
                     f"got V={V}, t0={t_snap}"
                 )
-        if self.ic_file is None:
-            self.check_grid(0.0)
+        # every mean-field phase from the start state's time to a snapshot
+        # time must lie on the dt_mf grid
+        start = 0.0 if self.ic_state is None else self.ic_state.t
+        for t_snap in (t for _, _, t in self.snapshots() if t > start):
+            t_from = start
+            for t_end, _ in _phases(start, t_snap, self):
+                try:
+                    _step_count(t_from, t_end, self.dt_mf)
+                except ValueError as exc:
+                    raise ConfigError(f"snapshot time is off the dt_mf grid: {exc}") from exc
+                t_from = t_end
         return self
 
     def snapshots(self) -> list[tuple[str | None, NetworkParams, float]]:
@@ -155,38 +183,11 @@ class ExperimentConfig:
             return [(name, replace(self.params, V=V), t) for name, V, t in self.fig_states]
         return [(None, self.params, self.t0)]
 
-    def check_grid(self, start: float) -> None:
-        """Reject snapshot times whose mean-field phases from the start
-        state's time ``start`` are off the ``dt_mf`` grid, before any
-        integration."""
-        for t_snap in (t for _, _, t in self.snapshots() if t > start):
-            t_from = start
-            for t_end, _ in _phases(start, t_snap, self):
-                try:
-                    _step_count(t_from, t_end, self.dt_mf)
-                except ValueError as exc:
-                    raise ConfigError(f"snapshot time is off the dt_mf grid: {exc}") from exc
-                t_from = t_end
-
-
-#: config fields read as floats besides ``t0`` (whose default is the
-#: experiment's, see EXPERIMENTS), with their defaults; each must be finite
-_FLOAT_KEYS = {
-    "delta_t": 0.5,
-    "dt_mf": 1e-2,
-    "dt_cov": 1e-3,
-    "sample_spacing": 1.0,
-    "window_spacing": 0.1,
-    "classify_window": 10.0,
-    "z_threshold": 0.80,
-}
-
-_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
-
 
 def load_config(path: str, experiment: str, seed: int | None, out: str | None) -> ExperimentConfig:
     """Parse and validate a config file against the requested experiment;
-    ``seed`` overrides the inline ``ic`` seed, ``out`` the output path."""
+    ``seed`` overrides the inline ``ic`` seed, ``out`` the output path.  An
+    ``ic_file`` is read here, so an unusable one is a config error too."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -198,83 +199,57 @@ def load_config(path: str, experiment: str, seed: int | None, out: str | None) -
         raise ConfigError("config must be a JSON object")
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment: {experiment}")
-    unknown = set(obj) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "experiment" in obj and obj["experiment"] != experiment:
+    if obj.get("experiment", experiment) != experiment:
         raise ConfigError(
             f"config names experiment {obj['experiment']!r} but {experiment!r} was requested"
         )
     if "params" not in obj:
         raise ConfigError("config is missing 'params'")
-    for key in ("params", "ic"):
-        if key in obj and not isinstance(obj[key], dict):
-            raise ConfigError(f"{key} must be a JSON object, got {obj[key]!r}")
-    for key in ("ic_file", "outputs"):
-        if obj.get(key) is not None and not (isinstance(obj[key], str) and obj[key]):
-            raise ConfigError(f"{key} must be a path string, got {obj[key]!r}")
     if out == "":
         raise ConfigError("--out must be a path, got ''")
-    if obj.get("ic_file") is not None:
-        if "ic" in obj:
-            raise ConfigError("give either ic or ic_file, not both")
-        if seed is not None:
-            raise ConfigError("a seed override needs inline ic, not ic_file")
     try:
         params = io.params_from_json(obj["params"])
         ic = None
         if obj.get("ic_file") is None:
-            ic = io.ic_spec_from_json(obj.get("ic", {}))
-            if seed is not None:
-                ic = replace(ic, seed=seed)
+            ic = io.read_object(InitialConditionSpec, obj.get("ic", {}), "ic")
+            ic = ic if seed is None else replace(ic, seed=seed)
         n = params.N
-        defaults = {"t0": EXPERIMENTS[experiment].t0, **_FLOAT_KEYS}
-        numbers = {key: io.read_float(obj, key, default) for key, default in defaults.items()}
-        numbers["w_min"] = io.read_int(obj, "w_min", 5)
-        numbers["mi_partition"] = io.read_int(
-            obj, "mi_partition", max(1, min(2 * n // 5, n - 1))
+        defaults = {"t0": EXPERIMENTS[experiment].t0,
+                    "mi_partition": max(1, min(2 * n // 5, n - 1)),
+                    "outputs": f"runs/{experiment}"}
+        cfg = io.read_object(
+            ExperimentConfig, {**defaults, **obj}, "config",
+            experiment=experiment, params=params, ic=ic,
+            fig_states=_fig_states(obj["fig_states"]) if "fig_states" in obj else FIG_STATES,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    outputs = out or os.environ.get(ENV_OUT) or obj.get("outputs") or f"runs/{experiment}"
-    fig_states = FIG_STATES
-    if "fig_states" in obj:
+    state = None
+    if cfg.ic_file is not None:
+        if "ic" in obj:
+            raise ConfigError("give either ic or ic_file, not both")
+        if seed is not None:
+            raise ConfigError("a seed override needs inline ic, not ic_file")
         try:
-            fig_states = tuple(
-                (str(e["name"]), io.read_float(e, "V"), io.read_float(e, "t0"))
-                for e in obj["fig_states"]
-            )
-        except (TypeError, KeyError) as exc:
-            raise ConfigError(
-                "fig_states entries need name, V, t0"
-            ) from exc
-        except ValueError as exc:
-            raise ConfigError(f"fig_states: {exc}") from exc
-    cfg = ExperimentConfig(
-        experiment=experiment,
-        params=params,
-        ic=ic,
-        ic_file=obj.get("ic_file"),
-        outputs=str(outputs),
-        fig_states=fig_states,
-        **numbers,
-    )
-    return cfg.validate()
+            state, _ = io.load_state(cfg.ic_file)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"unusable ic_file {cfg.ic_file}: {exc}") from exc
+    outputs = out or os.environ.get(ENV_OUT) or cfg.outputs
+    return replace(cfg, ic_state=state, outputs=outputs).validate()
+
+
+def _fig_states(entries) -> tuple[FigState, ...]:
+    if not isinstance(entries, list):
+        raise ValueError(f"fig_states must be a JSON list, got {entries!r}")
+    try:
+        return tuple(io.read_object(FigState, e, "entry") for e in entries)
+    except ValueError as exc:
+        raise ValueError(f"fig_states: {exc}") from None
 
 
 def _initial_state(cfg: ExperimentConfig, p: NetworkParams) -> MeanFieldState:
-    if cfg.ic_file is not None:
-        try:
-            state, file_params = io.load_state(cfg.ic_file)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"unusable ic_file {cfg.ic_file}: {exc}") from exc
-        if file_params.N != p.N:
-            raise ConfigError(
-                f"ic_file has N={file_params.N}, config has N={p.N}"
-            )
-        cfg.check_grid(state.t)
-        return state
-    return initial_conditions(p, cfg.ic)
+    """The start state read from ``ic_file``, or else drawn from ``ic``."""
+    return initial_conditions(p, cfg.ic) if cfg.ic_state is None else cfg.ic_state
 
 
 def _sample_every(spacing: float, dt: float) -> int:
@@ -429,7 +404,7 @@ class _Run:
         self.manifest: dict = {
             "experiment": cfg.experiment,
             "version": __version__,
-            "config": _config_echo(cfg),
+            "config": {**io.to_json(cfg), "params": io.params_to_json(cfg.params)},
         }
         self.state0 = _initial_state(cfg, cfg.params)
         self.emit("initial_conditions.json", io.save_state, self.state0, cfg.params, cfg.ic)
@@ -630,14 +605,6 @@ EXPERIMENTS = {
 }
 
 
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    echo = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    echo["params"] = io.params_to_json(cfg.params)
-    echo["ic"] = None if cfg.ic is None else io.ic_spec_to_json(cfg.ic)
-    echo["fig_states"] = [{"name": n, "V": v, "t0": t} for n, v, t in cfg.fig_states]
-    return echo
-
-
 def _record_dict(record) -> dict:
     return {
         "t": record.t,
@@ -669,13 +636,15 @@ def seed_sweep(cfg: ExperimentConfig, seeds: list[int]) -> tuple[dict, int]:
     if cfg.ic is None:
         raise ConfigError("seed sweep requires inline ic, not ic_file")
     outdir = Path(cfg.outputs)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "sweep_manifest.json").unlink(missing_ok=True)
-
     subs = [
         replace(cfg, ic=replace(cfg.ic, seed=seed), outputs=str(outdir / f"seed_{seed}"))
         for seed in seeds
     ]
+    for sub in subs:  # every seed is checked before anything is written
+        sub.validate()
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "sweep_manifest.json").unlink(missing_ok=True)
+
     results, transient_s = _run_seeds(subs)
     rows = []
     mi_values = []

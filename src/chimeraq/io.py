@@ -7,11 +7,16 @@ Small tables are formatted row by row with that rule.  Large payloads
 (space-time grids, covariances) are formatted one block of lines per ``%``
 call, from line templates built once per table with the same rule, and
 written as they are made: at most one block of text is held.
+
+Config objects and state files are read from JSON by one reader,
+:func:`read_object`, from the fields of the dataclass each one is.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import MISSING, Field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,78 +71,83 @@ def write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def read_int(obj: dict, key: str, default: int | None = None) -> int:
-    """``obj[key]``, or ``default`` when given and the key is absent, as an
-    int.  Raises ValueError naming the key unless the value is an integral
-    JSON number (a bool is not one); KeyError if it is missing."""
-    x = obj[key] if default is None else obj.get(key, default)
+#: the kind of a config field that names a file or directory
+PathName = str
+
+
+def read(key: str, x, kind: str):
+    """The JSON value ``x`` of ``key`` as ``kind``, a field annotation:
+    ``int`` an integral number, ``float`` a number, both within the float
+    range (a bool is neither); ``str`` and :data:`PathName` a non-empty
+    string; ``<kind> | None`` also null.  Raises ValueError naming the key."""
+    if x is None and kind.endswith(" | None"):
+        return None
+    kind = kind.removesuffix(" | None")
+    if kind in ("str", "PathName"):
+        if isinstance(x, str) and x:
+            return x
+        noun = "path" if kind == "PathName" else "non-empty"
+        raise ValueError(f"{key} must be a {noun} string, got {x!r}")
     if isinstance(x, bool) or not isinstance(x, (int, float)) or (
-        isinstance(x, float) and not x.is_integer()
+        kind == "int" and isinstance(x, float) and not x.is_integer()
     ):
-        raise ValueError(f"{key} must be an integer, got {x!r}")
-    return int(x)
-
-
-def read_float(obj: dict, key: str, default: float | None = None) -> float:
-    """``obj[key]``, or ``default`` when given and the key is absent, as a
-    float.  Raises ValueError naming the key unless the value is a JSON
-    number (a bool is not one); KeyError if it is missing."""
-    x = obj[key] if default is None else obj.get(key, default)
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValueError(f"{key} must be a number, got {x!r}")
+        noun = "an integer" if kind == "int" else "a number"
+        raise ValueError(f"{key} must be {noun}, got {x!r}")
     try:
-        return float(x)
+        value = float(x)
     except OverflowError:
         raise ValueError(f"{key} must be finite, got an integer beyond the float range") from None
+    return int(x) if kind == "int" else value
+
+
+def keys(cls) -> list[Field]:
+    """The fields of the dataclass ``cls`` that are keys of its JSON object:
+    all but those whose metadata holds ``"key": False``."""
+    return [f for f in fields(cls) if f.metadata.get("key", True)]
+
+
+def read_object(cls, obj, what: str, **given):
+    """The dataclass ``cls`` from the JSON object ``obj`` named ``what``:
+    the fields in ``given`` take those values, every other key of ``obj``
+    is read as its field's kind by :func:`read`, and the remaining fields
+    take their defaults.  Raises ValueError if ``obj`` is not an object,
+    holds a key that is not one of :func:`keys`, or lacks a required one."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+    table = {f.name: f for f in keys(cls)}
+    unknown = set(obj) - set(table)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    kw = {k: read(k, x, table[k].type) for k, x in obj.items() if k not in given}
+    for f in table.values():
+        if f.name not in kw and f.name not in given and f.default is MISSING:
+            raise ValueError(f"missing {what} key: {f.name}")
+    return cls(**kw, **given)
+
+
+def to_json(x):
+    """A config object as JSON data: a dataclass as the object of its
+    :func:`keys`, a tuple as a list, anything else as it is."""
+    if is_dataclass(x):
+        return {f.name: to_json(getattr(x, f.name)) for f in keys(type(x))}
+    if isinstance(x, tuple):
+        return [to_json(v) for v in x]
+    return x
 
 
 def params_to_json(p: NetworkParams) -> dict:
-    return {"N": p.N, "d": p.d, "V": p.V, "kappa2": p.kappa2, "hbar": p.hbar}
+    """The parameter object; kappa1 is fixed to 1 in files and not written."""
+    obj = to_json(p)
+    del obj["kappa1"]
+    return obj
 
 
-def params_from_json(obj: dict) -> NetworkParams:
+def params_from_json(obj) -> NetworkParams:
     """Parse the parameter object; kappa1 is fixed to 1 in files."""
-    known = {"N", "d", "V", "kappa2", "hbar", "kappa1"}
-    unknown = set(obj) - known
-    if unknown:
-        raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
-    for key in ("N", "d", "V", "kappa2"):
-        if key not in obj:
-            raise ValueError(f"missing parameter key: {key}")
-    if read_float(obj, "kappa1", 1.0) != 1.0:
+    p = read_object(NetworkParams, obj, "params")
+    if p.kappa1 != 1.0:
         raise ValueError("kappa1 is fixed to 1 in parameter files")
-    return NetworkParams(
-        N=read_int(obj, "N"),
-        d=read_int(obj, "d"),
-        V=read_float(obj, "V"),
-        kappa2=read_float(obj, "kappa2"),
-        hbar=read_float(obj, "hbar", 1.0),
-    )
-
-
-def ic_spec_to_json(ic: InitialConditionSpec) -> dict:
-    return {
-        "seed": ic.seed,
-        "r0": ic.r0,
-        "sigma": ic.sigma,
-        "mu": ic.mu,
-        "theta_range": ic.theta_range,
-    }
-
-
-def ic_spec_from_json(obj: dict) -> InitialConditionSpec:
-    known = {"seed", "r0", "sigma", "mu", "theta_range"}
-    unknown = set(obj) - known
-    if unknown:
-        raise ValueError(f"unknown initial-condition keys: {sorted(unknown)}")
-    defaults = InitialConditionSpec()
-    return InitialConditionSpec(
-        seed=read_int(obj, "seed", defaults.seed),
-        r0=None if obj.get("r0") is None else read_float(obj, "r0"),
-        sigma=read_float(obj, "sigma", defaults.sigma),
-        mu=None if obj.get("mu") is None else read_float(obj, "mu"),
-        theta_range=read_float(obj, "theta_range", defaults.theta_range),
-    )
+    return p
 
 
 def save_state(
@@ -151,21 +161,30 @@ def save_state(
         "t": state.t,
         "alphas": [[float(a.real), float(a.imag)] for a in state.alphas],
         "params": params_to_json(p),
-        "ic": None if ic is None else ic_spec_to_json(ic),
+        "ic": to_json(ic),
     }
     write_json(path, obj)
 
 
 def load_state(path: Path) -> tuple[MeanFieldState, NetworkParams]:
+    """Read a state file written by :func:`save_state`, its numbers through
+    :func:`read`.  Raises OSError if the file cannot be read, ValueError if
+    it holds no such state or a number that is not finite."""
     with open(path) as fh:
         obj = json.load(fh)
-    p = params_from_json(obj["params"])
-    alphas = np.array([complex(re, im) for re, im in obj["alphas"]])
-    if alphas.shape[0] != p.N:
-        raise ValueError(
-            f"state file holds {alphas.shape[0]} amplitudes, params say N={p.N}"
-        )
-    return MeanFieldState(t=float(obj.get("t", 0.0)), alphas=alphas), p
+    if not isinstance(obj, dict):
+        raise ValueError(f"a state file holds a JSON object, got {type(obj).__name__}")
+    p = params_from_json(obj.get("params"))
+    t = read("t", obj.get("t", 0.0), "float")
+    pairs = obj.get("alphas")
+    if not (isinstance(pairs, list) and all(isinstance(a, list) and len(a) == 2 for a in pairs)):
+        raise ValueError("alphas must be a list of [re, im] pairs")
+    alphas = np.array([complex(*(read("alphas", x, "float") for x in a)) for a in pairs])
+    if not (math.isfinite(t) and np.isfinite(alphas).all()):
+        raise ValueError(f"t and alphas must be finite, got t={t}")
+    if len(alphas) != p.N:
+        raise ValueError(f"state file holds {len(alphas)} amplitudes, params say N={p.N}")
+    return MeanFieldState(t=t, alphas=alphas), p
 
 
 def write_covariance(path: Path, cov: CovarianceMatrix) -> None:

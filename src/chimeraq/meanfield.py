@@ -60,6 +60,8 @@ class InitialConditionSpec:
     theta_range: float = 24.0 * math.pi
 
     def validate(self) -> "InitialConditionSpec":
+        if self.seed < 0:
+            raise RangeError(f"seed must be >= 0, got {self.seed}")
         for name in ("r0", "sigma", "mu", "theta_range"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):

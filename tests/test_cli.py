@@ -1,14 +1,20 @@
+import contextlib
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import MISSING, replace
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chimeraq import analysis, cli, io
 from chimeraq.cli import main
@@ -384,6 +390,18 @@ class TestConfigErrors:
             # an empty path named the working directory (without ic, the
             # run made its output directory, then exited 3)
             ("meanfield", {"ic_file": ""}, "ic_file must be a path string, got ''"),
+            # numpy's bare ValueError, after the output directory was made
+            ("meanfield", {"ic": {"seed": -1}}, "seed must be >= 0, got -1"),
+            # N passed validation, then the run exited 3 with OverflowError
+            ("meanfield", {"params": {**PARAMS, "N": 10**400}},
+             "N must be finite, got an integer beyond the float range"),
+            # a name ran as the state "5" or "None", an unknown key was ignored
+            ("reproduce-fig3", {"fig_states": [{"name": 5, "V": 1.2, "t0": 12.0}]},
+             "fig_states: name must be a non-empty string, got 5"),
+            ("reproduce-fig3", {"fig_states": [{"name": None, "V": 1.2, "t0": 12.0}]},
+             "fig_states: name must be a non-empty string, got None"),
+            ("reproduce-fig3", {"fig_states": [{"name": "chimera", "V": 1.2, "t0": 12.0, "dt": 3}]},
+             "fig_states: unknown entry keys: ['dt']"),
         ],
     )
     def test_out_of_range_value_rejected_before_any_write(
@@ -454,6 +472,41 @@ class TestConfigErrors:
         assert "3012.505]" in err["error"]["message"]
         assert not (tmp_path / "second" / "initial_conditions.json").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        # each made the output directory first: the directory exited 3
+        # (IsADirectoryError), t=Infinity exited 0 with a header-only grid
+        # and a snapshot.json that is not JSON, t=NaN exited 2 as a bare
+        # ValueError, t=true ran from t=1, a NaN amplitude exited 3
+        # (DivergenceError) and a list exited 2
+        (None, "Is a directory"),
+        ({"t": float("inf")}, "t and alphas must be finite, got t=inf"),
+        ({"t": float("nan")}, "t and alphas must be finite, got t=nan"),
+        ({"t": True}, "t must be a number, got True"),
+        ({"alphas": [[float("nan"), 0.0]] + [[1.0, 0.0]] * 5}, "t and alphas must be finite"),
+        ([], "a state file holds a JSON object, got list"),
+    ], ids=["directory", "t-inf", "t-nan", "t-bool", "nan-amplitude", "list"])
+    def test_unusable_ic_file_rejected_before_any_write(
+        self, tmp_path, small_params, capsys, edit, message
+    ):
+        path = tmp_path / "state.json"
+        if edit is None:
+            path.mkdir()
+        else:
+            io.save_state(path, MeanFieldState(0.0, np.ones(6)), small_params)
+            state = json.loads(path.read_text())
+            path.write_text(json.dumps({**state, **edit} if isinstance(edit, dict) else edit))
+        obj = json.loads(write_config(tmp_path / "c.json").read_text())
+        del obj["ic"]
+        out = tmp_path / "out"
+        obj.update(ic_file=str(path), outputs=str(out))
+        (tmp_path / "c.json").write_text(json.dumps(obj))
+        assert main(["meanfield", "--config", str(tmp_path / "c.json")]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError"
+        assert f"unusable ic_file {path}" in err["message"]
+        assert message in err["message"]
+        assert not out.exists()
+
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.json",
@@ -468,6 +521,87 @@ class TestConfigErrors:
         assert main(["meanfield", "--config", str(cfg)]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "DivergenceError"
+
+
+#: where each config object sits, as the README's key column writes it,
+#: and the dataclass whose fields are its keys
+SCHEMA = {
+    "": cli.ExperimentConfig,
+    "params.": NetworkParams,
+    "ic.": InitialConditionSpec,
+    "fig_states[].": cli.FigState,
+}
+KEYS = [(prefix, f) for prefix, cls in SCHEMA.items() for f in io.keys(cls)]
+
+
+class TestConfigSchema:
+    def test_readme_table_lists_every_key_and_default(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("### Config keys", 1)[1].split("\n#", 1)[0]
+        rows = [[c.strip() for c in line.strip("|").split("|")]
+                for line in section.splitlines() if line.startswith("| `")]
+        defaults = {key.strip("`"): default for key, _, default, _ in rows}
+        assert sorted(key.strip("`") for key, *_ in rows) == sorted(
+            prefix + f.name for prefix, f in KEYS
+        )
+        for prefix, f in KEYS:
+            cell = defaults[prefix + f.name]
+            if f.default is MISSING or not isinstance(f.default, (int, float, str, type(None))):
+                # required, computed in load_config, or an object
+                assert not cell.startswith("`"), (f.name, cell)
+            else:
+                assert cell == f"`{json.dumps(f.default)}`", (f.name, cell)
+
+    #: the one numeric key that takes any finite value (the envelope centre)
+    UNBOUNDED = {"mu"}
+
+    @given(
+        key=st.sampled_from(KEYS),
+        how=st.sampled_from(["wrong type", "nan", "inf", "out of range", "empty string",
+                             "beyond the float range", "unknown key"]),
+        n=st.integers(5, 9),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_broken_key_is_a_config_error_before_any_write(self, key, how, n, seed):
+        prefix, f = key
+        kind = f.type.removesuffix(" | None")
+        numeric = kind in ("int", "float")
+        if how == "out of range":
+            assume(numeric and f.name not in self.UNBOUNDED)
+        cfg = {
+            "params": {"N": n, "d": 1 + seed % ((n - 1) // 2), "V": 0.9, "kappa2": 0.2},
+            "ic": {"seed": seed},
+            "t0": 12.0,
+            "sample_spacing": 0.5,
+            "fig_states": [{"name": "chimera", "V": 1.2, "t0": 12.0}],
+        }
+        obj = {"": cfg, "params.": cfg["params"], "ic.": cfg["ic"],
+               "fig_states[].": cfg["fig_states"][0]}[prefix]
+        name = f.name
+        if how == "unknown key":
+            name = f.name + "_x"
+            obj[name] = 1
+        else:
+            obj[name] = {
+                "wrong type": "x" if numeric else 5,
+                "nan": float("nan"),
+                "inf": float("inf"),
+                "out of range": -1,
+                "empty string": "",
+                "beyond the float range": 10**400,
+            }[how]
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "c.json", Path(tmp) / "out"
+            path.write_text(json.dumps(cfg))
+            stderr = StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = main(["meanfield", "--config", str(path), "--out", str(out)])
+            assert code == 2
+            err = json.loads(stderr.getvalue())["error"]
+            assert err["type"] == "ConfigError"
+            assert re.search(rf"\b{name}\b", err["message"]), err["message"]
+            assert not out.exists()
 
 
 class TestBlasThreads:
@@ -855,6 +989,18 @@ class TestSeedSweep:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ConfigError"
         assert key in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--seeds=-1,2"], ["--seeds=2,-1"]])
+    def test_negative_seed_rejected_before_any_write(self, tmp_path, capsys, flags):
+        # --seed exited 2 with numpy's bare ValueError after making the
+        # output directory; a sweep exited 4 and left an empty seed_-1/
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", outputs=str(out))
+        assert main(["meanfield", "--config", str(cfg), *flags]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError"
+        assert "seed must be >= 0, got -1" in err["message"]
         assert not out.exists()
 
     def test_repeated_seeds_rejected(self, tmp_path, capsys):
