@@ -38,7 +38,6 @@ from .fluctuations import (
 )
 from .analysis import (
     AnalysisRecord,
-    Partition,
     SqueezingEllipse,
     build_record,
     husimi_marginal,

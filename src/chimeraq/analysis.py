@@ -128,28 +128,17 @@ def renyi2_entropy(p: NetworkParams, C_sub: np.ndarray) -> float:
     return 0.5 * _logdet_pd((2.0 / p.hbar) * C_sub)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Contiguous bipartition: Alice holds sites 1..L, Bob the rest."""
-
-    L: int
-
-    def validate(self, n_sites: int) -> "Partition":
-        if not 1 <= self.L <= n_sites - 1:
-            raise RangeError(f"L must be in 1..{n_sites - 1}, got {self.L}")
-        return self
-
-
-def mutual_information(p: NetworkParams, cov: CovarianceMatrix, part: Partition) -> float:
-    """Gaussian Renyi-2 mutual information across a contiguous partition.
+def mutual_information(p: NetworkParams, cov: CovarianceMatrix, L: int) -> float:
+    """Gaussian Renyi-2 mutual information between sites 1..L and the rest.
 
     I2 = (1/2) log(det C_A det C_B / det C) over the block decomposition of
     the covariance; identical to S2(A) + S2(B) - S2(AB) since the
-    normalization constants cancel.
+    normalization constants cancel.  Raises RangeError unless 1 <= L < N.
     """
     validate_params(p)
-    part.validate(cov.n_sites)
-    return _mutual_information(cov.C, part.L)
+    if not 1 <= L <= cov.n_sites - 1:
+        raise RangeError(f"L must be in 1..{cov.n_sites - 1}, got {L}")
+    return _mutual_information(cov.C, L)
 
 
 def _mutual_information(C: np.ndarray, L: int) -> float:
@@ -164,25 +153,12 @@ def _mutual_information(C: np.ndarray, L: int) -> float:
     return 0.5 * (ld_a + ld_b - ld)
 
 
-def shift_covariance(cov: CovarianceMatrix, k: int) -> CovarianceMatrix:
-    """Covariance after relabeling sites l -> l + k around the ring."""
-    n = cov.n_sites
-    old_site = (np.arange(n) - k) % n
-    idx = np.empty(2 * n, dtype=int)
-    idx[0::2] = 2 * old_site
-    idx[1::2] = 2 * old_site + 1
-    return CovarianceMatrix(t=cov.t, C=cov.C[np.ix_(idx, idx)])
-
-
-def _scan_and_logdet(
-    p: NetworkParams, cov: CovarianceMatrix, anchor: int
-) -> tuple[dict[int, float], float]:
+def _scan_and_logdet(p: NetworkParams, cov: CovarianceMatrix) -> tuple[dict[int, float], float]:
     """The scan of :func:`mi_scan` and log det C, from its two factorizations."""
     validate_params(p)
-    c = cov if anchor == 1 else shift_covariance(cov, 1 - anchor)
     n = cov.n_sites
-    head = np.cumsum(_log_pivots(c.C))
-    tail = np.cumsum(_log_pivots(c.C[::-1, ::-1]))
+    head = np.cumsum(_log_pivots(cov.C))
+    tail = np.cumsum(_log_pivots(cov.C[::-1, ::-1]))
     scan = {
         L: float(0.5 * (head[2 * L - 1] + tail[2 * (n - L) - 1] - head[-1]))
         for L in range(1, n)
@@ -190,20 +166,19 @@ def _scan_and_logdet(
     return scan, float(head[-1])
 
 
-def mi_scan(p: NetworkParams, cov: CovarianceMatrix, anchor: int = 1) -> dict[int, float]:
-    """Mutual information over all contiguous partitions, L = 1..N-1.
+def mi_scan(p: NetworkParams, cov: CovarianceMatrix) -> dict[int, float]:
+    """Mutual information over all contiguous partitions, L = 1..N-1, with
+    Alice holding sites 1..L.
 
-    Alice starts at ``anchor`` (1-based); anchors other than 1 relabel the
-    ring before scanning.  Two Cholesky factorizations serve every L, so
-    the scan costs O(N^3): the prefix sums of the log pivots of C give the
-    log det of each leading block C_A, and those of the index-reversed C
-    give each trailing block C_B.  Agrees with :func:`mutual_information`
-    up to summation order.
+    Two Cholesky factorizations serve every L, so the scan costs O(N^3):
+    the prefix sums of the log pivots of C give the log det of each leading
+    block C_A, and those of the index-reversed C give each trailing block
+    C_B.  Agrees with :func:`mutual_information` up to summation order.
 
     Raises:
         SingularMatrixError: if the covariance is not positive definite.
     """
-    return _scan_and_logdet(p, cov, anchor)[0]
+    return _scan_and_logdet(p, cov)[0]
 
 
 @dataclass(frozen=True)
@@ -222,7 +197,6 @@ def build_record(
     p: NetworkParams,
     cov: CovarianceMatrix,
     regime: RegimeLabel | None = None,
-    anchor: int = 1,
 ) -> AnalysisRecord:
     """Assemble the full analysis record for one covariance snapshot.
 
@@ -238,7 +212,7 @@ def build_record(
     psi = weighted_correlation(p, cov)
     if not np.all(np.isfinite(psi)):
         raise DivergenceError("non-finite weighted correlation profile")
-    scan, logdet = _scan_and_logdet(p, cov, anchor)
+    scan, logdet = _scan_and_logdet(p, cov)
     low = min(scan.values())
     if low < -1e-9:
         raise SingularMatrixError(f"negative mutual information {low:.3e} in scan")

@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -70,9 +70,6 @@ class FigState:
     name: str
     V: float
     t0: float
-
-    def __iter__(self):
-        return iter((self.name, self.V, self.t0))
 
 
 #: the three reference states of the paper's figures
@@ -141,9 +138,10 @@ class ExperimentConfig:
             raise ConfigError(f"z_threshold must be in (0, 1], got {self.z_threshold}")
         if self.w_min < 1:
             raise ConfigError(f"w_min must be >= 1, got {self.w_min}")
+        # a step count beyond the float range (OverflowError) is off the grid
         try:
             _step_count(0.0, self.delta_t, self.dt_cov)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"dt_cov must divide delta_t: {exc}") from exc
         if not 1 <= self.mi_partition <= self.params.N - 1:
             raise ConfigError(
@@ -153,26 +151,35 @@ class ExperimentConfig:
             raise ConfigError(
                 f"fig_states needs 1 to {len(_FIG_TAGS)} entries, got {len(self.fig_states)}"
             )
-        names = [name for name, _, _ in self.fig_states]
+        names = [s.name for s in self.fig_states]
         if len(set(names)) != len(names):
             raise ConfigError(f"fig_states has repeated names: {names}")
-        for name, V, t_snap in self.fig_states:
-            if not (math.isfinite(V) and math.isfinite(t_snap)) or V < 0 or t_snap < 0:
+        for s in self.fig_states:
+            if not (math.isfinite(s.V) and math.isfinite(s.t0)) or s.V < 0 or s.t0 < 0:
                 raise ConfigError(
-                    f"invalid fig state {name}: V and t0 must be finite and >= 0, "
-                    f"got V={V}, t0={t_snap}"
+                    f"invalid fig state {s.name}: V and t0 must be finite and >= 0, "
+                    f"got V={s.V}, t0={s.t0}"
                 )
-        # every mean-field phase from the start state's time to a snapshot
-        # time must lie on the dt_mf grid
+            if set(s.name) & set(',"\r\n'):  # the name is a CSV cell of fig4a/fig4b
+                raise ConfigError(
+                    f"fig_states: name must hold no comma, quote or line break, got {s.name!r}"
+                )
+        # every snapshot time is at or after the start state's time, and every
+        # mean-field phase between them lies on the dt_mf grid
         start = 0.0 if self.ic_state is None else self.ic_state.t
-        for t_snap in (t for _, _, t in self.snapshots() if t > start):
+        for name, _, t_snap in self.snapshots():
+            key = "t0" if name is None else f"t0 of fig state {name}"
+            if t_snap < start:
+                raise ConfigError(f"{key} must be >= the ic_file's t={start}, got {t_snap}")
+            if t_snap == start:
+                continue
             t_from = start
-            for t_end, _ in _phases(start, t_snap, self):
-                try:
+            try:
+                for t_end, _ in _phases(start, t_snap, self):
                     _step_count(t_from, t_end, self.dt_mf)
-                except ValueError as exc:
-                    raise ConfigError(f"snapshot time is off the dt_mf grid: {exc}") from exc
-                t_from = t_end
+                    t_from = t_end
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(f"{key} is off the dt_mf grid: {exc}") from exc
         return self
 
     def snapshots(self) -> list[tuple[str | None, NetworkParams, float]]:
@@ -180,7 +187,7 @@ class ExperimentConfig:
         the state at ``t0``, or for the triplet each ``fig_states`` entry
         with its own V.  Every state starts from the run's start state."""
         if EXPERIMENTS[self.experiment].triplet:
-            return [(name, replace(self.params, V=V), t) for name, V, t in self.fig_states]
+            return [(s.name, replace(self.params, V=s.V), s.t0) for s in self.fig_states]
         return [(None, self.params, self.t0)]
 
 
@@ -258,17 +265,17 @@ def _sample_every(spacing: float, dt: float) -> int:
 
 def _snapshot_run(
     p: NetworkParams, states0: list[MeanFieldState], t0: float, cfg: ExperimentConfig
-) -> list[tuple[list[MeanFieldTrajectory], MeanFieldTrajectory | None, MeanFieldState] | Exception]:
+) -> list[list[MeanFieldTrajectory] | Exception]:
     """Integrate start states that share a start time to the snapshot time,
     as one batch, in two phases: a sparsely sampled transient and a finely
     sampled trailing window for classification.
 
-    Returns, per start state, (parts, fine window, snapshot) or the error
-    that ended its run; the other states go on without it.
+    Returns, per start state, its parts (none if ``t0`` is the start time)
+    or the error that ended its run; the other states go on without it.
     """
-    if not states0 or t0 <= states0[0].t:
-        return [([], None, s) for s in states0]
     results: list = [[] for _ in states0]  # parts so far, or the error
+    if not states0 or t0 <= states0[0].t:
+        return results
     cur = list(states0)
     for t_end, spacing in _phases(states0[0].t, t0, cfg):
         live = [i for i, r in enumerate(results) if isinstance(r, list)]
@@ -282,7 +289,7 @@ def _snapshot_run(
             else:
                 results[i].append(traj)
                 cur[i] = traj.final_state
-    return [r if isinstance(r, Exception) else (r, r[-1], r[-1].final_state) for r in results]
+    return results
 
 
 def _phases(start: float, t0: float, cfg: ExperimentConfig) -> list[tuple[float, float]]:
@@ -297,11 +304,11 @@ def _phases(start: float, t0: float, cfg: ExperimentConfig) -> list[tuple[float,
     return phases
 
 
-def _classify_window(
-    fine: MeanFieldTrajectory | None, cfg: ExperimentConfig
-):
-    if fine is None:
+def _classify_window(parts: list[MeanFieldTrajectory], cfg: ExperimentConfig):
+    """The regime of the last part, the fine window, if it is long enough."""
+    if not parts:
         return None
+    fine = parts[-1]
     span = float(fine.times[-1] - fine.times[0])
     if span + 1e-9 < cfg.classify_window:
         return None
@@ -338,16 +345,6 @@ def _grid_blocks(parts: list[MeanFieldTrajectory], columns: tuple[str, ...]):
                 yield io.block(io.fmt(t), lines, values.ravel().tolist())
 
 
-def _regime_dict(label) -> dict | None:
-    if label is None:
-        return None
-    return {
-        "regime": label.regime,
-        "coherent_width": int(label.coherent_width),
-        "mask": [bool(x) for x in label.mask],
-    }
-
-
 class _State(NamedTuple):
     """One state an experiment reads (see ``ExperimentConfig.snapshots``):
     its transient parts, snapshot and regime label."""
@@ -382,7 +379,7 @@ def _covariance(r: _Run, s: _State, observe=None) -> CovarianceTrajectory:
     suffix = "" if s.name is None else f"_{s.name}"
     r.manifest[f"physicality_margin_min{suffix}"] = cov_traj.margin_min
     r.manifest[f"physicality_certified{suffix}"] = cov_traj.certified
-    r.manifest[f"vacuum_bound_ratio_max{suffix}"] = cov_traj.vacuum_bound_ratio_max()
+    r.manifest[f"vacuum_bound_ratio_max{suffix}"] = cov_traj.vacuum_bound_ratio_max
     r.manifest["beyond_validated_horizon"] = bool(cfg.delta_t > VALIDATED_HORIZON + 1e-12)
     return cov_traj
 
@@ -465,33 +462,30 @@ def run(cfg: ExperimentConfig) -> dict:
 
 
 def _finish(r: _Run, snaps: list | Exception) -> dict:
-    """Classify one run's ``_snapshot_run`` results, one per state, and
-    record their regimes (a single state also writes ``snapshot.json``),
-    then run the experiment's pipeline on them; the manifest is written
-    last."""
+    """Classify one run's ``_snapshot_run`` parts, one list per state, and
+    record their regimes (a single state also writes ``snapshot.json``:
+    its last part's final state, or the start state), then run the
+    experiment's pipeline on them; the manifest is written last."""
     if isinstance(snaps, Exception):
         raise snaps
     t_start = time.monotonic()
     states = [
-        _State(name, p, parts, snapshot, _classify_window(fine, r.cfg))
-        for (name, p, _), (parts, fine, snapshot) in zip(r.cfg.snapshots(), snaps)
+        _State(name, p, parts, parts[-1].final_state if parts else r.state0,
+               _classify_window(parts, r.cfg))
+        for (name, p, _), parts in zip(r.cfg.snapshots(), snaps)
     ]
     experiment = EXPERIMENTS[r.cfg.experiment]
     if experiment.triplet:
-        r.manifest["regime"] = {s.name: _regime_dict(s.label) for s in states}
+        r.manifest["regime"] = io.to_json({s.name: s.label for s in states})
     else:
         (s,) = states
-        r.manifest["regime"] = _regime_dict(s.label)
+        r.manifest["regime"] = io.to_json(s.label)
         r.emit("snapshot.json", io.save_state, s.snapshot, s.params, None)
     experiment.pipeline(r, states)
     r.manifest["files"] = r.files + ["manifest.json"]
     r.manifest["wall_time_s"] = r.wall_s + time.monotonic() - t_start
     io.write_json(r.outdir / "manifest.json", r.manifest)
     return r.manifest
-
-
-def _ellipse_rows(ellipses) -> list[tuple]:
-    return [(e.site, e.lambda_min, e.lambda_max, e.theta) for e in ellipses]
 
 
 def _meanfield(r: _Run, states: list[_State]) -> None:
@@ -529,10 +523,10 @@ def _scan_mi(r: _Run, states: list[_State]) -> None:
 def _analyze(r: _Run, states: list[_State]) -> None:
     (s,) = states
     record = build_record(s.params, _covariance(r, s).final_cov, regime=s.label)
-    r.emit("analysis.json", io.write_json, _record_dict(record))
+    r.emit("analysis.json", io.write_json, io.to_json(record))
     r.emit("mi_scan.csv", io.write_csv, ["L", "I2"], sorted(record.mi_scan.items()))
     r.emit("ellipses.csv", io.write_csv, ["l", "lambda_min", "lambda_max", "theta"],
-           _ellipse_rows(record.ellipses))
+           [astuple(e) for e in record.ellipses])
     r.manifest["mi_value"] = record.mi_scan[r.cfg.mi_partition]
     r.manifest["mi_partition"] = r.cfg.mi_partition
 
@@ -548,7 +542,7 @@ def _fig2(r: _Run, states: list[_State]) -> None:
              float(np.angle(a[l])), float(np.abs(a[l])))
             for l in range(p.N)])
     r.emit("fig2_ellipses.csv", io.write_csv, ["l", "lambda_min", "lambda_max", "theta"],
-           _ellipse_rows(squeezing(p, cov)))
+           [astuple(e) for e in squeezing(p, cov)])
     rows = []
     for l in range(1, p.N + 1):
         H = husimi_marginal(p, cov, l)
@@ -603,21 +597,6 @@ EXPERIMENTS = {
     "reproduce-fig3": _Experiment(_fig3, 3000.5, triplet=True),
     "reproduce-fig4": _Experiment(_fig4, 3000.5, triplet=True),
 }
-
-
-def _record_dict(record) -> dict:
-    return {
-        "t": record.t,
-        "psi": [float(x) for x in record.psi],
-        "ellipses": [
-            {"site": e.site, "lambda_min": e.lambda_min,
-             "lambda_max": e.lambda_max, "theta": e.theta}
-            for e in record.ellipses
-        ],
-        "s2_total": record.s2_total,
-        "mi_scan": {str(L): v for L, v in record.mi_scan.items()},
-        "regime": _regime_dict(record.regime),
-    }
 
 
 def seed_sweep(cfg: ExperimentConfig, seeds: list[int]) -> tuple[dict, int]:

@@ -127,8 +127,7 @@ class RK4:
     of every part are made here, once, as one ``(4, *shape)`` array per part
     in ``work``; a step allocates nothing, and between steps the contents of
     ``work`` are free, so a caller may use them as scratch there.  Every
-    integrator in the package takes its steps here; callers apply their own
-    symmetrizations afterwards.
+    integrator in the package takes its steps here.
 
     The arithmetic is that of the textbook step, stages ``u + h k`` and
     update ``u + (dt/6) (k1 + 2 (k2 + k3) + k4)``, in that order, so a step

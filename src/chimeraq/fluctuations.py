@@ -23,7 +23,7 @@ against an integration of the complex second moments <a_l a_m> and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,12 +160,11 @@ def _block_dominant(C: np.ndarray, shift: float, work: np.ndarray) -> bool:
         return bool(np.all(lam_min - radius > slack))
 
 
-def _certified_margin(C: np.ndarray, hbar: float, what: str,
-                      work: np.ndarray | None = None) -> float | None:
+def _certified_margin(C: np.ndarray, hbar: float, what: str, work: np.ndarray) -> float | None:
     """None when a certificate proves that the physicality margin of ``C``
     (a symmetric 2N x 2N matrix) is at least -PHYSICALITY_TOL hbar, else the
-    exact margin.  Both certificates read scratch from ``work`` (a 2N x 2N
-    float array) when one is given.
+    exact margin.  Both certificates read scratch from ``work``, a 2N x 2N
+    float array.
 
     Both prove D = C - (hbar/2 - tol) I positive definite: since
     (hbar/2)(I + i Omega) >= 0, that bounds the margin by -tol.  Three tiers
@@ -188,12 +187,11 @@ def _certified_margin(C: np.ndarray, hbar: float, what: str,
     """
     n = C.shape[0]
     shift = (0.5 - PHYSICALITY_TOL) * hbar
-    D = np.empty(C.shape) if work is None else work
-    if _block_dominant(C, shift, D):
+    if _block_dominant(C, shift, work):
         return None
-    np.copyto(D, C)
-    D.reshape(-1)[:: n + 1] -= shift
-    if _factorizes(D):
+    np.copyto(work, C)
+    work.reshape(-1)[:: n + 1] -= shift
+    if _factorizes(work):
         return None
     return _checked_margin(C, hbar, what)
 
@@ -249,26 +247,22 @@ class CovarianceTrajectory:
     the others by a certificate where one holds (see
     :func:`_certified_margin`; counted in ``certified``) and by their exact
     margin otherwise.  ``margin_min`` is the minimum over the exactly
-    evaluated samples.
+    evaluated samples.  ``vacuum_bound_ratio_max`` is the largest
+    kappa2 |alpha|^2 / kappa1 over the samples; at most 1, a covariance
+    from a vacuum start stays >= (hbar/2) I, so the Cholesky certificate is
+    expected to hold.
     """
 
     times: np.ndarray
     covs: np.ndarray
     params: NetworkParams
-    source: MeanFieldTrajectory = field(repr=False)
     margin_min: float
     certified: int
+    vacuum_bound_ratio_max: float
 
     @property
     def final_cov(self) -> CovarianceMatrix:
         return CovarianceMatrix(t=float(self.times[-1]), C=self.covs[-1])
-
-    def vacuum_bound_ratio_max(self) -> float:
-        """Largest kappa2 |alpha|^2 / kappa1 over the segment's samples; at
-        most 1, a covariance from a vacuum start stays >= (hbar/2) I, so
-        the Cholesky certificate is expected to hold."""
-        a = self.source.alphas
-        return float(self.params.kappa2 * np.max(a.real**2 + a.imag**2) / self.params.kappa1)
 
 
 def _substeps(times: np.ndarray, dt: float) -> list[int]:
@@ -352,7 +346,9 @@ def propagate_covariance(
 
     show(0, covs[0])
     certified = 0
-    y = (np.array(mf_segment.alphas[0]), C)
+    alpha = np.array(mf_segment.alphas[0])
+    peak = np.max(alpha.real**2 + alpha.imag**2)  # largest |alpha|^2 at a sample
+    y = (alpha, C)
     stepper = RK4(joint_rhs, y)
     # between steps, the stage input of C is free scratch for the certificate
     work = stepper.work[1][0]
@@ -361,6 +357,7 @@ def propagate_covariance(
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(n_sub):
                 stepper.step(y, dt)
+            peak = max(peak, np.max(alpha.real**2 + alpha.imag**2))
         what = f"covariance unphysical at t={times[k]:g}"
         if k < len(subs):
             margin = _certified_margin(C, p.hbar, what, work)
@@ -378,7 +375,7 @@ def propagate_covariance(
         times=times[[0, -1]],
         covs=covs,
         params=p,
-        source=mf_segment,
         margin_min=margin_min,
         certified=certified,
+        vacuum_bound_ratio_max=float(p.kappa2 * peak / p.kappa1),
     )

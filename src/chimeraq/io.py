@@ -8,8 +8,8 @@ Small tables are formatted row by row with that rule.  Large payloads
 call, from line templates built once per table with the same rule, and
 written as they are made: at most one block of text is held.
 
-Config objects and state files are read from JSON by one reader,
-:func:`read_object`, from the fields of the dataclass each one is.
+JSON objects are read by one reader, :func:`read_object`, from the fields
+of the dataclass each one is, and written through one rule, :func:`to_json`.
 """
 
 from __future__ import annotations
@@ -126,13 +126,17 @@ def read_object(cls, obj, what: str, **given):
 
 
 def to_json(x):
-    """A config object as JSON data: a dataclass as the object of its
-    :func:`keys`, a tuple as a list, anything else as it is."""
+    """``x`` as JSON data: a dataclass as the object of its :func:`keys`, a
+    dict with its keys as strings, a tuple, list or array as a list, a
+    complex number as ``[re, im]``, a numpy scalar as a Python one."""
     if is_dataclass(x):
         return {f.name: to_json(getattr(x, f.name)) for f in keys(type(x))}
-    if isinstance(x, tuple):
+    if isinstance(x, dict):
+        return {str(k): to_json(v) for k, v in x.items()}
+    if isinstance(x, (tuple, list, np.ndarray)):
         return [to_json(v) for v in x]
-    return x
+    x = x.item() if isinstance(x, np.generic) else x
+    return [x.real, x.imag] if isinstance(x, complex) else x
 
 
 def params_to_json(p: NetworkParams) -> dict:
@@ -157,13 +161,7 @@ def save_state(
     ic: InitialConditionSpec | None = None,
 ) -> None:
     """Persist oscillator amplitudes as [re, im] pairs with their provenance."""
-    obj = {
-        "t": state.t,
-        "alphas": [[float(a.real), float(a.imag)] for a in state.alphas],
-        "params": params_to_json(p),
-        "ic": to_json(ic),
-    }
-    write_json(path, obj)
+    write_json(path, {**to_json(state), "params": params_to_json(p), "ic": to_json(ic)})
 
 
 def load_state(path: Path) -> tuple[MeanFieldState, NetworkParams]:

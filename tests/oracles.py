@@ -10,6 +10,9 @@
   program's own drift helpers, so the Jacobian tests test that assembly.
 * :func:`oracle_margin` is the physicality margin read off the summed
   matrix ``C + i hbar Omega / 2``.
+* :func:`vacuum_bound_ratio` reads the vacuum-bound ratio off a mean-field
+  segment, and :func:`shift_covariance` relabels the sites of a covariance
+  around the ring.
 * :func:`neighbors`, :func:`axial_circular_variance` and
   :func:`load_covariance` are a topology query, a circular statistic and a
   reader of ``covariance.csv``.
@@ -125,7 +128,8 @@ def moment_oracle(
     quadratures.  The start is checked once, as ``propagate_covariance``
     checks it, and every later sample by its exact margin: ``margin_min``
     is over all of them and ``certified`` is 0.  Only the first and the
-    last sample are returned.
+    last sample are returned.  ``vacuum_bound_ratio_max`` is read off the
+    segment's own samples.
     """
     validate_params(p)
     # the start is symmetrized as _check_c0 does, and only its round trip
@@ -169,10 +173,17 @@ def moment_oracle(
         times=times[[0, -1]],
         covs=np.array([first, C]),
         params=p,
-        source=mf_segment,
         margin_min=margin_min,
         certified=0,
+        vacuum_bound_ratio_max=vacuum_bound_ratio(p, mf_segment),
     )
+
+
+def vacuum_bound_ratio(p: NetworkParams, seg: MeanFieldTrajectory) -> float:
+    """Largest kappa2 |alpha|^2 / kappa1 over the samples of a mean-field
+    segment, as ``propagate_covariance`` reports it over its checked samples."""
+    a = seg.alphas
+    return float(p.kappa2 * np.max(a.real**2 + a.imag**2) / p.kappa1)
 
 
 def propagate_frozen(
@@ -196,6 +207,17 @@ def propagate_frozen(
         stepper.step((C,), dt)
         C[...] = 0.5 * (C + C.T)
     return C
+
+
+def shift_covariance(cov: CovarianceMatrix, k: int) -> CovarianceMatrix:
+    """Covariance after relabeling sites l -> l + k around the ring; the
+    scan of a shifted covariance puts Alice's first site at 1 - k."""
+    n = cov.n_sites
+    old_site = (np.arange(n) - k) % n
+    idx = np.empty(2 * n, dtype=int)
+    idx[0::2] = 2 * old_site
+    idx[1::2] = 2 * old_site + 1
+    return CovarianceMatrix(t=cov.t, C=cov.C[np.ix_(idx, idx)])
 
 
 def neighbors(p: NetworkParams, l: int) -> tuple[int, ...]:

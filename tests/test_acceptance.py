@@ -16,7 +16,6 @@ from chimeraq import (
     InitialConditionSpec,
     MeanFieldState,
     NetworkParams,
-    Partition,
     classify,
     initial_conditions,
     integrate,
@@ -29,10 +28,9 @@ from chimeraq import (
     vacuum_covariance,
     weighted_correlation,
 )
-from chimeraq.analysis import shift_covariance
 from chimeraq.fluctuations import physicality_margin
 from chimeraq.meanfield import largest_block
-from oracles import axial_circular_variance, drift_diffusion, moment_oracle
+from oracles import axial_circular_variance, drift_diffusion, moment_oracle, shift_covariance
 
 R0 = 1.5811388300841898  # sqrt(1 / 0.4)
 PAPER = NetworkParams(N=50, d=10, V=1.2, kappa2=0.2)
@@ -106,10 +104,9 @@ def chimera_cov(canonical_chimera):
 def mi_by_state(chimera_runs):
     """Median-ready I2(L=20) per state over the first five seeds."""
     values = {"chimera": [], "synchronized": [], "desynchronized": []}
-    part = Partition(MI_L)
     for traj in chimera_runs[: len(MI_SEEDS)]:
         ct = propagate(PAPER, traj.final_state, "chimera-mi")
-        values["chimera"].append(mutual_information(PAPER, ct.final_cov, part))
+        values["chimera"].append(mutual_information(PAPER, ct.final_cov, MI_L))
     for name, p, t_end in (
         ("synchronized", SYNC_P, T_SYNC),
         ("desynchronized", DESYNC_P, T_DESYNC),
@@ -117,7 +114,7 @@ def mi_by_state(chimera_runs):
         states = [initial_conditions(p, InitialConditionSpec(seed=s)) for s in MI_SEEDS]
         for traj in two_phase(p, states, t_end):
             ct = propagate(p, traj.final_state, f"{name}-mi")
-            values[name].append(mutual_information(p, ct.final_cov, part))
+            values[name].append(mutual_information(p, ct.final_cov, MI_L))
     return values
 
 
@@ -252,7 +249,7 @@ def test_c07_squeezing_emergence(canonical_chimera, chimera_cov):
     aniso_frac = float((lam_max / lam_min >= r_star).mean())
     aniso_ok = aniso_frac >= 0.8
 
-    load = float((PAPER.kappa2 * np.abs(chimera_cov.source.alphas) ** 2).max() / PAPER.kappa1)
+    load = chimera_cov.vacuum_bound_ratio_max
     load_ok = load <= 1.0
     bound_ok = bool(lam_min.min() >= 0.5 * hbar - 1e-9 * hbar)
     report(
@@ -286,7 +283,7 @@ def test_c09_mi_scan_shape(canonical_chimera, chimera_cov):
     start, width = largest_block(label.mask, True)
     # scan with Alice growing from the start of the coherent block, the
     # configuration the reference curve uses (its block sits at sites 1..20)
-    scan = mi_scan(PAPER, chimera_cov.final_cov, anchor=start + 1)
+    scan = mi_scan(PAPER, shift_covariance(chimera_cov.final_cov, -start))
     L = np.arange(1, PAPER.N)
     I = np.array([scan[k] for k in L])
     rel_asym = np.abs(I - I[::-1]).max() / (I.max() - I.min())
@@ -331,8 +328,8 @@ def test_c10_symmetry_suite():
 
     mi_dev = 0.0
     for L in (3, 6, 9):
-        a_val = mi_scan(p, cov, anchor=1)[L]
-        b_val = mi_scan(p, shift_covariance(cov, k_shift), anchor=1 + k_shift)[L]
+        a_val = mi_scan(p, cov)[L]
+        b_val = mi_scan(p, shift_covariance(shift_covariance(cov, k_shift), -k_shift))[L]
         mi_dev = max(mi_dev, abs(a_val - b_val))
 
     ok = max(mf_phase, mf_shift, cov_phase, cov_shift) < 1e-9 and mi_dev < 1e-12
@@ -354,7 +351,7 @@ def test_c11_entropy_identities(chimera_cov):
         s_a = renyi2_entropy(PAPER, cov.C[:k, :k])
         s_b = renyi2_entropy(PAPER, cov.C[k:, k:])
         s_ab = renyi2_entropy(PAPER, cov.C)
-        det_form = mutual_information(PAPER, cov, Partition(L))
+        det_form = mutual_information(PAPER, cov, L)
         dev = max(dev, abs(det_form - (s_a + s_b - s_ab)))
     scan_min = min(mi_scan(PAPER, cov).values())
     ok = s2_vac == 0.0 and dev <= 1e-12 and scan_min >= -1e-9

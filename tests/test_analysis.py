@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from chimeraq import (
     CovarianceMatrix,
     NetworkParams,
-    Partition,
     RangeError,
     SingularMatrixError,
     build_record,
@@ -20,9 +20,10 @@ from chimeraq import (
     vacuum_covariance,
     weighted_correlation,
 )
-from chimeraq.analysis import shift_covariance
+from chimeraq.io import to_json
+from chimeraq.meanfield import CHIMERA, RegimeLabel
 from conftest import random_physical_cov
-from oracles import axial_circular_variance, neighbors
+from oracles import axial_circular_variance, neighbors, shift_covariance
 
 LN2 = 0.6931471805599453
 
@@ -190,15 +191,15 @@ class TestMutualInformation:
     def test_partition_bounds(self, small_params):
         cov = vacuum_covariance(small_params)
         with pytest.raises(RangeError):
-            mutual_information(small_params, cov, Partition(6))
-        with pytest.raises(RangeError):
-            mutual_information(small_params, cov, Partition(0))
+            mutual_information(small_params, cov, 6)
+        with pytest.raises(RangeError, match=r"L must be in 1\.\.5, got 0"):
+            mutual_information(small_params, cov, 0)
 
     def test_block_diagonal_factorizes(self, small_params):
         C = np.eye(12)
         C[:6, :6] = random_physical_cov(3, seed=6)
         C[6:, 6:] = random_physical_cov(3, seed=7)
-        got = mutual_information(small_params, CovarianceMatrix(0.0, C), Partition(3))
+        got = mutual_information(small_params, CovarianceMatrix(0.0, C), 3)
         assert got == pytest.approx(0.0, abs=1e-12)
 
     def test_vacuum_zero_for_every_partition(self, paper_params):
@@ -214,7 +215,7 @@ class TestMutualInformation:
                 s_a = renyi2_entropy(small_params, cov.C[:k, :k])
                 s_b = renyi2_entropy(small_params, cov.C[k:, k:])
                 s_ab = renyi2_entropy(small_params, cov.C)
-                got = mutual_information(small_params, cov, Partition(L))
+                got = mutual_information(small_params, cov, L)
                 assert got == pytest.approx(s_a + s_b - s_ab, abs=1e-12)
 
     def test_nonnegative_on_physical_states(self, small_params):
@@ -230,7 +231,7 @@ class TestMutualInformation:
         k_shift = 2
         shifted = shift_covariance(cov, k_shift)
         for L in (2, 4):
-            got = mutual_information(small_params, shifted, Partition(L))
+            got = mutual_information(small_params, shifted, L)
             sites = [(l - k_shift) % n for l in range(n)]
             idx = np.concatenate([[2 * s, 2 * s + 1] for s in sites])
             Cp = cov.C[np.ix_(idx, idx)]
@@ -240,9 +241,10 @@ class TestMutualInformation:
             assert sign_a == sign_b == sign == 1.0
             assert got == pytest.approx(0.5 * (ld_a + ld_b - ld), abs=1e-12)
 
-    def test_anchor_flag(self, small_params):
+    def test_scan_from_a_shifted_anchor(self, small_params):
+        # Alice starting at site 3 is the scan of the ring shifted by 1 - 3
         cov = CovarianceMatrix(0.0, random_physical_cov(small_params.N, seed=9))
-        scan3 = mi_scan(small_params, cov, anchor=3)
+        scan3 = mi_scan(small_params, shift_covariance(cov, 1 - 3))
         got = scan3[2]
         # Alice = sites {3, 4}: slogdet oracle on the explicit index set
         idx_a = [4, 5, 6, 7]
@@ -255,10 +257,9 @@ class TestMutualInformation:
         assert got == pytest.approx(0.5 * (ld_a + ld_b - ld), abs=1e-12)
 
 
-def scan_oracle(p: NetworkParams, cov: CovarianceMatrix, anchor: int) -> dict[int, float]:
+def scan_oracle(p: NetworkParams, cov: CovarianceMatrix) -> dict[int, float]:
     """One three-factorization ``mutual_information`` call per partition."""
-    c = cov if anchor == 1 else shift_covariance(cov, 1 - anchor)
-    return {L: mutual_information(p, c, Partition(L)) for L in range(1, p.N)}
+    return {L: mutual_information(p, cov, L) for L in range(1, p.N)}
 
 
 @st.composite
@@ -268,16 +269,23 @@ def scan_cases(draw):
     return p, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, n))
 
 
+def shifted(cov: CovarianceMatrix, anchor: int) -> CovarianceMatrix:
+    """``cov`` relabeled so that Alice's first site, 1, is ``anchor``."""
+    return shift_covariance(cov, 1 - anchor)
+
+
 class TestScanProperties:
-    """``mi_scan`` (two factorizations) against the per-partition oracle."""
+    """``mi_scan`` (two factorizations) against the per-partition oracle,
+    with Alice starting at a drawn anchor site."""
 
     @settings(max_examples=60, deadline=None)
     @given(scan_cases())
     def test_matches_oracle_and_is_nonnegative(self, case):
         p, seed, anchor = case
-        cov = CovarianceMatrix(0.0, random_physical_cov(p.N, hbar=p.hbar, seed=seed))
-        scan = mi_scan(p, cov, anchor=anchor)
-        oracle = scan_oracle(p, cov, anchor)
+        C = random_physical_cov(p.N, hbar=p.hbar, seed=seed)
+        cov = shifted(CovarianceMatrix(0.0, C), anchor)
+        scan = mi_scan(p, cov)
+        oracle = scan_oracle(p, cov)
         assert list(scan) == list(oracle)
         for L, v in scan.items():
             assert abs(v - oracle[L]) <= 1e-12, L
@@ -287,7 +295,7 @@ class TestScanProperties:
     @given(scan_cases())
     def test_vacuum_scan_is_zero(self, case):
         p, _, anchor = case
-        scan = mi_scan(p, vacuum_covariance(p), anchor=anchor)
+        scan = mi_scan(p, shifted(vacuum_covariance(p), anchor))
         assert max(abs(v) for v in scan.values()) <= 1e-12
 
     @settings(max_examples=30, deadline=None)
@@ -300,7 +308,7 @@ class TestScanProperties:
         v /= np.linalg.norm(v)
         C -= 2.0 * (v @ C @ v) * np.outer(v, v)
         with pytest.raises(SingularMatrixError):
-            mi_scan(p, CovarianceMatrix(0.0, C), anchor=anchor)
+            mi_scan(p, shifted(CovarianceMatrix(0.0, C), anchor))
 
     def test_non_finite_entry_raises(self, small_params):
         C = random_physical_cov(small_params.N, seed=2)
@@ -313,7 +321,7 @@ class TestScanProperties:
         p = NetworkParams(N=200, d=40, V=1.2, kappa2=0.2)
         cov = CovarianceMatrix(0.0, random_physical_cov(p.N, seed=11, scale=0.05))
         scan = mi_scan(p, cov)
-        oracle = scan_oracle(p, cov, anchor=1)
+        oracle = scan_oracle(p, cov)
         assert max(abs(scan[L] - oracle[L]) for L in oracle) <= 1e-12
 
 
@@ -322,9 +330,37 @@ class TestRecord:
     def test_s2_total_from_the_scan_factorization(self, anchor):
         p = NetworkParams(N=6, d=2, V=0.9, kappa2=0.2, hbar=1.7)
         cov = CovarianceMatrix(0.0, random_physical_cov(p.N, hbar=p.hbar, seed=31))
-        rec = build_record(p, cov, anchor=anchor)
+        rec = build_record(p, shifted(cov, anchor))
         assert rec.s2_total == pytest.approx(renyi2_entropy(p, cov.C), abs=1e-12)
         assert rec.s2_total > 0.1
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_json_is_the_hand_built_record(self, labeled):
+        # analysis.json was written from this dict, built field by field,
+        # before io.to_json wrote every result
+        p = NetworkParams(N=6, d=2, V=0.9, kappa2=0.2, hbar=1.7)
+        cov = CovarianceMatrix(11.0, random_physical_cov(p.N, hbar=p.hbar, seed=31))
+        label = RegimeLabel(CHIMERA, np.array([1, 1, 1, 0, 0, 1]), np.int64(4)) if labeled else None
+        record = build_record(p, cov, regime=label)
+        want = {
+            "t": record.t,
+            "psi": [float(x) for x in record.psi],
+            "ellipses": [
+                {"site": e.site, "lambda_min": e.lambda_min,
+                 "lambda_max": e.lambda_max, "theta": e.theta}
+                for e in record.ellipses
+            ],
+            "s2_total": record.s2_total,
+            "mi_scan": {str(L): v for L, v in record.mi_scan.items()},
+            "regime": None if label is None else {
+                "regime": label.regime,
+                "coherent_width": int(label.coherent_width),
+                "mask": [bool(x) for x in label.mask],
+            },
+        }
+        got = to_json(record)
+        assert got == want
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
     def test_build_record_from_vacuum(self, small_params):
         rec = build_record(small_params, vacuum_covariance(small_params))

@@ -7,7 +7,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
-from dataclasses import MISSING, replace
+from dataclasses import MISSING, dataclass, replace
 from io import StringIO
 from pathlib import Path
 
@@ -38,6 +38,21 @@ def write_config(path: Path, **overrides) -> Path:
     cfg.update(overrides)
     path.write_text(json.dumps(cfg))
     return path
+
+
+#: an ``ic_file`` value that :func:`start_from_state_at_10_5` replaces
+STATE_AT_10_5 = "<a state file at t=10.5>"
+
+
+def start_from_state_at_10_5(cfg: Path) -> None:
+    """Make the config at ``cfg`` start from a state file at t=10.5 (N=6,
+    beside it) in place of its inline ``ic``."""
+    state = cfg.parent / "state.json"
+    io.save_state(state, MeanFieldState(10.5, np.full(6, 1.5 + 0.5j)),
+                  NetworkParams(N=6, d=2, V=0.9, kappa2=0.2), None)
+    obj = json.loads(cfg.read_text())
+    del obj["ic"]
+    cfg.write_text(json.dumps({**obj, "ic_file": str(state)}))
 
 
 def oracle_cell(x) -> str:
@@ -138,6 +153,47 @@ class TestIo:
             "5%,a%s,2,0.5,1\n5%,%d,0.33333333333333331,-0\n"
         )
 
+    def test_to_json(self):
+        @dataclass(frozen=True)
+        class Inner:
+            z: complex
+            flag: bool
+
+        @dataclass(frozen=True)
+        class Outer:
+            a: np.ndarray
+            scan: dict
+            inner: Inner
+            pair: tuple
+            alphas: np.ndarray
+
+        x = Outer(
+            np.array([[1.0, 2.5], [3.0, -0.0]]),
+            {1: np.float64(0.25), 20: np.int64(2), "k": [np.bool_(False)]},
+            Inner(np.complex128(1.5 - 2j), np.bool_(True)),
+            (np.float64(1.0 / 3.0), None, "s"),
+            np.array([1 + 2j, -0.5j]),
+        )
+        got = io.to_json(x)
+        assert got == {
+            "a": [[1.0, 2.5], [3.0, -0.0]],
+            "scan": {"1": 0.25, "20": 2, "k": [False]},
+            "inner": {"z": [1.5, -2.0], "flag": True},
+            "pair": [1.0 / 3.0, None, "s"],
+            "alphas": [[1.0, 2.0], [0.0, -0.5]],
+        }
+
+        def types(v):
+            if isinstance(v, dict):
+                return set().union(*map(types, v.values()), map(type, v))
+            if isinstance(v, list):
+                return set().union(*map(types, v))
+            return {type(v)}
+
+        # Python scalars only: numpy's are gone, not merely equal
+        assert types(got) == {str, float, int, bool, type(None)}
+        assert io.to_json(1 + 0j) == [1.0, 0.0]
+
     def test_csv_float_formatting(self, tmp_path):
         io.write_csv(tmp_path / "x.csv", ["a"], [(1.0 / 3.0,)])
         body = (tmp_path / "x.csv").read_text().splitlines()[1]
@@ -155,15 +211,15 @@ class TestCsvBytes:
         assert main([experiment, "--config", str(cfg_path)]) == 0
         cfg = cli.load_config(str(cfg_path), experiment, None, None)
         state0 = cli._initial_state(cfg, cfg.params)
-        (snap,) = cli._snapshot_run(cfg.params, [state0], cfg.t0, cfg)
-        return out, cfg, snap
+        (parts,) = cli._snapshot_run(cfg.params, [state0], cfg.t0, cfg)
+        return out, cfg, parts
 
     @pytest.mark.parametrize("experiment, files", [
         ("meanfield", {"meanfield_grid.csv": ("phi", "r2")}),
         ("reproduce-fig1", {"fig1_phi.csv": ("phi",), "fig1_r2.csv": ("r2",)}),
     ])
     def test_grid_bytes(self, tmp_path, experiment, files):
-        out, cfg, (parts, _, _) = self._run(tmp_path, experiment)
+        out, cfg, parts = self._run(tmp_path, experiment)
         # the sparse transient and the classify window share a boundary time
         assert len(parts) == 2
         boundary = float(parts[0].times[-1])
@@ -176,8 +232,8 @@ class TestCsvBytes:
             assert len(at_boundary) == cfg.params.N
 
     def test_covariance_bytes(self, tmp_path):
-        out, cfg, (_, _, snapshot) = self._run(tmp_path, "fluctuations")
-        p = cfg.params
+        out, cfg, parts = self._run(tmp_path, "fluctuations")
+        p, snapshot = cfg.params, parts[-1].final_state
         # checked every delta_t / 50 = 10 steps of dt_cov, from the vacuum
         seg = integrate(p, snapshot, snapshot.t + cfg.delta_t, dt=cfg.dt_cov, sample_every=10)
         covs, _, _ = oracle_covariance(p, seg, 0.5 * p.hbar * np.eye(2 * p.N), cfg.dt_cov)
@@ -202,11 +258,12 @@ class TestCsvBytes:
                          "--out", str(outs[experiment])]) == 0
         cfg = cli.load_config(str(cfg_path), "reproduce-fig4", None, None)
         state0 = cli._initial_state(cfg, cfg.params)
-        part = analysis.Partition(cfg.mi_partition)
         fig3, scan_rows, mi_rows = {}, [], []
-        for tag, (name, V, t_snap) in zip("abc", cfg.fig_states):
+        for tag, fig_state in zip("abc", cfg.fig_states):
+            name, V = fig_state.name, fig_state.V
             p = replace(cfg.params, V=V)
-            ((_, _, snapshot),) = cli._snapshot_run(p, [state0], t_snap, cfg)
+            ((*_, last),) = cli._snapshot_run(p, [state0], fig_state.t0, cfg)
+            snapshot = last.final_state
             seg = integrate(p, snapshot, snapshot.t + cfg.delta_t, dt=cfg.dt_cov,
                             sample_every=10)
             covs, _, _ = oracle_covariance(p, seg, 0.5 * p.hbar * np.eye(2 * p.N), cfg.dt_cov)
@@ -223,7 +280,8 @@ class TestCsvBytes:
             scan = analysis.mi_scan(p, final)
             scan_rows.extend((name, V, L, scan[L]) for L in sorted(scan))
             mi_rows.extend(
-                (name, V, float(t), analysis.mutual_information(p, CovarianceMatrix(float(t), C), part))
+                (name, V, float(t),
+                 analysis.mutual_information(p, CovarianceMatrix(float(t), C), cfg.mi_partition))
                 for t, C in zip(seg.times, covs)
             )
         fig4 = {
@@ -337,6 +395,17 @@ class TestConfigErrors:
 
     PARAMS = {"N": 6, "d": 2, "V": 0.9, "kappa2": 0.2, "hbar": 1.0}
 
+    def test_snapshot_time_equal_to_the_ic_file_start(self, tmp_path):
+        # the one state is the start state itself: no transient runs
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", outputs=str(out), ic_file=STATE_AT_10_5, t0=10.5)
+        start_from_state_at_10_5(cfg)
+        assert main(["analyze", "--config", str(cfg)]) == 0
+        start = json.loads((tmp_path / "state.json").read_text())
+        assert json.loads((out / "snapshot.json").read_text()) == start
+        assert json.loads((out / "analysis.json").read_text())["t"] == 11.0
+        assert read_manifest(out)["regime"] is None
+
     @pytest.mark.parametrize(
         "experiment, overrides, key",
         [
@@ -402,6 +471,22 @@ class TestConfigErrors:
              "fig_states: name must be a non-empty string, got None"),
             ("reproduce-fig3", {"fig_states": [{"name": "chimera", "V": 1.2, "t0": 12.0, "dt": 3}]},
              "fig_states: unknown entry keys: ['dt']"),
+            # a step count beyond the float range exited 3 with OverflowError
+            ("meanfield", {"t0": 1e308}, "t0 is off the dt_mf grid"),
+            ("analyze", {"delta_t": 1e308}, "dt_cov must divide delta_t"),
+            ("reproduce-fig3", {"fig_states": [{"name": "chimera", "V": 1.2, "t0": 1e308}]},
+             "t0 of fig state chimera is off the dt_mf grid"),
+            # a snapshot time before the ic_file's ran from the file's time
+            # (exit 0, the manifest echoing the earlier t0)
+            ("analyze", {"ic_file": STATE_AT_10_5, "t0": 5.5},
+             "t0 must be >= the ic_file's t=10.5, got 5.5"),
+            ("reproduce-fig3",
+             {"ic_file": STATE_AT_10_5, "fig_states": [{"name": "chimera", "V": 1.2, "t0": 10.4}]},
+             "t0 of fig state chimera must be >= the ic_file's t=10.5, got 10.4"),
+            # a name that is not one CSV cell split the fig4a/fig4b rows
+            *[("reproduce-fig4", {"fig_states": [{"name": name, "V": 1.2, "t0": 12.0}]},
+               f"fig_states: name must hold no comma, quote or line break, got {name!r}")
+              for name in ("chi,mera\nx", 'say "hi"', "chi\rmera")],
         ],
     )
     def test_out_of_range_value_rejected_before_any_write(
@@ -409,6 +494,8 @@ class TestConfigErrors:
     ):
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "c.json", outputs=str(out), **overrides)
+        if overrides.get("ic_file") == STATE_AT_10_5:
+            start_from_state_at_10_5(cfg)
         assert main([experiment, "--config", str(cfg)]) == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ConfigError"
@@ -641,7 +728,7 @@ class TestErrorTaxonomy:
     """Numerical failures in the analysis record exit 3, not 2."""
 
     def test_negative_mutual_information(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(analysis, "_scan_and_logdet", lambda p, cov, anchor: ({1: -1.0}, 0.0))
+        monkeypatch.setattr(analysis, "_scan_and_logdet", lambda p, cov: ({1: -1.0}, 0.0))
         cfg = write_config(tmp_path / "c.json", outputs=str(tmp_path / "out"))
         assert main(["analyze", "--config", str(cfg)]) == 3
         err = json.loads(capsys.readouterr().err)

@@ -21,7 +21,7 @@ from chimeraq import (
     vacuum_covariance,
 )
 from chimeraq import fluctuations
-from chimeraq.analysis import _mutual_information, shift_covariance
+from chimeraq.analysis import _mutual_information
 from chimeraq.core import RK4
 from chimeraq.fluctuations import (
     PHYSICALITY_TOL,
@@ -39,7 +39,9 @@ from oracles import (
     moments_to_covariance,
     oracle_margin,
     propagate_frozen,
+    shift_covariance,
     symplectic_form,
+    vacuum_bound_ratio,
 )
 
 
@@ -370,6 +372,24 @@ class TestVacuumBound:
         lam_min = min(e.lambda_min for e in squeezing(p, CovarianceMatrix(0.0, C)))
         assert (lam_min < 0.5 * p.hbar) == sub_vacuum
 
+    @pytest.mark.parametrize(
+        "N, d, seed, t0, delta_t",
+        [(50, 10, 0, 10.5, 0.5), (50, 10, 3, 10.5, 0.5), (200, 40, 3, 10.5, 0.05),
+         (20, 4, 1, 30.5, 0.2)],
+    )
+    def test_ratio_has_the_bits_of_the_segment(self, N, d, seed, t0, delta_t):
+        # the ratio is read off the mean field of the joint RK4 state at each
+        # checked sample; those amplitudes are the integrate segment's, bit
+        # for bit, on the grid the analyze pipeline checks (delta_t / 50)
+        p = NetworkParams(N=N, d=d, V=1.2, kappa2=0.2)
+        s0 = initial_conditions(p, InitialConditionSpec(seed=seed))
+        snap = integrate(p, s0, t0, dt=1e-2, sample_every=100).final_state
+        seg = integrate(p, snap, t0 + delta_t, dt=1e-3,
+                        sample_every=max(1, round(delta_t / 50 / 1e-3)))
+        ct = propagate_covariance(p, seg, vacuum_covariance(p, t=t0), dt=1e-3)
+        assert ct.vacuum_bound_ratio_max == vacuum_bound_ratio(p, seg)
+        assert 0.0 < ct.vacuum_bound_ratio_max <= 1.0
+
 
 def _ring_segment(p: NetworkParams, ic_seed: int, t_end: float, dt: float, sample_every: int):
     s0 = initial_conditions(p, InitialConditionSpec(seed=ic_seed))
@@ -436,7 +456,7 @@ class TestSampleChecks:
         assert not _block_dominant(C, 0.4, np.empty_like(C))
         assert not _factorizes(C)
         with pytest.raises(PhysicalityError, match="non-finite"):
-            _certified_margin(C, 1.0, "covariance unphysical at t=1")
+            _certified_margin(C, 1.0, "covariance unphysical at t=1", np.empty_like(C))
 
     @staticmethod
     def _exact_calls(monkeypatch) -> list:
@@ -457,7 +477,7 @@ class TestSampleChecks:
         observe, samples = copying_observer()
         ct = propagate_covariance(p, seg, vacuum_covariance(p), dt=1e-3,
                                   observe=observe if observed else None)
-        assert ct.vacuum_bound_ratio_max() <= 1.0
+        assert ct.vacuum_bound_ratio_max <= 1.0
         assert ct.certified == len(seg.times) - 2 == 49
         assert len(ct.covs) == 2
         assert len(samples) == (51 if observed else 0)
@@ -492,7 +512,10 @@ class TestSampleChecks:
         seg = integrate(p, s0, 0.5, dt=1e-3, sample_every=10)
         exact = self._exact_calls(monkeypatch)
         ct = propagate_covariance(p, seg, vacuum_covariance(p), dt=1e-3)
-        assert ct.vacuum_bound_ratio_max() > 1.0
+        assert ct.vacuum_bound_ratio_max > 1.0
+        # the amplitudes decay toward the limit cycle: the start holds the peak
+        start = p.kappa2 * np.max(np.abs(seg.alphas[0]) ** 2) / p.kappa1
+        assert ct.vacuum_bound_ratio_max == vacuum_bound_ratio(p, seg) == pytest.approx(start)
         assert ct.certified < len(seg.times) - 2
         # every sample but the certified ones and the vacuum start
         assert len(exact) == len(seg.times) - ct.certified - 1
@@ -575,7 +598,7 @@ class TestSampleStack:
         assert ends.final_cov.t == samples[-1][0]
         assert ends.margin_min == seen.margin_min
         assert ends.certified == seen.certified
-        assert ends.vacuum_bound_ratio_max() == seen.vacuum_bound_ratio_max()
+        assert ends.vacuum_bound_ratio_max == seen.vacuum_bound_ratio_max
 
     def test_endpoints_only_memory_does_not_grow_with_the_grid(self):
         # every sample at 201 samples would hold 10.3 MB against 2.6 MB at 51
@@ -715,11 +738,11 @@ class TestPhysicalityRoutes:
         if _block_dominant(C, (0.5 - PHYSICALITY_TOL) * hbar, np.empty_like(C)):
             assert physical
         if physical:
-            certified = _certified_margin(C, hbar, "sample")
+            certified = _certified_margin(C, hbar, "sample", np.empty_like(C))
             assert certified is None or certified >= -PHYSICALITY_TOL * hbar
         else:
             with pytest.raises(PhysicalityError, match="sample, margin"):
-                _certified_margin(C, hbar, "sample")
+                _certified_margin(C, hbar, "sample", np.empty_like(C))
 
 
 def shifted(C: np.ndarray, shift: float) -> np.ndarray:
