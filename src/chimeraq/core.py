@@ -126,7 +126,9 @@ class RK4:
     the tuple ``k``, one per part.  The stage input and three slope buffers
     of every part are made here, once, as one ``(4, *shape)`` array per part
     in ``work``; a step allocates nothing, and between steps the contents of
-    ``work`` are free, so a caller may use them as scratch there.  Every
+    ``work`` are free, so a caller may use them as scratch there.  During
+    ``f(x, k)``, each part's stage input ``work[i][0]`` is free too once f
+    has read its input: the step writes it before it reads it again.  Every
     integrator in the package takes its steps here.
 
     The arithmetic is that of the textbook step, stages ``u + h k`` and

@@ -196,13 +196,6 @@ def _certified_margin(C: np.ndarray, hbar: float, what: str, work: np.ndarray) -
     return _checked_margin(C, hbar, what)
 
 
-def _symmetric_sum(M: np.ndarray, out: np.ndarray) -> None:
-    """``out = M + M^T``.  Added as M^T + M into a copy of M^T: the same bits
-    (IEEE addition commutes), but ``np.add(M, M.T, out)`` copies M^T first."""
-    np.copyto(out, M.T)
-    out += M
-
-
 def vacuum_covariance(p: NetworkParams, t: float = 0.0) -> CovarianceMatrix:
     """Covariance (hbar/2) I of a tensor product of coherent states."""
     validate_params(p)
@@ -242,9 +235,10 @@ class CovarianceTrajectory:
     """The first and the last covariance sample of one mean-field segment.
 
     ``covs`` has shape (2, 2N, 2N) and holds them at ``times``, the
-    segment's first and last grid times.  Every sample on the grid passed
-    the physicality check: the first and the last by their exact margin,
-    the others by a certificate where one holds (see
+    segment's first and last grid times: the symmetrized start and the
+    last sample, stacked once the last check has passed.  Every sample on
+    the grid passed the physicality check: the first and the last by their
+    exact margin, the others by a certificate where one holds (see
     :func:`_certified_margin`; counted in ``certified``) and by their exact
     margin otherwise.  ``margin_min`` is the minimum over the exactly
     evaluated samples.  ``vacuum_bound_ratio_max`` is the largest
@@ -296,10 +290,12 @@ def propagate_covariance(
     commutes) and the RK4 combinations are elementwise.  ``dt`` must divide
     the segment spacing.
     The result keeps the first and the last sample, so it holds two
-    matrices however fine the grid.  ``observe(t, C)``, when given, is
-    called with the start and with each later sample once it has passed
-    its check; ``C`` is a read-only view, valid only during the call, so an
-    observer that keeps a sample copies it.
+    matrices however fine the grid.  While stepping, six 2N x 2N buffers
+    are live: C, A and the stepper's four of C; the result is allocated
+    after the last check.  ``observe(t, C)``, when given, is called with the
+    start and with each later sample once it has passed its check; ``C`` is
+    a read-only view, valid only during the call, so an observer that keeps
+    a sample copies it.
 
     Raises:
         PhysicalityError: if a covariance on the grid violates the
@@ -307,22 +303,18 @@ def propagate_covariance(
             too-large dt).
     """
     validate_params(p)
-    # C steps in the slot of the two-sample stack that keeps the last sample
-    covs = np.empty((2, 2 * p.N, 2 * p.N))
-    covs[0], margin_min = _check_c0(p, C0)
-    C = covs[1]
-    C[...] = covs[0]
+    C, margin_min = _check_c0(p, C0)
     times = mf_segment.times
     subs = _substeps(times, dt)
 
     mf_rhs = _rhs_of(p)
-    # A and A C live in buffers reused by every evaluation: _fill_drift
-    # rewrites every entry that depends on alpha, so the bits are those of a
-    # fresh copy of the coupling drift.  Fresh 2N x 2N temporaries each call
-    # let malloc trim the heap and refault them every step at large N.
+    # A lives in one buffer reused by every evaluation: _fill_drift rewrites
+    # every entry that depends on alpha, so the bits are those of a fresh
+    # copy of the coupling drift.  A C and its transpose go into the slope
+    # and the stage input of C.  Fresh 2N x 2N temporaries each call let
+    # malloc trim the heap and refault them every step at large N.
     A = _coupling_drift(p)
     blocks = _site_blocks(A)
-    M = np.empty_like(A)
 
     def joint_rhs(y: tuple, out: tuple) -> None:
         alpha, Cm = y
@@ -330,9 +322,10 @@ def propagate_covariance(
         mag2 = alpha.real**2 + alpha.imag**2
         m, sr, si, b = _site_block_coeffs(p, alpha, mag2)
         _fill_drift(blocks, m, sr, si)
-        np.matmul(A, Cm, out=M)
         dC = out[1]
-        _symmetric_sum(M, dC)
+        np.matmul(A, Cm, out=dC)
+        np.copyto(work, dC.T)
+        dC += work
         qq, pp, _, _ = _site_blocks(dC)
         qq += b
         pp += b
@@ -344,13 +337,14 @@ def propagate_covariance(
             view.flags.writeable = False
             observe(float(times[k]), view)
 
-    show(0, covs[0])
+    show(0, C)
     certified = 0
     alpha = np.array(mf_segment.alphas[0])
     peak = np.max(alpha.real**2 + alpha.imag**2)  # largest |alpha|^2 at a sample
     y = (alpha, C)
     stepper = RK4(joint_rhs, y)
-    # between steps, the stage input of C is free scratch for the certificate
+    # the stage input of C is free scratch between steps, for the
+    # certificate, and inside a stage once f has read it, for A C transposed
     work = stepper.work[1][0]
     for k, n_sub in enumerate(subs, start=1):
         # an overflowing step is reported by the sample check, not by warnings
@@ -362,15 +356,17 @@ def propagate_covariance(
         if k < len(subs):
             margin = _certified_margin(C, p.hbar, what, work)
         else:
-            # the stepper's buffers go before the last, exact check: the
-            # eigensolver's copy reuses their memory instead of raising the peak
-            stepper = work = None
+            # the stepper's buffers and A go before the last, exact check: the
+            # eigensolver's copies reuse their memory instead of raising the peak
+            stepper = work = A = blocks = None
             margin = _checked_margin(C, p.hbar, what)
         if margin is None:
             certified += 1
         else:
             margin_min = min(margin_min, margin)
         show(k, C)
+    # C stepped in place of the start, so the start is symmetrized again
+    covs = np.stack([0.5 * (C0.C + C0.C.T), C])
     return CovarianceTrajectory(
         times=times[[0, -1]],
         covs=covs,

@@ -43,7 +43,6 @@ from chimeraq.fluctuations import (
     _site_block_coeffs,
     _site_blocks,
     _substeps,
-    _symmetric_sum,
 )
 from chimeraq.meanfield import MeanFieldTrajectory, _rhs_of, _step_count
 
@@ -184,6 +183,13 @@ def vacuum_bound_ratio(p: NetworkParams, seg: MeanFieldTrajectory) -> float:
     segment, as ``propagate_covariance`` reports it over its checked samples."""
     a = seg.alphas
     return float(p.kappa2 * np.max(a.real**2 + a.imag**2) / p.kappa1)
+
+
+def _symmetric_sum(M: np.ndarray, out: np.ndarray) -> None:
+    """``out = M + M^T``.  Added as M^T + M into a copy of M^T: the same bits
+    (IEEE addition commutes), but ``np.add(M, M.T, out)`` copies M^T first."""
+    np.copyto(out, M.T)
+    out += M
 
 
 def propagate_frozen(

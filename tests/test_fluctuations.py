@@ -620,22 +620,24 @@ class TestSampleStack:
 
     @pytest.mark.parametrize("observed", [False, True])
     @pytest.mark.parametrize("t_end, sample_every, live, cholesky", [
-        (0.05, 50, 8, 0), (0.05, 10, 8, 0), (0.5, 100, 9, 1),
+        (0.05, 50, 6, 0), (0.05, 10, 6, 0), (0.5, 100, 7, 1),
     ])
     def test_peak_counts_the_live_buffers(self, monkeypatch, t_end, sample_every, live,
                                           cholesky, observed):
-        # 8 float 2N x 2N buffers are live while stepping: the two-sample
-        # stack (C steps in its last slot), A, the product A C, and the
-        # stepper's stage input and three slopes of C.  A sample between the
-        # ends is checked in the stepper's free stage input: the block
-        # dominance test squares C there, and allocates only N-vectors, so
-        # segments whose samples all pass it peak near 8.8.  A sample that
-        # falls through to the Cholesky tier (its copy in the same buffer)
-        # adds the factor numpy returns: 9.7 on the longer segment, where
-        # one sample does.  Besides these, the complex K^T is half a buffer
-        # and the rest is N-vectors.  One more 2N x 2N temporary per stage,
-        # or per check, breaks the bound; so does a sample held for an
-        # observer that reads one scalar of it.
+        # 6 float 2N x 2N buffers are live while stepping: C, A, and the
+        # stepper's stage input and three slopes of C.  The product A C
+        # lands in the slope buffer and its transpose in the stage input,
+        # which the product has read; the two-sample result is allocated
+        # only after the last check.  A sample between the ends is checked
+        # in the stepper's free stage input: the block dominance test
+        # squares C there, and allocates only N-vectors, so segments whose
+        # samples all pass it peak near 6.8.  A sample that falls through to
+        # the Cholesky tier (its copy in the same buffer) adds the factor
+        # numpy returns: 7.7 on the longer segment, where one sample does.
+        # Besides these, the complex K^T is half a buffer and the rest is
+        # N-vectors.  One more 2N x 2N temporary per stage, or per check,
+        # breaks the bound; so does a sample held for an observer that reads
+        # one scalar of it.
         p = NetworkParams(N=40, d=8, V=1.2, kappa2=0.2)
         seg = _ring_segment(p, 1, t_end, dt=1e-3, sample_every=sample_every)
         C0 = vacuum_covariance(p)
@@ -668,7 +670,7 @@ class TestSampleStack:
         # the sample: it peaks with an observer that factors the sample and
         # reads one scalar, a buffer above one that only reads one scalar.
         # Wrapping the view in a CovarianceMatrix, whose constructor copies
-        # it, adds one more: 10.7 against 9.7 buffers.
+        # it, adds one more: 8.7 against 7.7 buffers.
         p = NetworkParams(N=40, d=8, V=1.2, kappa2=0.2)
         seg = _ring_segment(p, 1, 0.05, dt=1e-3, sample_every=10)
         C0 = vacuum_covariance(p)

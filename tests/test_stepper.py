@@ -19,10 +19,11 @@ from chimeraq import (
     propagate_covariance,
     vacuum_covariance,
 )
+from chimeraq.core import RK4
 from chimeraq.fluctuations import PHYSICALITY_TOL
 from chimeraq.meanfield import DIVERGENCE_FACTOR
 import oracles
-from conftest import oracle_rk4_step
+from conftest import oracle_rk4_step, random_physical_cov
 from oracles import moment_oracle, oracle_margin
 
 
@@ -127,6 +128,10 @@ def _segment(r0):
 
 
 def _start(name: str) -> np.ndarray:
+    if name == "asymmetric":
+        C = random_physical_cov(RING.N)
+        C[0, 1] = np.nextafter(C[0, 1], np.inf)  # _check_c0 has to symmetrize
+        return C
     if name == "squeezed":
         r = 0.5
         return 0.5 * RING.hbar * np.diag(np.tile([np.exp(-2 * r), np.exp(2 * r)], RING.N))
@@ -134,6 +139,32 @@ def _start(name: str) -> np.ndarray:
 
 
 class TestBitsMatchOracles:
+    def test_slope_may_clobber_the_stage_inputs(self):
+        # core.RK4 frees each part's stage input work[i][0] during f(x, k)
+        # once f has read it: an f that fills them with NaN after writing its
+        # slopes still gets the bits of the allocating step
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((3, 3))
+
+        def g(a, C):
+            return a * (1.0 - (a.real**2 + a.imag**2)) + C @ a, A @ C + C @ A.T
+
+        def f(x, k):
+            for out, slope in zip(k, g(*x)):
+                out[...] = slope
+            for w in stepper.work:
+                w[0].fill(np.nan)
+
+        ref = (np.exp(1j * rng.uniform(-np.pi, np.pi, 3)), rng.standard_normal((3, 3)))
+        y = tuple(u.copy() for u in ref)
+        stepper = RK4(f, y)
+        for _ in range(3):
+            stepper.step(y, 0.1)
+            ref = oracle_rk4_step(g, ref, 0.1)
+        for got, want in zip(y, ref):
+            assert np.all(np.isfinite(got))
+            assert np.array_equal(got, want)
+
     def test_batch_with_a_retiring_row(self):
         p = NetworkParams(N=6, d=2, V=0.9, kappa2=0.2)
         rng = np.random.default_rng(9)
@@ -159,21 +190,23 @@ class TestBitsMatchOracles:
 
     @pytest.mark.parametrize("observed", [True, False])
     @pytest.mark.parametrize("start, r0", [("vacuum", None), ("squeezed", None),
-                                           ("above threshold", 3.0)])
+                                           ("asymmetric", None), ("above threshold", 3.0)])
     def test_covariance(self, start, r0, observed):
         seg = _segment(r0)
         C0 = _start(start)
+        cov0 = CovarianceMatrix(0.0, C0)
         samples = []
         observe = (lambda t, C: samples.append(C.copy())) if observed else None
-        ct = propagate_covariance(RING, seg, CovarianceMatrix(0.0, C0), dt=1e-3,
-                                  observe=observe)
+        ct = propagate_covariance(RING, seg, cov0, dt=1e-3, observe=observe)
         covs, margin_min, certified = oracle_covariance(RING, seg, C0, 1e-3)
         assert np.array_equal(ct.covs, covs[[0, -1]])
+        assert np.array_equal(cov0.C, C0)
+        assert np.array_equal(C0, C0.T) == (start != "asymmetric")
         if observed:
             assert np.array_equal(samples, covs)
         assert ct.margin_min == margin_min
         assert ct.certified == certified
-        if start == "vacuum":
+        if start in ("vacuum", "asymmetric"):  # both starts are >= (hbar/2) I
             assert certified == len(covs) - 2
         else:
             assert certified < len(covs) - 2  # exact margins enter margin_min
