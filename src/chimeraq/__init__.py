@@ -13,7 +13,6 @@ from .core import (
     SingularMatrixError,
     coupling_matrix,
     neighbor_offsets,
-    validate_params,
 )
 from .meanfield import (
     CHIMERA,

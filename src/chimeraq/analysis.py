@@ -20,7 +20,6 @@ from .core import (
     RangeError,
     SingularMatrixError,
     coupling_matrix,
-    validate_params,
 )
 from .meanfield import RegimeLabel
 
@@ -32,7 +31,6 @@ def weighted_correlation(p: NetworkParams, cov: CovarianceMatrix) -> np.ndarray:
     profile inherits the spatial structure of the covariance matrix
     (regular over coherent domains, irregular over incoherent ones).
     """
-    validate_params(p)
     if cov.n_sites != p.N:
         raise ValueError("covariance size does not match params.N")
     Cpp = cov.C[1::2, 1::2]
@@ -70,7 +68,6 @@ def squeezing(p: NetworkParams, cov: CovarianceMatrix) -> list[SqueezingEllipse]
 
     Degenerate marginals (circular cross-section) report theta = 0.
     """
-    validate_params(p)
     out = []
     for l in range(1, p.N + 1):
         M = cov.site_marginal(l)
@@ -93,7 +90,6 @@ def husimi_marginal(p: NetworkParams, cov: CovarianceMatrix, site: int) -> np.nd
     The Husimi function is the Wigner function convolved with the
     coherent-state kernel, which adds hbar/2 per quadrature in closed form.
     """
-    validate_params(p)
     return cov.site_marginal(site) + 0.5 * p.hbar * np.eye(2)
 
 
@@ -135,7 +131,6 @@ def mutual_information(p: NetworkParams, cov: CovarianceMatrix, L: int) -> float
     the covariance; identical to S2(A) + S2(B) - S2(AB) since the
     normalization constants cancel.  Raises RangeError unless 1 <= L < N.
     """
-    validate_params(p)
     if not 1 <= L <= cov.n_sites - 1:
         raise RangeError(f"L must be in 1..{cov.n_sites - 1}, got {L}")
     return _mutual_information(cov.C, L)
@@ -153,9 +148,8 @@ def _mutual_information(C: np.ndarray, L: int) -> float:
     return 0.5 * (ld_a + ld_b - ld)
 
 
-def _scan_and_logdet(p: NetworkParams, cov: CovarianceMatrix) -> tuple[dict[int, float], float]:
+def _scan_and_logdet(cov: CovarianceMatrix) -> tuple[dict[int, float], float]:
     """The scan of :func:`mi_scan` and log det C, from its two factorizations."""
-    validate_params(p)
     n = cov.n_sites
     head = np.cumsum(_log_pivots(cov.C))
     tail = np.cumsum(_log_pivots(cov.C[::-1, ::-1]))
@@ -178,7 +172,7 @@ def mi_scan(p: NetworkParams, cov: CovarianceMatrix) -> dict[int, float]:
     Raises:
         SingularMatrixError: if the covariance is not positive definite.
     """
-    return _scan_and_logdet(p, cov)[0]
+    return _scan_and_logdet(cov)[0]
 
 
 @dataclass(frozen=True)
@@ -212,7 +206,7 @@ def build_record(
     psi = weighted_correlation(p, cov)
     if not np.all(np.isfinite(psi)):
         raise DivergenceError("non-finite weighted correlation profile")
-    scan, logdet = _scan_and_logdet(p, cov)
+    scan, logdet = _scan_and_logdet(cov)
     low = min(scan.values())
     if low < -1e-9:
         raise SingularMatrixError(f"negative mutual information {low:.3e} in scan")

@@ -41,7 +41,6 @@ from .core import (
     MeanFieldState,
     NetworkParams,
     RangeError,
-    validate_params,
 )
 from .fluctuations import (
     VALIDATED_HORIZON,
@@ -71,6 +70,17 @@ class FigState:
     V: float
     t0: float
 
+    def __post_init__(self):
+        for key in ("V", "t0"):
+            value = getattr(self, key)
+            if not math.isfinite(value) or value < 0:
+                raise RangeError(
+                    f"invalid fig state {self.name}: {key} must be finite and >= 0, "
+                    f"got {key}={value}"
+                )
+        if set(self.name) & set(',"\r\n'):  # the name is a CSV cell of fig4a/fig4b
+            raise RangeError(f"name must hold no comma, quote or line break, got {self.name!r}")
+
 
 #: the three reference states of the paper's figures
 FIG_STATES = (
@@ -92,8 +102,9 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A parsed config: each field is a config key, read as the kind it is
-    annotated with (see ``io.read``), with the default it declares;
-    :meth:`validate` holds the ranges and the rules that join keys."""
+    annotated with (see ``io.read``), with the default it declares.  Each
+    field's object checks its own ranges when it is built; this one checks
+    its own keys and the rules that join keys.  Raises ConfigError."""
 
     experiment: str
     params: NetworkParams
@@ -114,13 +125,7 @@ class ExperimentConfig:
     #: the start state read from ``ic_file`` by load_config; not a key
     ic_state: MeanFieldState | None = field(default=None, compare=False, metadata={"key": False})
 
-    def validate(self) -> "ExperimentConfig":
-        try:
-            validate_params(self.params)
-            if self.ic is not None:
-                self.ic.validate()
-        except RangeError as exc:
-            raise ConfigError(str(exc)) from exc
+    def __post_init__(self):
         if self.ic_state is not None and self.ic_state.n_sites != self.params.N:
             raise ConfigError(
                 f"ic_file has N={self.ic_state.n_sites}, config has N={self.params.N}"
@@ -154,16 +159,6 @@ class ExperimentConfig:
         names = [s.name for s in self.fig_states]
         if len(set(names)) != len(names):
             raise ConfigError(f"fig_states has repeated names: {names}")
-        for s in self.fig_states:
-            if not (math.isfinite(s.V) and math.isfinite(s.t0)) or s.V < 0 or s.t0 < 0:
-                raise ConfigError(
-                    f"invalid fig state {s.name}: V and t0 must be finite and >= 0, "
-                    f"got V={s.V}, t0={s.t0}"
-                )
-            if set(s.name) & set(',"\r\n'):  # the name is a CSV cell of fig4a/fig4b
-                raise ConfigError(
-                    f"fig_states: name must hold no comma, quote or line break, got {s.name!r}"
-                )
         # every snapshot time is at or after the start state's time, and every
         # mean-field phase between them lies on the dt_mf grid
         start = 0.0 if self.ic_state is None else self.ic_state.t
@@ -180,7 +175,6 @@ class ExperimentConfig:
                     t_from = t_end
             except (ValueError, OverflowError) as exc:
                 raise ConfigError(f"{key} is off the dt_mf grid: {exc}") from exc
-        return self
 
     def snapshots(self) -> list[tuple[str | None, NetworkParams, float]]:
         """(name, params, snapshot time) of each state the experiment reads:
@@ -192,9 +186,10 @@ class ExperimentConfig:
 
 
 def load_config(path: str, experiment: str, seed: int | None, out: str | None) -> ExperimentConfig:
-    """Parse and validate a config file against the requested experiment;
-    ``seed`` overrides the inline ``ic`` seed, ``out`` the output path.  An
-    ``ic_file`` is read here, so an unusable one is a config error too."""
+    """Parse a config file against the requested experiment and build the
+    checked config from it; ``seed`` overrides the inline ``ic`` seed,
+    ``out`` the output path.  An ``ic_file`` is read first, so an unusable
+    one is a config error too, and the config is built from its state."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -216,33 +211,32 @@ def load_config(path: str, experiment: str, seed: int | None, out: str | None) -
         raise ConfigError("--out must be a path, got ''")
     try:
         params = io.params_from_json(obj["params"])
-        ic = None
-        if obj.get("ic_file") is None:
+        ic_file = io.read("ic_file", obj.get("ic_file"), "PathName | None")
+        outputs = io.read("outputs", obj.get("outputs", f"runs/{experiment}"), "PathName")
+        ic, state = None, None
+        if ic_file is None:
             ic = io.read_object(InitialConditionSpec, obj.get("ic", {}), "ic")
             ic = ic if seed is None else replace(ic, seed=seed)
+        elif "ic" in obj:
+            raise ConfigError("give either ic or ic_file, not both")
+        elif seed is not None:
+            raise ConfigError("a seed override needs inline ic, not ic_file")
+        else:
+            try:
+                state, _ = io.load_state(ic_file)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"unusable ic_file {ic_file}: {exc}") from exc
         n = params.N
         defaults = {"t0": EXPERIMENTS[experiment].t0,
-                    "mi_partition": max(1, min(2 * n // 5, n - 1)),
-                    "outputs": f"runs/{experiment}"}
-        cfg = io.read_object(
+                    "mi_partition": max(1, min(2 * n // 5, n - 1))}
+        return io.read_object(
             ExperimentConfig, {**defaults, **obj}, "config",
-            experiment=experiment, params=params, ic=ic,
+            experiment=experiment, params=params, ic=ic, ic_file=ic_file, ic_state=state,
+            outputs=out or os.environ.get(ENV_OUT) or outputs,
             fig_states=_fig_states(obj["fig_states"]) if "fig_states" in obj else FIG_STATES,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    state = None
-    if cfg.ic_file is not None:
-        if "ic" in obj:
-            raise ConfigError("give either ic or ic_file, not both")
-        if seed is not None:
-            raise ConfigError("a seed override needs inline ic, not ic_file")
-        try:
-            state, _ = io.load_state(cfg.ic_file)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"unusable ic_file {cfg.ic_file}: {exc}") from exc
-    outputs = out or os.environ.get(ENV_OUT) or cfg.outputs
-    return replace(cfg, ic_state=state, outputs=outputs).validate()
 
 
 def _fig_states(entries) -> tuple[FigState, ...]:
@@ -398,10 +392,13 @@ class _Run:
         self.outdir.mkdir(parents=True, exist_ok=True)
         (self.outdir / "manifest.json").unlink(missing_ok=True)
         self.files: list[str] = []
+        config = {**io.to_json(cfg), "params": io.params_to_json(cfg.params)}
+        if EXPERIMENTS[cfg.experiment].triplet:
+            del config["t0"]  # each fig state has its own
         self.manifest: dict = {
             "experiment": cfg.experiment,
             "version": __version__,
-            "config": {**io.to_json(cfg), "params": io.params_to_json(cfg.params)},
+            "config": config,
         }
         self.state0 = _initial_state(cfg, cfg.params)
         self.emit("initial_conditions.json", io.save_state, self.state0, cfg.params, cfg.ic)
@@ -615,12 +612,13 @@ def seed_sweep(cfg: ExperimentConfig, seeds: list[int]) -> tuple[dict, int]:
     if cfg.ic is None:
         raise ConfigError("seed sweep requires inline ic, not ic_file")
     outdir = Path(cfg.outputs)
-    subs = [
-        replace(cfg, ic=replace(cfg.ic, seed=seed), outputs=str(outdir / f"seed_{seed}"))
-        for seed in seeds
-    ]
-    for sub in subs:  # every seed is checked before anything is written
-        sub.validate()
+    try:  # every seed's config is built, so checked, before anything is written
+        subs = [
+            replace(cfg, ic=replace(cfg.ic, seed=seed), outputs=str(outdir / f"seed_{seed}"))
+            for seed in seeds
+        ]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "sweep_manifest.json").unlink(missing_ok=True)
 

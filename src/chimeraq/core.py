@@ -53,43 +53,35 @@ class NetworkParams:
     kappa1: float = 1.0
     hbar: float = 1.0
 
+    def __post_init__(self):
+        """Check the ranges; raises RangeError naming the violated field.
+
+        The coupling range must satisfy 1 <= d <= (N-1)/2, except that
+        d = (N+1)/2 is permitted for odd N (the all-to-all case).  V,
+        kappa1, kappa2 and hbar must be finite.
+        """
+        for name, least in (("N", 2), ("d", 1)):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+                raise RangeError(f"{name} must be an integer >= {least}, got {n}")
+        if 2 * self.d > self.N - 1 and not (self.N % 2 == 1 and 2 * self.d == self.N + 1):
+            raise RangeError(
+                f"d={self.d} out of range for N={self.N}: need 2d <= N-1 "
+                f"(or d=(N+1)/2 for odd N)"
+            )
+        for name in ("V", "kappa1", "kappa2", "hbar"):
+            if not math.isfinite(getattr(self, name)):
+                raise RangeError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.V < 0:
+            raise RangeError(f"V must be >= 0, got {self.V}")
+        for name in ("kappa1", "kappa2", "hbar"):
+            if getattr(self, name) <= 0:
+                raise RangeError(f"{name} must be > 0, got {getattr(self, name)}")
+
     @property
     def limit_cycle_radius(self) -> float:
         """Radius sqrt(kappa1 / 2 kappa2) of the uncoupled limit cycle."""
         return float(np.sqrt(self.kappa1 / (2.0 * self.kappa2)))
-
-
-def validate_params(p: NetworkParams) -> NetworkParams:
-    """Check all NetworkParams invariants; return ``p`` unchanged if valid.
-
-    The coupling range must satisfy 1 <= d <= (N-1)/2, except that
-    d = (N+1)/2 is permitted for odd N (the all-to-all case).  V, kappa1,
-    kappa2 and hbar must be finite.
-
-    Raises:
-        RangeError: naming the violated field.
-    """
-    if not isinstance(p.N, (int, np.integer)) or p.N < 2:
-        raise RangeError(f"N must be an integer >= 2, got {p.N}")
-    if not isinstance(p.d, (int, np.integer)) or p.d < 1:
-        raise RangeError(f"d must be an integer >= 1, got {p.d}")
-    if 2 * p.d > p.N - 1 and not (p.N % 2 == 1 and 2 * p.d == p.N + 1):
-        raise RangeError(
-            f"d={p.d} out of range for N={p.N}: need 2d <= N-1 "
-            f"(or d=(N+1)/2 for odd N)"
-        )
-    for name in ("V", "kappa1", "kappa2", "hbar"):
-        if not math.isfinite(getattr(p, name)):
-            raise RangeError(f"{name} must be finite, got {getattr(p, name)}")
-    if p.V < 0:
-        raise RangeError(f"V must be >= 0, got {p.V}")
-    if p.kappa1 <= 0:
-        raise RangeError(f"kappa1 must be > 0, got {p.kappa1}")
-    if p.kappa2 <= 0:
-        raise RangeError(f"kappa2 must be > 0, got {p.kappa2}")
-    if p.hbar <= 0:
-        raise RangeError(f"hbar must be > 0, got {p.hbar}")
-    return p
 
 
 def neighbor_offsets(p: NetworkParams) -> tuple[int, ...]:

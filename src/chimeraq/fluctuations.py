@@ -33,7 +33,6 @@ from .core import (
     PhysicalityError,
     RK4,
     coupling_matrix,
-    validate_params,
 )
 from .meanfield import MeanFieldTrajectory, _rhs_of, _step_count
 
@@ -198,7 +197,6 @@ def _certified_margin(C: np.ndarray, hbar: float, what: str, work: np.ndarray) -
 
 def vacuum_covariance(p: NetworkParams, t: float = 0.0) -> CovarianceMatrix:
     """Covariance (hbar/2) I of a tensor product of coherent states."""
-    validate_params(p)
     return CovarianceMatrix(t=t, C=0.5 * p.hbar * np.eye(2 * p.N))
 
 
@@ -302,7 +300,6 @@ def propagate_covariance(
             uncertainty bound beyond tolerance (linearization breakdown or
             too-large dt).
     """
-    validate_params(p)
     C, margin_min = _check_c0(p, C0)
     times = mf_segment.times
     subs = _substeps(times, dt)

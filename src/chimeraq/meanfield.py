@@ -26,7 +26,6 @@ from .core import (
     RangeError,
     RK4,
     coupling_matrix,
-    validate_params,
 )
 
 SYNCHRONIZED = "synchronized"
@@ -59,7 +58,7 @@ class InitialConditionSpec:
     mu: float | None = None
     theta_range: float = 24.0 * math.pi
 
-    def validate(self) -> "InitialConditionSpec":
+    def __post_init__(self):
         if self.seed < 0:
             raise RangeError(f"seed must be >= 0, got {self.seed}")
         for name in ("r0", "sigma", "mu", "theta_range"):
@@ -72,7 +71,6 @@ class InitialConditionSpec:
             raise RangeError(f"sigma must be > 0, got {self.sigma}")
         if self.theta_range <= 0:
             raise RangeError(f"theta_range must be > 0, got {self.theta_range}")
-        return self
 
 
 def phase_profile(
@@ -95,8 +93,6 @@ def initial_conditions(p: NetworkParams, ic: InitialConditionSpec) -> MeanFieldS
     A smooth single-bump profile lies in the basin of full synchrony, so
     one angle is drawn per site.
     """
-    validate_params(p)
-    ic.validate()
     r0 = p.limit_cycle_radius if ic.r0 is None else ic.r0
     mu = p.N / 2.0 if ic.mu is None else ic.mu
     rng = np.random.default_rng(ic.seed)
@@ -216,7 +212,6 @@ def integrate_many(
     holds the ``DivergenceError`` a solo run would raise, and the other
     rows go on.
     """
-    validate_params(p)
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if sample_every < 1:

@@ -32,7 +32,6 @@ from chimeraq.core import (
     NetworkParams,
     coupling_matrix,
     neighbor_offsets,
-    validate_params,
 )
 from chimeraq.fluctuations import (
     CovarianceTrajectory,
@@ -74,7 +73,6 @@ def drift_diffusion(p: NetworkParams, s: MeanFieldState) -> DriftDiffusion:
     quadratures; B is diagonal with hbar (kappa1 + 4 kappa2 |alpha_l|^2) on
     both quadratures of site l.
     """
-    validate_params(p)
     if s.n_sites != p.N:
         raise ValueError("state length does not match params.N")
     A = _coupling_drift(p)
@@ -130,7 +128,6 @@ def moment_oracle(
     last sample are returned.  ``vacuum_bound_ratio_max`` is read off the
     segment's own samples.
     """
-    validate_params(p)
     # the start is symmetrized as _check_c0 does, and only its round trip
     # through the moments is checked: the round trip is exactly symmetric,
     # so _check_c0 keeps its bits, and a vacuum start stays the vacuum

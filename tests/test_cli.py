@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from chimeraq import analysis, cli, io
 from chimeraq.cli import main
-from chimeraq.core import CovarianceMatrix, MeanFieldState, NetworkParams
+from chimeraq.core import CovarianceMatrix, MeanFieldState, NetworkParams, RangeError
 from chimeraq.meanfield import InitialConditionSpec, MeanFieldTrajectory, integrate, spacetime_grid
 from oracles import load_covariance
 from test_stepper import oracle_covariance
@@ -571,7 +571,10 @@ class TestConfigErrors:
         ({"t": True}, "t must be a number, got True"),
         ({"alphas": [[float("nan"), 0.0]] + [[1.0, 0.0]] * 5}, "t and alphas must be finite"),
         ([], "a state file holds a JSON object, got list"),
-    ], ids=["directory", "t-inf", "t-nan", "t-bool", "nan-amplitude", "list"])
+        # the file's params were read, then dropped unchecked: exit 0
+        ({"params": {"N": 6, "d": 2, "V": -1, "kappa2": 0.2, "hbar": 1.0}},
+         "V must be >= 0, got -1"),
+    ], ids=["directory", "t-inf", "t-nan", "t-bool", "nan-amplitude", "list", "params-V"])
     def test_unusable_ic_file_rejected_before_any_write(
         self, tmp_path, small_params, capsys, edit, message
     ):
@@ -619,6 +622,17 @@ SCHEMA = {
     "fig_states[].": cli.FigState,
 }
 KEYS = [(prefix, f) for prefix, cls in SCHEMA.items() for f in io.keys(cls)]
+
+
+class TestFigState:
+    @pytest.mark.parametrize("field, value", [
+        *[(field, value) for field in ("V", "t0")
+          for value in (-1.0, float("nan"), float("inf"), -float("inf"))],
+        *[("name", name) for name in ("chi,mera", 'say "hi"', "chi\nmera", "chi\rmera")],
+    ])
+    def test_building_checks_every_field(self, field, value):
+        with pytest.raises(RangeError, match=rf"\b{field}\b"):
+            replace(cli.FigState("chimera", 1.2, 12.0), **{field: value})
 
 
 class TestConfigSchema:
@@ -690,6 +704,39 @@ class TestConfigSchema:
             assert re.search(rf"\b{name}\b", err["message"]), err["message"]
             assert not out.exists()
 
+    @given(experiment=st.sampled_from(sorted(cli.EXPERIMENTS)), n=st.integers(3, 8),
+           data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_valid_small_config_runs_or_fails_numerically(self, experiment, n, data):
+        # every d the ring admits, the all-to-all d = (N+1)/2 of odd N too
+        d = data.draw(st.sampled_from(
+            [*range(1, (n - 1) // 2 + 1), *([(n + 1) // 2] if n % 2 else [])]))
+        # snapshot times on the dt_mf grid, spans on the dt_cov grid
+        t0 = st.integers(0, 8).map(lambda k: 0.5 * k)
+        names = data.draw(st.lists(st.sampled_from(["chimera", "synchronized", "desynchronized"]),
+                                   min_size=1, max_size=3, unique=True))
+        cfg = {
+            "params": {"N": n, "d": d, "V": data.draw(st.floats(0.0, 2.0)),
+                       "kappa2": data.draw(st.floats(0.05, 0.5)),
+                       "hbar": data.draw(st.floats(0.5, 2.0))},
+            "ic": {"seed": data.draw(st.integers(0, 2**32))},
+            "t0": data.draw(t0),
+            "delta_t": data.draw(st.integers(1, 4).map(lambda k: 0.05 * k)),
+            "classify_window": data.draw(st.sampled_from([1.0, 2.0, 10.0])),
+            "mi_partition": data.draw(st.integers(1, n - 1)),
+            "fig_states": [{"name": name, "V": data.draw(st.floats(0.0, 2.0)),
+                            "t0": data.draw(t0)} for name in names],
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "c.json", Path(tmp) / "out"
+            path.write_text(json.dumps(cfg))
+            stderr = StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = main([experiment, "--config", str(path), "--out", str(out)])
+            assert code in (0, 3), stderr.getvalue()
+            if code == 0:
+                assert sorted(read_manifest(out)["files"]) == sorted(os.listdir(out))
+
 
 class TestBlasThreads:
     def test_payload_bytes_do_not_depend_on_the_thread_count(self, tmp_path):
@@ -728,7 +775,7 @@ class TestErrorTaxonomy:
     """Numerical failures in the analysis record exit 3, not 2."""
 
     def test_negative_mutual_information(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(analysis, "_scan_and_logdet", lambda p, cov: ({1: -1.0}, 0.0))
+        monkeypatch.setattr(analysis, "_scan_and_logdet", lambda cov: ({1: -1.0}, 0.0))
         cfg = write_config(tmp_path / "c.json", outputs=str(tmp_path / "out"))
         assert main(["analyze", "--config", str(cfg)]) == 3
         err = json.loads(capsys.readouterr().err)
@@ -864,6 +911,18 @@ class TestRunPipelines:
         assert mi_lines[0] == "state,V,t,I2"
         states = {line.split(",")[0] for line in mi_lines[1:]}
         assert states == {"chimera", "synchronized", "desynchronized"}
+
+    def test_triplet_manifest_does_not_echo_t0(self, tmp_path):
+        # the triplet reads each fig state's own t0: a top-level t0 before
+        # the ic_file's t ran, and the manifest echoed it as config.t0
+        out = tmp_path / "out"
+        fig_states = [{"name": "chimera", "V": 1.2, "t0": 12.5}]
+        cfg = write_config(tmp_path / "c.json", outputs=str(out), t0=5.5, fig_states=fig_states)
+        start_from_state_at_10_5(cfg)
+        assert main(["reproduce-fig3", "--config", str(cfg)]) == 0
+        config = read_manifest(out)["config"]
+        assert "t0" not in config
+        assert config["fig_states"] == fig_states
 
     def test_ic_file_reuse(self, tmp_path):
         out1 = tmp_path / "a"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from chimeraq import (
     RangeError,
     coupling_matrix,
     neighbor_offsets,
-    validate_params,
 )
 from chimeraq.core import RK4
 from conftest import oracle_rk4_step
@@ -17,22 +18,21 @@ from oracles import neighbors
 
 
 class TestValidateParams:
-    def test_paper_parameters_valid(self, paper_params):
-        assert validate_params(paper_params) is paper_params
+    def test_paper_parameters_valid(self):
+        NetworkParams(N=50, d=10, V=1.2, kappa2=0.2)
 
     def test_window_overlap_rejected(self):
         with pytest.raises(RangeError, match="d"):
-            validate_params(NetworkParams(N=50, d=30, V=1.2, kappa2=0.2))
+            NetworkParams(N=50, d=30, V=1.2, kappa2=0.2)
 
     def test_all_to_all_odd_n(self):
         # the window of d = (N+1)/2 covers every other site
         p = NetworkParams(N=3, d=2, V=1.0, kappa2=0.2)
-        assert validate_params(p) is p
         assert np.array_equal(coupling_matrix(p), 1.0 - np.eye(3))
 
     def test_even_n_has_no_all_to_all_exception(self):
         with pytest.raises(RangeError, match="d"):
-            validate_params(NetworkParams(N=4, d=2, V=1.0, kappa2=0.2))
+            NetworkParams(N=4, d=2, V=1.0, kappa2=0.2)
 
     @pytest.mark.parametrize(
         "kwargs,field",
@@ -47,7 +47,18 @@ class TestValidateParams:
     )
     def test_errors_name_the_field(self, kwargs, field):
         with pytest.raises(RangeError, match=field):
-            validate_params(NetworkParams(**kwargs))
+            NetworkParams(**kwargs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("N", 1), ("N", True), ("d", 0), ("d", 4), ("d", True),
+        *[(field, value) for field in ("V", "kappa2", "kappa1", "hbar")
+          for value in (-1.0, float("nan"), float("inf"), -float("inf"))],
+        ("kappa2", 0.0), ("kappa1", 0.0), ("hbar", 0.0),
+    ])
+    def test_building_checks_every_field(self, field, value):
+        # d=True passed as d=1
+        with pytest.raises(RangeError, match=rf"\b{field}\b"):
+            replace(NetworkParams(N=5, d=1, V=1.0, kappa2=0.2), **{field: value})
 
     def test_limit_cycle_radius(self):
         p = NetworkParams(N=5, d=1, V=0.0, kappa2=0.2)

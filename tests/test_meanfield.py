@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from chimeraq import (
     InsufficientDataError,
     MeanFieldState,
     NetworkParams,
+    RangeError,
     classify,
     initial_conditions,
     integrate,
@@ -54,7 +58,17 @@ class TestInitialConditions:
 
     def test_spec_validation(self):
         with pytest.raises(Exception):
-            InitialConditionSpec(seed=0, sigma=-1.0).validate()
+            InitialConditionSpec(seed=0, sigma=-1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1),
+        *[(field, value) for field in ("r0", "sigma", "theta_range")
+          for value in (0.0, -1.0, math.nan, math.inf)],
+        ("mu", math.nan), ("mu", -math.inf),
+    ])
+    def test_building_checks_every_field(self, field, value):
+        with pytest.raises(RangeError, match=rf"\b{field}\b"):
+            replace(InitialConditionSpec(seed=1, r0=1.0, mu=3.0), **{field: value})
 
 
 class TestPhaseProfile:
