@@ -41,6 +41,7 @@ from .core import (
     MeanFieldState,
     NetworkParams,
     RangeError,
+    _number,
 )
 from .fluctuations import (
     VALIDATED_HORIZON,
@@ -72,7 +73,7 @@ class FigState:
 
     def __post_init__(self):
         for key in ("V", "t0"):
-            value = getattr(self, key)
+            value = _number(key, getattr(self, key))
             if not math.isfinite(value) or value < 0:
                 raise RangeError(
                     f"invalid fig state {self.name}: {key} must be finite and >= 0, "
@@ -126,13 +127,17 @@ class ExperimentConfig:
     ic_state: MeanFieldState | None = field(default=None, compare=False, metadata={"key": False})
 
     def __post_init__(self):
+        if self.experiment not in EXPERIMENTS:
+            raise ConfigError(f"unknown experiment: {self.experiment!r}")
         if self.ic_state is not None and self.ic_state.n_sites != self.params.N:
             raise ConfigError(
                 f"ic_file has N={self.ic_state.n_sites}, config has N={self.params.N}"
             )
         for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+            if f.type in ("int", "float"):
+                value = _number(f.name, getattr(self, f.name), f.type, ConfigError)
+                if not math.isfinite(value):
+                    raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.t0 < 0:
             raise ConfigError(f"t0 must be >= 0, got {self.t0}")
         for name in ("delta_t", "dt_mf", "dt_cov", "sample_spacing", "window_spacing",
@@ -200,7 +205,7 @@ def load_config(path: str, experiment: str, seed: int | None, out: str | None) -
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
     if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment: {experiment}")
+        raise ConfigError(f"unknown experiment: {experiment!r}")
     if obj.get("experiment", experiment) != experiment:
         raise ConfigError(
             f"config names experiment {obj['experiment']!r} but {experiment!r} was requested"
@@ -355,8 +360,8 @@ def _covariance(r: _Run, s: _State, observe=None) -> CovarianceTrajectory:
     snapshot, checked every ``delta_t / 50``; ``observe`` is shown each
     checked sample (see :func:`propagate_covariance`).
 
-    Records in the manifest the minimum exact physicality margin, the
-    number of samples that passed on a certificate and the largest
+    Records in the manifest the smallest physicality margin over the
+    samples, the number that passed on a certificate and the largest
     ``kappa2 |alpha|^2 / kappa1`` on the segment, suffixed with the state's
     name for the triplet, and whether ``delta_t`` is beyond the validated
     horizon.

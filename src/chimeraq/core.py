@@ -13,6 +13,7 @@ Unit conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,20 @@ class SingularMatrixError(ArithmeticError):
     """A determinant required by an entropy formula is not positive."""
 
 
+def _number(name: str, x, kind: str = "float", error: type[ValueError] = RangeError):
+    """``x`` as an int if ``kind`` is "int", else as a float.  Raises ``error``
+    naming ``name`` unless ``x`` is an integer, or for "float" a real number,
+    within the float range; a bool is neither."""
+    whole = kind == "int"
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer) if whole else numbers.Real):
+        raise error(f"{name} must be {'an integer' if whole else 'a number'}, got {x!r}")
+    try:
+        value = float(x)
+    except OverflowError:
+        raise error(f"{name} must be finite, got an integer beyond the float range") from None
+    return int(x) if whole else value
+
+
 @dataclass(frozen=True)
 class NetworkParams:
     """Ring of N oscillators, each coupled to the 2d sites within range d.
@@ -58,11 +73,10 @@ class NetworkParams:
 
         The coupling range must satisfy 1 <= d <= (N-1)/2, except that
         d = (N+1)/2 is permitted for odd N (the all-to-all case).  V,
-        kappa1, kappa2 and hbar must be finite.
+        kappa1, kappa2 and hbar must be finite numbers.
         """
         for name, least in (("N", 2), ("d", 1)):
-            n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+            if (n := _number(name, getattr(self, name), "int")) < least:
                 raise RangeError(f"{name} must be an integer >= {least}, got {n}")
         if 2 * self.d > self.N - 1 and not (self.N % 2 == 1 and 2 * self.d == self.N + 1):
             raise RangeError(
@@ -70,7 +84,7 @@ class NetworkParams:
                 f"(or d=(N+1)/2 for odd N)"
             )
         for name in ("V", "kappa1", "kappa2", "hbar"):
-            if not math.isfinite(getattr(self, name)):
+            if not math.isfinite(_number(name, getattr(self, name))):
                 raise RangeError(f"{name} must be finite, got {getattr(self, name)}")
         if self.V < 0:
             raise RangeError(f"V must be >= 0, got {self.V}")

@@ -159,21 +159,24 @@ def _block_dominant(C: np.ndarray, shift: float, work: np.ndarray) -> bool:
         return bool(np.all(lam_min - radius > slack))
 
 
-def _certified_margin(C: np.ndarray, hbar: float, what: str, work: np.ndarray) -> float | None:
+def _certified_margin(C: np.ndarray, hbar: float, floor: float, what: str,
+                      work: np.ndarray) -> float | None:
     """None when a certificate proves that the physicality margin of ``C``
-    (a symmetric 2N x 2N matrix) is at least -PHYSICALITY_TOL hbar, else the
-    exact margin.  Both certificates read scratch from ``work``, a 2N x 2N
-    float array.
+    (a symmetric 2N x 2N matrix) is above ``floor``, the smallest margin so
+    far, else the exact margin.  Both certificates read scratch from
+    ``work``, a 2N x 2N float array.
 
-    Both prove D = C - (hbar/2 - tol) I positive definite: since
-    (hbar/2)(I + i Omega) >= 0, that bounds the margin by -tol.  Three tiers
-    run in order of cost, each only when the one before fails:
+    Both prove D = C - (hbar/2 + floor + tol) I positive definite, tol =
+    PHYSICALITY_TOL hbar: as (hbar/2)(I + i Omega) >= 0, the margin is then
+    above floor + tol, clear of the eigensolver's rounding, so a certified C
+    is physical and leaves the smallest margin as it is.  Three tiers run in
+    order of cost, each only when the one before fails:
 
     1. :func:`_block_dominant`, in O(N^2): about 0.5 ms at N=200.  It
        holds while the inter-site blocks of C stay small next to
        C - (hbar/2) I, as early in a segment from a vacuum start.
     2. A Cholesky factorization of D, in O(N^3): about 4 ms at N=200.  It
-       holds from a vacuum start while kappa2 |alpha|^2 <= kappa1 (see the
+       holds after a vacuum start while kappa2 |alpha|^2 <= kappa1 (see the
        README); its backward error, about 2N eps ||C||, is far below tol.
     3. The exact margin, from the complex eigensolver: about 50 ms at
        N=200.
@@ -185,7 +188,7 @@ def _certified_margin(C: np.ndarray, hbar: float, what: str, work: np.ndarray) -
             -PHYSICALITY_TOL hbar.
     """
     n = C.shape[0]
-    shift = (0.5 - PHYSICALITY_TOL) * hbar
+    shift = 0.5 * hbar + floor + PHYSICALITY_TOL * hbar
     if _block_dominant(C, shift, work):
         return None
     np.copyto(work, C)
@@ -235,11 +238,12 @@ class CovarianceTrajectory:
     ``covs`` has shape (2, 2N, 2N) and holds them at ``times``, the
     segment's first and last grid times: the symmetrized start and the
     last sample, stacked once the last check has passed.  Every sample on
-    the grid passed the physicality check: the first and the last by their
-    exact margin, the others by a certificate where one holds (see
-    :func:`_certified_margin`; counted in ``certified``) and by their exact
-    margin otherwise.  ``margin_min`` is the minimum over the exactly
-    evaluated samples.  ``vacuum_bound_ratio_max`` is the largest
+    the grid passed the physicality check: the start by its exact margin,
+    every later one, the last included, by a certificate where one holds
+    (see :func:`_certified_margin`; counted in ``certified``) and by its
+    exact margin otherwise.  A certificate proves a sample's margin above
+    the smallest one before it, so ``margin_min`` is the minimum over every
+    sample on the grid.  ``vacuum_bound_ratio_max`` is the largest
     kappa2 |alpha|^2 / kappa1 over the samples; at most 1, a covariance
     from a vacuum start stays >= (hbar/2) I, so the Cholesky certificate is
     expected to hold.
@@ -286,7 +290,8 @@ def propagate_covariance(
     start is symmetrized once: from there every step is exactly symmetric,
     since each stage derivative ``M + M^T + diag(b)`` is (IEEE addition
     commutes) and the RK4 combinations are elementwise.  ``dt`` must divide
-    the segment spacing.
+    the segment spacing.  Every sample after the start goes through
+    :func:`_certified_margin`, its floor the smallest margin before it.
     The result keeps the first and the last sample, so it holds two
     matrices however fine the grid.  While stepping, six 2N x 2N buffers
     are live: C, A and the stepper's four of C; the result is allocated
@@ -349,14 +354,13 @@ def propagate_covariance(
             for _ in range(n_sub):
                 stepper.step(y, dt)
             peak = max(peak, np.max(alpha.real**2 + alpha.imag**2))
-        what = f"covariance unphysical at t={times[k]:g}"
-        if k < len(subs):
-            margin = _certified_margin(C, p.hbar, what, work)
-        else:
-            # the stepper's buffers and A go before the last, exact check: the
-            # eigensolver's copies reuse their memory instead of raising the peak
+        if k == len(subs):
+            # the stepper's buffers and A go before the last check, for a fresh
+            # scratch: the eigensolver's copies would reuse their memory
             stepper = work = A = blocks = None
-            margin = _checked_margin(C, p.hbar, what)
+            work = np.empty_like(C)
+        what = f"covariance unphysical at t={times[k]:g}"
+        margin = _certified_margin(C, p.hbar, margin_min, what, work)
         if margin is None:
             certified += 1
         else:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CovarianceMatrix, MeanFieldState, NetworkParams
+from .core import CovarianceMatrix, MeanFieldState, NetworkParams, _number
 from .meanfield import InitialConditionSpec
 
 
@@ -88,16 +88,9 @@ def read(key: str, x, kind: str):
             return x
         noun = "path" if kind == "PathName" else "non-empty"
         raise ValueError(f"{key} must be a {noun} string, got {x!r}")
-    if isinstance(x, bool) or not isinstance(x, (int, float)) or (
-        kind == "int" and isinstance(x, float) and not x.is_integer()
-    ):
-        noun = "an integer" if kind == "int" else "a number"
-        raise ValueError(f"{key} must be {noun}, got {x!r}")
-    try:
-        value = float(x)
-    except OverflowError:
-        raise ValueError(f"{key} must be finite, got an integer beyond the float range") from None
-    return int(x) if kind == "int" else value
+    if kind == "int" and isinstance(x, float) and x.is_integer():
+        x = int(x)  # JSON may write an integer as 3.0
+    return _number(key, x, kind, ValueError)
 
 
 def keys(cls) -> list[Field]:

@@ -25,6 +25,7 @@ from .core import (
     NetworkParams,
     RangeError,
     RK4,
+    _number,
     coupling_matrix,
 )
 
@@ -59,11 +60,11 @@ class InitialConditionSpec:
     theta_range: float = 24.0 * math.pi
 
     def __post_init__(self):
-        if self.seed < 0:
+        if _number("seed", self.seed, "int") < 0:
             raise RangeError(f"seed must be >= 0, got {self.seed}")
         for name in ("r0", "sigma", "mu", "theta_range"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if value is not None and not math.isfinite(_number(name, value)):
                 raise RangeError(f"{name} must be finite, got {value}")
         if self.r0 is not None and self.r0 <= 0:
             raise RangeError(f"r0 must be > 0, got {self.r0}")

@@ -635,6 +635,48 @@ class TestFigState:
             replace(cli.FigState("chimera", 1.2, 12.0), **{field: value})
 
 
+#: a valid object of each config dataclass, built in code
+BUILT = {
+    "": cli.ExperimentConfig("analyze", NetworkParams(6, 2, 0.9, 0.2), 12.0, 2, "x"),
+    "params.": NetworkParams(6, 2, 0.9, 0.2),
+    "ic.": InitialConditionSpec(seed=1, r0=1.0, mu=3.0),
+    "fig_states[].": cli.FigState("chimera", 1.2, 12.0),
+}
+NUMERIC_KEYS = [(prefix, f) for prefix, f in KEYS
+                if f.type.removesuffix(" | None") in ("int", "float")]
+
+
+class TestBuiltInCode:
+    """Objects built in code, not read from JSON, check the kind of each
+    numeric field too, and name the field when it is wrong."""
+
+    @pytest.mark.parametrize("value", ["0.9", True, np.True_, [1.0], 1j])
+    @pytest.mark.parametrize("key", NUMERIC_KEYS, ids=lambda k: k[0] + k[1].name)
+    def test_a_non_number_names_its_field(self, key, value):
+        prefix, f = key
+        error = cli.ConfigError if prefix == "" else RangeError
+        noun = "an integer" if f.type == "int" else "a number"
+        with pytest.raises(error, match=rf"^{f.name} must be {noun}, got "):
+            replace(BUILT[prefix], **{f.name: value})
+
+    @pytest.mark.parametrize("key", [k for k in NUMERIC_KEYS if k[1].type != "int"],
+                             ids=lambda k: k[0] + k[1].name)
+    def test_an_int_beyond_the_float_range_names_its_field(self, key):
+        prefix, f = key
+        error = cli.ConfigError if prefix == "" else RangeError
+        with pytest.raises(error, match=rf"\b{f.name} must be finite"):
+            replace(BUILT[prefix], **{f.name: 10**400})
+
+    def test_numpy_scalars_are_numbers(self):
+        p = NetworkParams(np.int64(6), np.int32(2), np.float64(0.9), np.float64(0.2))
+        assert p == NetworkParams(6, 2, 0.9, 0.2)
+        assert InitialConditionSpec(seed=np.uint8(3)).seed == 3
+
+    def test_unknown_experiment_is_a_config_error(self):
+        with pytest.raises(cli.ConfigError, match="unknown experiment: 'bogus'"):
+            replace(BUILT[""], experiment="bogus")
+
+
 class TestConfigSchema:
     def test_readme_table_lists_every_key_and_default(self):
         text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -831,9 +873,10 @@ class TestRunPipelines:
         cfg = write_config(tmp_path / "c.json", outputs=str(out))
         assert main(["fluctuations", "--config", str(cfg)]) == 0
         manifest = read_manifest(out)
-        assert manifest["physicality_margin_min"] >= -1e-9
-        # 51 samples over delta_t = 0.5; the first and the last are exact
-        assert manifest["physicality_certified"] == 49
+        # 51 samples over delta_t = 0.5 from a vacuum start: the start is
+        # exact, and every later sample is certified above its margin 0.0
+        assert manifest["physicality_margin_min"] == 0.0
+        assert manifest["physicality_certified"] == 50
         snapshot, p = io.load_state(out / "snapshot.json")
         ratio = p.kappa2 * np.abs(snapshot.alphas) ** 2 / p.kappa1
         assert ratio.max() <= manifest["vacuum_bound_ratio_max"] <= 1.0
@@ -895,8 +938,8 @@ class TestRunPipelines:
             assert (out3 / f"fig3{tag}_psi.csv").exists()
         manifest = read_manifest(out3)
         for state in ("chimera", "synchronized", "desynchronized"):
-            assert manifest[f"physicality_margin_min_{state}"] >= -1e-9
-            assert manifest[f"physicality_certified_{state}"] == 49
+            assert manifest[f"physicality_margin_min_{state}"] == 0.0
+            assert manifest[f"physicality_certified_{state}"] == 50
             assert 0.0 < manifest[f"vacuum_bound_ratio_max_{state}"] <= 1.0
 
         out4 = tmp_path / "f4"

@@ -401,9 +401,9 @@ UNSTABLE = NetworkParams(N=3, d=1, V=0.5, kappa2=0.2)
 
 
 class TestSampleChecks:
-    """Intermediate samples pass on a certificate (block diagonal dominance,
-    else Cholesky); the first and the last sample, and any sample neither
-    certificate covers, get exact margins."""
+    """Every sample after the start, the last included, passes on a
+    certificate (block diagonal dominance, else Cholesky); the start, and
+    any sample neither certificate covers, get exact margins."""
 
     @pytest.mark.parametrize("observed", [True, False])
     def test_unstable_dt_fails_inside_the_segment(self, observed):
@@ -456,7 +456,7 @@ class TestSampleChecks:
         assert not _block_dominant(C, 0.4, np.empty_like(C))
         assert not _factorizes(C)
         with pytest.raises(PhysicalityError, match="non-finite"):
-            _certified_margin(C, 1.0, "covariance unphysical at t=1", np.empty_like(C))
+            _certified_margin(C, 1.0, 0.0, "covariance unphysical at t=1", np.empty_like(C))
 
     @staticmethod
     def _exact_calls(monkeypatch) -> list:
@@ -478,13 +478,12 @@ class TestSampleChecks:
         ct = propagate_covariance(p, seg, vacuum_covariance(p), dt=1e-3,
                                   observe=observe if observed else None)
         assert ct.vacuum_bound_ratio_max <= 1.0
-        assert ct.certified == len(seg.times) - 2 == 49
+        assert ct.certified == len(seg.times) - 1 == 50
         assert len(ct.covs) == 2
         assert len(samples) == (51 if observed else 0)
-        # the vacuum start's margin is 0.0 without an eigensolver; only the
-        # final sample is evaluated exactly
-        assert len(exact) == 1
-        assert np.array_equal(exact[-1], ct.covs[-1])
+        # the vacuum start's margin is 0.0 without an eigensolver, and every
+        # later sample, the last included, is certified above it
+        assert not exact
         assert ct.margin_min == 0.0
 
     def test_squeezed_start_falls_back_to_exact_margins(self, monkeypatch):
@@ -500,8 +499,9 @@ class TestSampleChecks:
         eye = np.eye(2 * p.N)
         below = [np.linalg.eigvalsh(C - 0.5 * p.hbar * eye).min() < 0 for _, C in samples[1:-1]]
         assert sum(below) == 18
-        assert ct.certified == len(samples) - 2 - 18
-        assert len(exact) == 2 + 18
+        # the start and the samples below the vacuum are evaluated exactly
+        assert ct.certified == len(samples) - 1 - 18
+        assert len(exact) == 1 + 18
         assert ct.margin_min == 0.0
 
     def test_segment_above_threshold_falls_back_to_exact_margins(self, monkeypatch):
@@ -521,10 +521,32 @@ class TestSampleChecks:
         assert len(exact) == len(seg.times) - ct.certified - 1
         assert ct.margin_min >= -PHYSICALITY_TOL * p.hbar
 
-    @pytest.mark.parametrize("start, calls", [("vacuum", 1), ("squeezed", 20)])
+    @settings(max_examples=40, deadline=None)
+    @given(ring_params(), st.integers(0, 2**32 - 1),
+           st.sampled_from(["vacuum", "squeezed", "thermal"]), st.floats(0.05, 1.0))
+    def test_margin_min_is_over_every_sample(self, p, seed, start, strength):
+        # a certificate proves a sample's margin above the smallest one
+        # before it, so skipping the eigensolver there leaves the minimum
+        # over every sample on the grid, the last included
+        seg = _ring_segment(p, seed, 0.1, dt=1e-3, sample_every=10)
+        C0 = vacuum_covariance(p).C
+        if start == "squeezed":  # a pure state, at the bound
+            C0 = C0 * np.tile([np.exp(-2 * strength), np.exp(2 * strength)], p.N)
+        elif start == "thermal":  # margin strength hbar
+            C0 = C0 + strength * p.hbar * np.eye(2 * p.N)
+        observe, samples = copying_observer()
+        ct = propagate_covariance(p, seg, CovarianceMatrix(0.0, C0), dt=1e-3, observe=observe)
+        assert len(samples) == len(seg.times) == 11
+        assert ct.margin_min == min(oracle_margin(C, p.hbar) for _, C in samples)
+        assert ct.margin_min >= -PHYSICALITY_TOL * p.hbar
+        if start == "vacuum":
+            assert ct.margin_min == 0.0
+
+    @pytest.mark.parametrize("start, calls", [("vacuum", 0), ("squeezed", 19)])
     def test_exact_margins_of_propagation_and_oracle(self, monkeypatch, start, calls):
         # both routes check their start once, and neither the vacuum's; the
-        # moment oracle then checks every later sample by its exact margin
+        # moment oracle then checks every later sample by its exact margin,
+        # propagation only those below the vacuum
         p = NetworkParams(N=4, d=1, V=1.2, kappa2=0.2)
         seg = _ring_segment(p, 2, 0.5, dt=1e-3, sample_every=10)
         C0 = vacuum_covariance(p)
@@ -619,39 +641,50 @@ class TestSampleStack:
         assert peaks[1] <= 1.1 * peaks[0]
 
     @pytest.mark.parametrize("observed", [False, True])
-    @pytest.mark.parametrize("t_end, sample_every, live, cholesky", [
-        (0.05, 50, 6, 0), (0.05, 10, 6, 0), (0.5, 100, 7, 1),
+    @pytest.mark.parametrize("t_end, sample_every, start, live, cholesky, exact", [
+        (0.05, 50, "vacuum", 6, 0, 0), (0.05, 10, "vacuum", 6, 0, 0),
+        (0.5, 100, "vacuum", 7, 2, 0), (0.05, 50, "squeezed", 6, 1, 2),
     ])
-    def test_peak_counts_the_live_buffers(self, monkeypatch, t_end, sample_every, live,
-                                          cholesky, observed):
+    def test_peak_counts_the_live_buffers(self, monkeypatch, t_end, sample_every, start, live,
+                                          cholesky, exact, observed):
         # 6 float 2N x 2N buffers are live while stepping: C, A, and the
         # stepper's stage input and three slopes of C.  The product A C
         # lands in the slope buffer and its transpose in the stage input,
         # which the product has read; the two-sample result is allocated
-        # only after the last check.  A sample between the ends is checked
+        # only after the last check.  A sample before the last is checked
         # in the stepper's free stage input: the block dominance test
         # squares C there, and allocates only N-vectors, so segments whose
         # samples all pass it peak near 6.8.  A sample that falls through to
         # the Cholesky tier (its copy in the same buffer) adds the factor
-        # numpy returns: 7.7 on the longer segment, where one sample does.
-        # Besides these, the complex K^T is half a buffer and the rest is
-        # N-vectors.  One more 2N x 2N temporary per stage, or per check,
-        # breaks the bound; so does a sample held for an observer that reads
-        # one scalar of it.
+        # numpy returns: 7.7 on the longer segment, where two do.  The last
+        # sample is checked in a fresh buffer once A and the stepper's are
+        # freed, so one that reaches the eigensolver (from a squeezed start,
+        # whose q variance is still below the vacuum at t = 0.05) peaks no
+        # higher than the stepping: 6.7.  Besides these, the complex
+        # K^T is half a buffer and the rest is N-vectors.  One more 2N x 2N
+        # temporary per stage, or per check, breaks the bound; so does a
+        # sample held for an observer that reads one scalar of it.
         p = NetworkParams(N=40, d=8, V=1.2, kappa2=0.2)
         seg = _ring_segment(p, 1, t_end, dt=1e-3, sample_every=sample_every)
         C0 = vacuum_covariance(p)
+        if start == "squeezed":
+            C0 = CovarianceMatrix(0.0, C0.C * np.tile([np.exp(-1.0), np.exp(1.0)], p.N))
         traces = []
         observe = (lambda t, C: traces.append(C.trace())) if observed else None
         propagate_covariance(p, seg, C0, dt=1e-3, observe=observe)  # lazy imports
         traces.clear()
-        factored = []
+        factored, evaluated = [], []
 
         def counted(M):
             factored.append(None)
             return _factorizes(M)
 
+        def counted_exact(C, hbar=1.0):
+            evaluated.append(None)
+            return physicality_margin(C, hbar)
+
         monkeypatch.setattr(fluctuations, "_factorizes", counted)
+        monkeypatch.setattr(fluctuations, "physicality_margin", counted_exact)
         tracemalloc.start()
         try:
             ct = propagate_covariance(p, seg, C0, dt=1e-3, observe=observe)
@@ -659,11 +692,11 @@ class TestSampleStack:
         finally:
             tracemalloc.stop()
         assert len(factored) == cholesky
-        assert ct.certified == len(seg.times) - 2
+        assert len(evaluated) == exact  # a squeezed start's and its last sample's
+        assert ct.certified == len(seg.times) - 1 - (start == "squeezed")
         assert len(traces) == (len(seg.times) if observed else 0)
         assert ct.covs.dtype == np.float64
         assert peak < (live + 0.9) * ct.covs[0].nbytes
-
 
     def test_mutual_information_observer_copies_no_sample(self):
         # I2 needs log det C, so an I2 observer holds one Cholesky factor of
@@ -726,9 +759,10 @@ class TestPhysicalityRoutes:
     only physical ones."""
 
     @settings(max_examples=200, deadline=None)
-    @given(gaussian_covariances())
-    def test_routes_agree(self, case):
+    @given(gaussian_covariances(), st.floats(-PHYSICALITY_TOL, 0.5))
+    def test_routes_agree(self, case, floor):
         C, hbar, physical = case
+        floor *= hbar
         margin = physicality_margin(C, hbar)
         nu = symplectic_margin(C, hbar)
         assume(min(abs(margin), abs(nu)) > 1e-6 * hbar)
@@ -739,12 +773,14 @@ class TestPhysicalityRoutes:
             assert physical
         if _block_dominant(C, (0.5 - PHYSICALITY_TOL) * hbar, np.empty_like(C)):
             assert physical
+        # a certificate proves the margin above the floor; the exact tier
+        # returns the eigensolver's margin
         if physical:
-            certified = _certified_margin(C, hbar, "sample", np.empty_like(C))
-            assert certified is None or certified >= -PHYSICALITY_TOL * hbar
+            certified = _certified_margin(C, hbar, floor, "sample", np.empty_like(C))
+            assert margin > floor if certified is None else certified == margin
         else:
             with pytest.raises(PhysicalityError, match="sample, margin"):
-                _certified_margin(C, hbar, "sample", np.empty_like(C))
+                _certified_margin(C, hbar, floor, "sample", np.empty_like(C))
 
 
 def shifted(C: np.ndarray, shift: float) -> np.ndarray:
@@ -841,9 +877,9 @@ class TestBlockDominance:
 
     @pytest.mark.parametrize("N, d, t_end, sample_every, tiers", [
         # the inter-site blocks grow until the block test fails at t = 0.35
-        (4, 1, 0.5, 10, ["block"] * 34 + ["cholesky"] * 15),
+        (4, 1, 0.5, 10, ["block"] * 34 + ["cholesky"] * 16),
         # an analyze-wide-like horizon: the block test passes every sample
-        (40, 8, 0.05, 1, ["block"] * 49),
+        (40, 8, 0.05, 1, ["block"] * 50),
     ])
     def test_tiers_run_in_order_of_cost(self, monkeypatch, N, d, t_end, sample_every, tiers):
         p = NetworkParams(N=N, d=d, V=1.2, kappa2=0.2)
@@ -865,8 +901,8 @@ class TestBlockDominance:
         exact = TestSampleChecks._exact_calls(monkeypatch)
         ct = propagate_covariance(p, seg, vacuum_covariance(p), dt=1e-3)
         assert seen == tiers
-        assert ct.certified == len(tiers)
-        assert len(exact) == 1  # the last sample
+        assert ct.certified == len(tiers) == len(seg.times) - 1
+        assert not exact  # the last sample is certified like the others
         assert ct.margin_min == 0.0
 
     def test_block_diagonal_states_are_certified(self):
@@ -888,10 +924,10 @@ class TestBlockDominance:
         noise = 1e-6 * rng.standard_normal((2 * n_sites, 2 * n_sites))
         C = 0.6 * hbar * np.eye(2 * n_sites) + noise + noise.T
         work = np.empty_like(C)
-        assert _certified_margin(C, hbar, "sample", work) is None
+        assert _certified_margin(C, hbar, 0.0, "sample", work) is None
         tracemalloc.start()
         try:
-            assert _certified_margin(C, hbar, "sample", work) is None
+            assert _certified_margin(C, hbar, 0.0, "sample", work) is None
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -76,9 +76,10 @@ def oracle_joint_rhs(p: NetworkParams):
 
 
 def oracle_covariance(p: NetworkParams, seg, C0: np.ndarray, dt: float):
-    """(covs at every sample, margin_min, certified): exact margins at the
-    first and the last sample, a Cholesky certificate of
-    C - (hbar/2 - tol) I in between, the exact margin where it fails."""
+    """(covs at every sample, margin_min, certified): the exact margin at the
+    first sample; at each later one, a Cholesky certificate of
+    C - (hbar/2 + floor + tol) I, with floor the smallest margin so far,
+    and the exact margin where it fails."""
     f = oracle_joint_rhs(p)
     a, C = np.array(seg.alphas[0]), 0.5 * (C0 + C0.T)
     covs = [C]
@@ -86,10 +87,10 @@ def oracle_covariance(p: NetworkParams, seg, C0: np.ndarray, dt: float):
         for _ in range(int(round((t1 - t0) / dt))):
             a, C = oracle_rk4_step(f, (a, C), dt)
         covs.append(C)
-    shift = (0.5 - PHYSICALITY_TOL) * p.hbar * np.eye(2 * p.N)
-    margins = [oracle_margin(covs[0], p.hbar), oracle_margin(covs[-1], p.hbar)]
+    floor = oracle_margin(covs[0], p.hbar)
     certified = 0
-    for C in covs[1:-1]:
+    for C in covs[1:]:
+        shift = (0.5 * p.hbar + floor + PHYSICALITY_TOL * p.hbar) * np.eye(2 * p.N)
         try:
             d = np.diagonal(np.linalg.cholesky(C - shift))
             factors = bool(np.all(np.isfinite(d) & (d > 0.0)))
@@ -98,8 +99,8 @@ def oracle_covariance(p: NetworkParams, seg, C0: np.ndarray, dt: float):
         if factors:
             certified += 1
         else:
-            margins.append(oracle_margin(C, p.hbar))
-    return np.array(covs), min(margins), certified
+            floor = min(floor, oracle_margin(C, p.hbar))
+    return np.array(covs), floor, certified
 
 
 class OracleRK4:
@@ -205,11 +206,14 @@ class TestBitsMatchOracles:
         if observed:
             assert np.array_equal(samples, covs)
         assert ct.margin_min == margin_min
+        assert ct.margin_min == min(oracle_margin(C, RING.hbar) for C in covs)
         assert ct.certified == certified
-        if start in ("vacuum", "asymmetric"):  # both starts are >= (hbar/2) I
-            assert certified == len(covs) - 2
+        if start == "vacuum":  # every later sample is >= (hbar/2) I
+            assert certified == len(covs) - 1
         else:
-            assert certified < len(covs) - 2  # exact margins enter margin_min
+            # a sample below the start's margin, or below the vacuum, takes
+            # its exact margin
+            assert certified < len(covs) - 1
 
     def test_moment_oracle(self, monkeypatch):
         seg = _segment(None)
