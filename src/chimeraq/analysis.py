@@ -3,7 +3,10 @@
 Everything here is a pure function of a quadrature covariance matrix:
 neighbor-weighted momentum correlations, per-site squeezing ellipses,
 Husimi marginals, Renyi-2 entropies, and bipartite Renyi-2 mutual
-information over contiguous partitions of the ring.
+information over contiguous partitions of the ring.  Each function that
+takes params and a covariance raises ValueError unless the covariance has
+``params.N`` sites, and RangeError for a site or partition index that is
+not an integer in its range.
 """
 
 from __future__ import annotations
@@ -19,9 +22,16 @@ from .core import (
     NetworkParams,
     RangeError,
     SingularMatrixError,
+    _number,
     coupling_matrix,
 )
 from .meanfield import RegimeLabel
+
+
+def _check_size(p: NetworkParams, cov: CovarianceMatrix) -> None:
+    """Raises ValueError unless ``cov`` is of ``p.N`` sites."""
+    if cov.n_sites != p.N:
+        raise ValueError("covariance size does not match params.N")
 
 
 def weighted_correlation(p: NetworkParams, cov: CovarianceMatrix) -> np.ndarray:
@@ -31,8 +41,7 @@ def weighted_correlation(p: NetworkParams, cov: CovarianceMatrix) -> np.ndarray:
     profile inherits the spatial structure of the covariance matrix
     (regular over coherent domains, irregular over incoherent ones).
     """
-    if cov.n_sites != p.N:
-        raise ValueError("covariance size does not match params.N")
+    _check_size(p, cov)
     Cpp = cov.C[1::2, 1::2]
     K = coupling_matrix(p)
     return (p.V / (2.0 * p.d)) * (K * Cpp).sum(axis=1)
@@ -68,6 +77,7 @@ def squeezing(p: NetworkParams, cov: CovarianceMatrix) -> list[SqueezingEllipse]
 
     Degenerate marginals (circular cross-section) report theta = 0.
     """
+    _check_size(p, cov)
     out = []
     for l in range(1, p.N + 1):
         M = cov.site_marginal(l)
@@ -89,7 +99,9 @@ def husimi_marginal(p: NetworkParams, cov: CovarianceMatrix, site: int) -> np.nd
 
     The Husimi function is the Wigner function convolved with the
     coherent-state kernel, which adds hbar/2 per quadrature in closed form.
+    Raises RangeError unless ``site`` is an integer in 1..N.
     """
+    _check_size(p, cov)
     return cov.site_marginal(site) + 0.5 * p.hbar * np.eye(2)
 
 
@@ -129,10 +141,12 @@ def mutual_information(p: NetworkParams, cov: CovarianceMatrix, L: int) -> float
 
     I2 = (1/2) log(det C_A det C_B / det C) over the block decomposition of
     the covariance; identical to S2(A) + S2(B) - S2(AB) since the
-    normalization constants cancel.  Raises RangeError unless 1 <= L < N.
+    normalization constants cancel.  Raises RangeError unless ``L`` is an
+    integer with 1 <= L < N.
     """
-    if not 1 <= L <= cov.n_sites - 1:
-        raise RangeError(f"L must be in 1..{cov.n_sites - 1}, got {L}")
+    _check_size(p, cov)
+    if not 1 <= _number("L", L, "int") <= p.N - 1:
+        raise RangeError(f"L must be in 1..{p.N - 1}, got {L}")
     return _mutual_information(cov.C, L)
 
 
@@ -172,6 +186,7 @@ def mi_scan(p: NetworkParams, cov: CovarianceMatrix) -> dict[int, float]:
     Raises:
         SingularMatrixError: if the covariance is not positive definite.
     """
+    _check_size(p, cov)
     return _scan_and_logdet(cov)[0]
 
 

@@ -1,10 +1,11 @@
 """Experiment runner: mean-field runs, fluctuation propagation, analysis,
 and figure-data pipelines, driven by JSON configs.
 
-Every experiment reads its mean-field states through one snapshot loop:
-the state at ``t0``, or each entry of the fig3/fig4 triplet, is integrated
-as one batch over the seeds of a run or sweep, then each run classifies
-its states and runs its pipeline on them.
+One loop, ``_run_seeds``, takes every run or sweep from its start states
+to its manifests: for each state the experiment reads (the state at
+``t0``, or each entry of the fig3/fig4 triplet), each mean-field phase is
+integrated as one batch over the seeds still going, then each run
+classifies its states and runs its pipeline on them.
 
 Every run writes its artifacts plus a ``manifest.json`` echoing the config;
 CSV payloads are byte-identical across reruns with the same inputs.
@@ -253,42 +254,8 @@ def _fig_states(entries) -> tuple[FigState, ...]:
         raise ValueError(f"fig_states: {exc}") from None
 
 
-def _initial_state(cfg: ExperimentConfig, p: NetworkParams) -> MeanFieldState:
-    """The start state read from ``ic_file``, or else drawn from ``ic``."""
-    return initial_conditions(p, cfg.ic) if cfg.ic_state is None else cfg.ic_state
-
-
 def _sample_every(spacing: float, dt: float) -> int:
     return max(1, int(round(spacing / dt)))
-
-
-def _snapshot_run(
-    p: NetworkParams, states0: list[MeanFieldState], t0: float, cfg: ExperimentConfig
-) -> list[list[MeanFieldTrajectory] | Exception]:
-    """Integrate start states that share a start time to the snapshot time,
-    as one batch, in two phases: a sparsely sampled transient and a finely
-    sampled trailing window for classification.
-
-    Returns, per start state, its parts (none if ``t0`` is the start time)
-    or the error that ended its run; the other states go on without it.
-    """
-    results: list = [[] for _ in states0]  # parts so far, or the error
-    if not states0 or t0 <= states0[0].t:
-        return results
-    cur = list(states0)
-    for t_end, spacing in _phases(states0[0].t, t0, cfg):
-        live = [i for i, r in enumerate(results) if isinstance(r, list)]
-        trajs = integrate_many(
-            p, [cur[i] for i in live], t_end, dt=cfg.dt_mf,
-            sample_every=_sample_every(spacing, cfg.dt_mf),
-        )
-        for i, traj in zip(live, trajs):
-            if isinstance(traj, Exception):
-                results[i] = traj
-            else:
-                results[i].append(traj)
-                cur[i] = traj.final_state
-    return results
 
 
 def _phases(start: float, t0: float, cfg: ExperimentConfig) -> list[tuple[float, float]]:
@@ -384,10 +351,11 @@ def _covariance(r: _Run, s: _State, observe=None) -> CovarianceTrajectory:
 
 
 class _Run:
-    """One run in progress: output directory, manifest and its own wall time.
+    """One run in progress: output directory, manifest, its own wall time
+    and the transient parts of each state it has read so far.
 
-    Opening a run removes any earlier ``manifest.json``, then draws and
-    writes the start state.
+    Opening a run removes any earlier ``manifest.json``, then draws (or
+    takes the ``ic_file``'s) start state and writes it.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -398,15 +366,16 @@ class _Run:
         (self.outdir / "manifest.json").unlink(missing_ok=True)
         self.files: list[str] = []
         config = {**io.to_json(cfg), "params": io.params_to_json(cfg.params)}
-        if EXPERIMENTS[cfg.experiment].triplet:
-            del config["t0"]  # each fig state has its own
+        # the key the experiment never reads: the triplet's states have their own t0
+        del config["t0" if EXPERIMENTS[cfg.experiment].triplet else "fig_states"]
         self.manifest: dict = {
             "experiment": cfg.experiment,
             "version": __version__,
             "config": config,
         }
-        self.state0 = _initial_state(cfg, cfg.params)
+        self.state0 = cfg.ic_state or initial_conditions(cfg.params, cfg.ic)
         self.emit("initial_conditions.json", io.save_state, self.state0, cfg.params, cfg.ic)
+        self.parts: list[list[MeanFieldTrajectory]] = []  # per state read so far
         self.wall_s = time.monotonic() - t_start
 
     def emit(self, name: str, writer, *args, **kwargs) -> None:
@@ -426,32 +395,43 @@ def _run_seeds(cfgs: list[ExperimentConfig]) -> tuple[list[dict | Exception], fl
     """Run configs that differ only in IC seed and output directory.
 
     Every run first draws and writes its start state.  Then, for each state
-    the experiment reads (``ExperimentConfig.snapshots``), the mean-field
-    transient and classify window of every run still going run once, as
-    one batch; a run whose transient fails skips its later states.  Each
+    the experiment reads (``ExperimentConfig.snapshots``), from the start
+    state, each phase of the mean-field transient and classify window
+    (``_phases``) runs as one ``integrate_many`` batch over the runs still
+    going.  A run whose row fails ends there and skips its later states; an
+    exception from the batch call itself ends every run in the batch.  Each
     run then classifies, propagates and writes on its own.
 
-    Returns, per config, the manifest or the exception that ended that run,
-    and the wall time of the batched transients.  A run's ``wall_time_s``
-    counts them only when the batch held that run alone.
+    ``runs[i]`` is run i's one result slot: its ``_Run``, then its manifest
+    or the exception that ended it; returns the slots and the wall time of
+    the batched transients.  A run's ``wall_time_s`` counts them only when
+    the batch held that run alone.
     """
-    runs: list = [_attempt(_Run, cfg) for cfg in cfgs]
-    # per started run, its snapshots so far, or the error that ended it
-    snaps = {i: [] for i, r in enumerate(runs) if isinstance(r, _Run)}
+    cfg = cfgs[0]
+    runs: list = [_attempt(_Run, c) for c in cfgs]
+    alone = sum(isinstance(r, _Run) for r in runs) == 1
     t_start = time.monotonic()
-    for _, p, t_snap in cfgs[0].snapshots():
-        live = [i for i, got in snaps.items() if isinstance(got, list)]
-        batch = _attempt(_snapshot_run, p, [runs[i].state0 for i in live], t_snap, cfgs[0])
-        for i, snap in zip(live, [batch] * len(live) if isinstance(batch, Exception) else batch):
-            if isinstance(snap, Exception):
-                snaps[i] = snap
-            else:
-                snaps[i].append(snap)
+    for _, p, t_snap in cfg.snapshots():
+        live = [i for i, r in enumerate(runs) if isinstance(r, _Run)]
+        for i in live:
+            runs[i].parts.append([])
+        start = runs[live[0]].state0.t if live else t_snap
+        for t_end, spacing in _phases(start, t_snap, cfg) if t_snap > start else ():
+            live = [i for i in live if isinstance(runs[i], _Run)]
+            heads = [r.parts[-1][-1].final_state if r.parts[-1] else r.state0
+                     for r in (runs[i] for i in live)]
+            batch = _attempt(integrate_many, p, heads, t_end, cfg.dt_mf,
+                             _sample_every(spacing, cfg.dt_mf))
+            for i, traj in zip(live, [batch] * len(live) if isinstance(batch, Exception) else batch):
+                if isinstance(traj, Exception):
+                    runs[i] = traj  # drops the run's parts
+                else:
+                    runs[i].parts[-1].append(traj)
     transient_s = time.monotonic() - t_start
-    for i, got in snaps.items():
-        if len(snaps) == 1:
-            runs[i].wall_s += transient_s
-        runs[i] = _attempt(_finish, runs[i], got)
+    for i, r in enumerate(runs):
+        if isinstance(r, _Run):
+            r.wall_s += transient_s if alone else 0.0
+            runs[i] = _attempt(_finish, r)
     return runs, transient_s
 
 
@@ -463,18 +443,16 @@ def run(cfg: ExperimentConfig) -> dict:
     return result
 
 
-def _finish(r: _Run, snaps: list | Exception) -> dict:
-    """Classify one run's ``_snapshot_run`` parts, one list per state, and
-    record their regimes (a single state also writes ``snapshot.json``:
-    its last part's final state, or the start state), then run the
-    experiment's pipeline on them; the manifest is written last."""
-    if isinstance(snaps, Exception):
-        raise snaps
+def _finish(r: _Run) -> dict:
+    """Classify the run's transient parts, one list per state, and record
+    their regimes (a single state also writes ``snapshot.json``: its last
+    part's final state, or the start state), then run the experiment's
+    pipeline on them; the manifest is written last."""
     t_start = time.monotonic()
     states = [
         _State(name, p, parts, parts[-1].final_state if parts else r.state0,
                _classify_window(parts, r.cfg))
-        for (name, p, _), parts in zip(r.cfg.snapshots(), snaps)
+        for (name, p, _), parts in zip(r.cfg.snapshots(), r.parts)
     ]
     experiment = EXPERIMENTS[r.cfg.experiment]
     if experiment.triplet:

@@ -217,6 +217,9 @@ class CovarianceMatrix:
         return self.C.shape[0] // 2
 
     def site_marginal(self, l: int) -> np.ndarray:
-        """2x2 (q, p) covariance block of 1-based site ``l``."""
-        i = 2 * ((int(l) - 1) % self.n_sites)
+        """2x2 (q, p) covariance block of 1-based site ``l``; raises
+        RangeError unless ``l`` is an integer in 1..N."""
+        if not 1 <= (site := _number("site", l, "int")) <= self.n_sites:
+            raise RangeError(f"site must be in 1..{self.n_sites}, got {l}")
+        i = 2 * (site - 1)
         return np.array(self.C[i : i + 2, i : i + 2])

@@ -161,6 +161,29 @@ class TestHusimi:
         assert np.allclose(H, np.diag([0.75, 1.5]), atol=1e-15)
 
 
+P4 = NetworkParams(N=4, d=1, V=1.2, kappa2=0.2)
+P6 = NetworkParams(N=6, d=2, V=0.9, kappa2=0.2)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda cov: husimi_marginal(P4, cov, 0), RangeError, r"site must be in 1\.\.4, got 0"),
+    (lambda cov: husimi_marginal(P4, cov, 9), RangeError, r"site must be in 1\.\.4, got 9"),
+    (lambda cov: husimi_marginal(P4, cov, 2.7), RangeError, "site must be an integer"),
+    (lambda cov: cov.site_marginal(True), RangeError, "site must be an integer"),
+    (lambda cov: mutual_information(P4, cov, True), RangeError, "L must be an integer"),
+    (lambda cov: squeezing(P6, cov), ValueError, "covariance size does not match"),
+    (lambda cov: husimi_marginal(P6, cov, 1), ValueError, "covariance size does not match"),
+    (lambda cov: mi_scan(P6, cov), ValueError, "covariance size does not match"),
+    (lambda cov: mutual_information(P6, cov, 1), ValueError, "covariance size does not match"),
+], ids=["site-0", "site-9", "site-2.7", "site-True", "L-True", "squeezing-N6",
+        "husimi-N6", "mi_scan-N6", "mutual_information-N6"])
+def test_site_and_size_checked(call, error, match):
+    # an N=4 vacuum: a site wrapped modulo N or truncated to an integer,
+    # and params of another N read it without a word
+    with pytest.raises(error, match=match):
+        call(vacuum_covariance(P4))
+
+
 class TestRenyi2:
     def test_vacuum_any_block_is_zero(self, paper_params):
         C = vacuum_covariance(paper_params).C

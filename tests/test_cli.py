@@ -7,6 +7,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import MISSING, dataclass, replace
 from io import StringIO
 from pathlib import Path
@@ -18,8 +19,20 @@ from hypothesis import strategies as st
 
 from chimeraq import analysis, cli, io
 from chimeraq.cli import main
-from chimeraq.core import CovarianceMatrix, MeanFieldState, NetworkParams, RangeError
-from chimeraq.meanfield import InitialConditionSpec, MeanFieldTrajectory, integrate, spacetime_grid
+from chimeraq.core import (
+    CovarianceMatrix,
+    DivergenceError,
+    MeanFieldState,
+    NetworkParams,
+    RangeError,
+)
+from chimeraq.meanfield import (
+    InitialConditionSpec,
+    MeanFieldTrajectory,
+    initial_conditions,
+    integrate,
+    spacetime_grid,
+)
 from oracles import load_covariance
 from test_stepper import oracle_covariance
 
@@ -200,6 +213,18 @@ class TestIo:
         assert body == "0.33333333333333331"
 
 
+def transient_parts(cfg: cli.ExperimentConfig, p: NetworkParams, t0: float):
+    """The parts of a run's transient to ``t0``: one ``integrate`` from the
+    drawn start state per phase of ``cli._phases``."""
+    state = initial_conditions(cfg.params, cfg.ic)
+    parts = []
+    for t_end, spacing in cli._phases(state.t, t0, cfg):
+        parts.append(integrate(p, state, t_end, dt=cfg.dt_mf,
+                               sample_every=round(spacing / cfg.dt_mf)))
+        state = parts[-1].final_state
+    return parts
+
+
 class TestCsvBytes:
     """Grid and covariance payloads, written a block at a time, hold the
     bytes of the per-cell rule applied to the numbers they come from."""
@@ -210,9 +235,7 @@ class TestCsvBytes:
         cfg_path = write_config(tmp_path / "c.json", outputs=str(out))
         assert main([experiment, "--config", str(cfg_path)]) == 0
         cfg = cli.load_config(str(cfg_path), experiment, None, None)
-        state0 = cli._initial_state(cfg, cfg.params)
-        (parts,) = cli._snapshot_run(cfg.params, [state0], cfg.t0, cfg)
-        return out, cfg, parts
+        return out, cfg, transient_parts(cfg, cfg.params, cfg.t0)
 
     @pytest.mark.parametrize("experiment, files", [
         ("meanfield", {"meanfield_grid.csv": ("phi", "r2")}),
@@ -257,13 +280,11 @@ class TestCsvBytes:
             assert main([experiment, "--config", str(cfg_path),
                          "--out", str(outs[experiment])]) == 0
         cfg = cli.load_config(str(cfg_path), "reproduce-fig4", None, None)
-        state0 = cli._initial_state(cfg, cfg.params)
         fig3, scan_rows, mi_rows = {}, [], []
         for tag, fig_state in zip("abc", cfg.fig_states):
             name, V = fig_state.name, fig_state.V
             p = replace(cfg.params, V=V)
-            ((*_, last),) = cli._snapshot_run(p, [state0], fig_state.t0, cfg)
-            snapshot = last.final_state
+            snapshot = transient_parts(cfg, p, fig_state.t0)[-1].final_state
             seg = integrate(p, snapshot, snapshot.t + cfg.delta_t, dt=cfg.dt_cov,
                             sample_every=10)
             covs, _, _ = oracle_covariance(p, seg, 0.5 * p.hbar * np.eye(2 * p.N), cfg.dt_cov)
@@ -967,6 +988,17 @@ class TestRunPipelines:
         assert "t0" not in config
         assert config["fig_states"] == fig_states
 
+    def test_single_state_manifest_does_not_echo_fig_states(self, tmp_path):
+        # a single-state experiment reads t0 alone: its echo held the
+        # fig_states triplet it never reads
+        out = tmp_path / "out"
+        fig_states = [{"name": "chimera", "V": 1.2, "t0": 12.5}]
+        cfg = write_config(tmp_path / "c.json", outputs=str(out), fig_states=fig_states)
+        assert main(["meanfield", "--config", str(cfg)]) == 0
+        config = read_manifest(out)["config"]
+        assert "fig_states" not in config
+        assert config["t0"] == 12.0
+
     def test_ic_file_reuse(self, tmp_path):
         out1 = tmp_path / "a"
         cfg = write_config(tmp_path / "c.json", outputs=str(out1))
@@ -1155,6 +1187,82 @@ class TestSeedSweep:
         for m in (a, b):
             del m["wall_time_s"], m["config"]["outputs"]
         assert a == b
+
+    def test_one_diverging_seed_of_a_triplet(self, tmp_path, monkeypatch):
+        # two states batched over two seeds; seed 2 diverges in its first
+        # batch and skips the rest, seed 1 runs on as it would alone
+        fig_states = [{"name": "chimera", "V": 1.2, "t0": 12.0},
+                      {"name": "desynchronized", "V": 0.8, "t0": 20.0}]
+        out = tmp_path / "sweep"
+        cfg = write_config(tmp_path / "c.json", outputs=str(out), fig_states=fig_states)
+        solo = tmp_path / "solo"
+        assert main(["reproduce-fig3", "--config", str(cfg), "--seed", "1",
+                     "--out", str(solo)]) == 0
+
+        draw, batch = cli.initial_conditions, cli.integrate_many
+
+        def blow_up_seed_2(p, ic):
+            s = draw(p, ic)
+            return MeanFieldState(s.t, 40.0 * s.alphas) if ic.seed == 2 else s
+
+        rows = []  # per batch call: each row's start amplitudes, and its result
+
+        def recorded(p, states0, *args, **kwargs):
+            got = batch(p, states0, *args, **kwargs)
+            rows.append(list(zip((s.alphas for s in states0), got)))
+            return got
+
+        monkeypatch.setattr(cli, "initial_conditions", blow_up_seed_2)
+        monkeypatch.setattr(cli, "integrate_many", recorded)
+        assert main(["reproduce-fig3", "--config", str(cfg), "--seeds", "1,2"]) == 4
+        sweep = json.loads((out / "sweep_manifest.json").read_text())
+        assert sweep["failed_seeds"] == [2]
+        assert sweep["errors"]["2"]["type"] == "DivergenceError"
+        assert sweep["files"] == ["sweep_summary.csv", "sweep_manifest.json", "seed_1"]
+        assert {f.name for f in (out / "seed_2").iterdir()} == {"initial_conditions.json"}
+
+        # a transient and a classify window per state: only the first call
+        # holds seed 2, whose row is its error; every later one holds seed 1
+        # alone, its window going on from its transient and its second
+        # state from its start
+        assert [len(r) for r in rows] == [2, 1, 1, 1]
+        (start_1, transient), (_, error) = rows[0]
+        assert isinstance(error, DivergenceError)
+        assert np.array_equal(rows[1][0][0], transient.final_state.alphas)
+        assert np.array_equal(rows[2][0][0], start_1)
+
+        good = out / "seed_1"
+        assert {f.name for f in good.iterdir()} == {f.name for f in solo.iterdir()}
+        for f in solo.iterdir():
+            if f.name != "manifest.json":
+                assert (good / f.name).read_bytes() == f.read_bytes(), f.name
+        a, b = read_manifest(good), read_manifest(solo)
+        for m in (a, b):
+            del m["wall_time_s"], m["config"]["outputs"]
+        assert a == b
+
+    def test_failed_run_drops_its_parts(self, tmp_path, monkeypatch):
+        # seed 2 fails in the first batch of the second state: by the next
+        # batch, nothing holds the parts of its first state any more
+        fig_states = [{"name": "chimera", "V": 1.2, "t0": 12.0},
+                      {"name": "desynchronized", "V": 0.8, "t0": 20.0}]
+        cfg = write_config(tmp_path / "c.json", outputs=str(tmp_path / "sweep"),
+                           fig_states=fig_states)
+        batch = cli.integrate_many
+        held, freed = [], []
+
+        def failing(p, states0, *args, **kwargs):
+            freed.append([ref() is None for ref in held])
+            got = batch(p, states0, *args, **kwargs)
+            if len(freed) <= 2:
+                held.append(weakref.ref(got[1]))
+            elif len(freed) == 3:
+                got[1] = DivergenceError("seed 2 fails here")
+            return got
+
+        monkeypatch.setattr(cli, "integrate_many", failing)
+        assert main(["reproduce-fig3", "--config", str(cfg), "--seeds", "1,2"]) == 4
+        assert freed == [[], [False], [False, False], [True, True]]
 
     def test_diverging_sweep_writes_only_json_to_stderr(self, tmp_path, capsys):
         # outside pytest a warning is printed to stderr; here it is recorded

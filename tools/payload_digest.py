@@ -1,0 +1,102 @@
+"""Print a sha256 digest of every file a fixed set of CLI runs writes.
+
+Runs in one process, into a temporary directory:
+
+* each of the eight experiments at N=20;
+* two-seed ``analyze`` and ``reproduce-fig4`` sweeps, and a sweep whose
+  seeds diverge;
+* ``analyze`` at the ``analyze-paper`` and ``analyze-wide`` benchmark
+  configs.
+
+For each run it prints the exit code, then one ``<sha256>  <run>/<path>``
+line per file, in path order.  A manifest (``manifest.json`` or
+``sweep_manifest.json``) is hashed without its ``*wall_time_s`` keys and
+its ``outputs`` echo, which differ on every run.  The package imported is
+named on stderr.
+
+Two runs of the same code print the same lines; so do two versions of the
+code that write the same payloads.  Usage::
+
+    python tools/payload_digest.py > a.txt
+    PYTHONPATH=<other checkout>/src python tools/payload_digest.py > b.txt
+    diff a.txt b.txt
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+# a PYTHONPATH or an installed package comes first; this checkout's src/ last
+sys.path.append(str(ROOT / "src"))
+sys.path.append(str(ROOT / "benchmarks"))
+
+import chimeraq  # noqa: E402
+from chimeraq.cli import main  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+SMALL = {
+    "params": {"N": 20, "d": 4, "V": 1.2, "kappa2": 0.2, "hbar": 1.0},
+    "ic": {"seed": 1},
+    "t0": 12.5,
+    "sample_spacing": 0.5,
+    "fig_states": [
+        {"name": "chimera", "V": 1.2, "t0": 12.5},
+        {"name": "synchronized", "V": 1.6, "t0": 15.5},
+        {"name": "desynchronized", "V": 0.8, "t0": 20.5},
+    ],
+}
+
+EXPERIMENTS = ("meanfield", "fluctuations", "analyze", "scan-mi", "reproduce-fig1",
+               "reproduce-fig2", "reproduce-fig3", "reproduce-fig4")
+
+#: (run name, experiment, config, extra CLI arguments)
+RUNS = [
+    *((e, e, SMALL, []) for e in EXPERIMENTS),
+    ("analyze-sweep", "analyze", SMALL, ["--seeds", "1,2"]),
+    ("fig4-sweep", "reproduce-fig4", SMALL, ["--seeds", "1,2"]),
+    ("diverging-sweep", "meanfield", {**SMALL, "ic": {"seed": 1, "r0": 60.0}},
+     ["--seeds", "1,2"]),
+    *((name, "analyze", WORKLOADS[name].config, [])
+      for name in ("analyze-paper", "analyze-wide")),
+]
+
+MANIFESTS = ("manifest.json", "sweep_manifest.json")
+
+
+def _stable(obj):
+    """A manifest without the keys that differ on every run."""
+    if isinstance(obj, dict):
+        return {k: _stable(v) for k, v in obj.items()
+                if k != "outputs" and not k.endswith("wall_time_s")}
+    return obj
+
+
+def digest(path: Path) -> str:
+    data = path.read_bytes()
+    if path.name in MANIFESTS:
+        data = json.dumps(_stable(json.loads(data))).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def main_() -> int:
+    print(f"chimeraq from {Path(chimeraq.__file__).parent}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, experiment, config, extra in RUNS:
+            cfg = tmp / f"{name}.json"
+            cfg.write_text(json.dumps(config))
+            out = tmp / name
+            code = main([experiment, "--config", str(cfg), "--out", str(out), *extra])
+            print(f"exit {code}  {name}")
+            for path in sorted(p for p in out.rglob("*") if p.is_file()):
+                print(f"{digest(path)}  {path.relative_to(tmp)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_())
