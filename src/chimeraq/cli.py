@@ -73,13 +73,13 @@ class FigState:
     t0: float
 
     def __post_init__(self):
+        if not isinstance(self.name, str) or not self.name:
+            raise RangeError(f"name must be a non-empty string, got {self.name!r}")
         for key in ("V", "t0"):
             value = _number(key, getattr(self, key))
             if not math.isfinite(value) or value < 0:
-                raise RangeError(
-                    f"invalid fig state {self.name}: {key} must be finite and >= 0, "
-                    f"got {key}={value}"
-                )
+                raise RangeError(f"invalid fig state {self.name}: {key} must be finite "
+                                 f"and >= 0, got {key}={value}")
         if set(self.name) & set(',"\r\n'):  # the name is a CSV cell of fig4a/fig4b
             raise RangeError(f"name must hold no comma, quote or line break, got {self.name!r}")
 
@@ -128,17 +128,24 @@ class ExperimentConfig:
     ic_state: MeanFieldState | None = field(default=None, compare=False, metadata={"key": False})
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment: {self.experiment!r}")
-        if self.ic_state is not None and self.ic_state.n_sites != self.params.N:
-            raise ConfigError(
-                f"ic_file has N={self.ic_state.n_sites}, config has N={self.params.N}"
-            )
         for f in fields(self):
             if f.type in ("int", "float"):
                 value = _number(f.name, getattr(self, f.name), f.type, ConfigError)
                 if not math.isfinite(value):
                     raise ConfigError(f"{f.name} must be finite, got {value}")
+            elif f.type.removesuffix(" | None") in ("str", "PathName"):
+                try:
+                    io.read(f.name, getattr(self, f.name), f.type)
+                except ValueError as exc:
+                    raise ConfigError(str(exc)) from None
+        if self.experiment not in EXPERIMENTS:
+            raise ConfigError(f"unknown experiment: {self.experiment!r}")
+        from_file = self.ic_file is not None
+        if (self.ic is None) != from_file or (self.ic_state is None) == from_file:
+            raise ConfigError("give exactly one of ic and ic_file, and ic_state with ic_file")
+        if self.ic_state is not None and self.ic_state.n_sites != self.params.N:
+            raise ConfigError(f"ic_file has N={self.ic_state.n_sites}, "
+                              f"config has N={self.params.N}")
         if self.t0 < 0:
             raise ConfigError(f"t0 must be >= 0, got {self.t0}")
         for name in ("delta_t", "dt_mf", "dt_cov", "sample_spacing", "window_spacing",
@@ -216,15 +223,13 @@ def load_config(path: str, experiment: str, seed: int | None, out: str | None) -
     if out == "":
         raise ConfigError("--out must be a path, got ''")
     try:
-        params = io.params_from_json(obj["params"])
+        params = io.read_object(NetworkParams, obj["params"], "params")
         ic_file = io.read("ic_file", obj.get("ic_file"), "PathName | None")
         outputs = io.read("outputs", obj.get("outputs", f"runs/{experiment}"), "PathName")
         ic, state = None, None
-        if ic_file is None:
+        if ic_file is None or "ic" in obj:  # with both, the config is refused
             ic = io.read_object(InitialConditionSpec, obj.get("ic", {}), "ic")
             ic = ic if seed is None else replace(ic, seed=seed)
-        elif "ic" in obj:
-            raise ConfigError("give either ic or ic_file, not both")
         elif seed is not None:
             raise ConfigError("a seed override needs inline ic, not ic_file")
         else:
@@ -365,7 +370,7 @@ class _Run:
         self.outdir.mkdir(parents=True, exist_ok=True)
         (self.outdir / "manifest.json").unlink(missing_ok=True)
         self.files: list[str] = []
-        config = {**io.to_json(cfg), "params": io.params_to_json(cfg.params)}
+        config = io.to_json(cfg)
         # the key the experiment never reads: the triplet's states have their own t0
         del config["t0" if EXPERIMENTS[cfg.experiment].triplet else "fig_states"]
         self.manifest: dict = {
@@ -486,7 +491,7 @@ def _fluctuations(r: _Run, states: list[_State]) -> None:
     cov_traj = _covariance(r, s)
     r.emit("covariance.csv", io.write_covariance, cov_traj.final_cov)
     r.emit("covariance_meta.json", io.write_json, {
-        "params": io.params_to_json(s.params),
+        "params": io.to_json(s.params),
         "t_i": s.snapshot.t,
         "delta_t": r.cfg.delta_t,
         "dt_cov": r.cfg.dt_cov,

@@ -2,8 +2,8 @@
 
 Unit conventions used throughout the package:
 
-* the gain rate ``kappa1`` defines the unit of time (it defaults to 1 and
-  all other rates are stored as multiples of it),
+* the linear gain rate ``kappa1`` is the unit of rate and ``1/kappa1`` the
+  unit of time, so kappa1 = 1 in every formula and no object stores it,
 * ``hbar`` is kept configurable (default 1) so that scaling bugs in the
   quantum-fluctuation machinery remain testable,
 * site indices are 1-based in all I/O and in every public function that
@@ -57,15 +57,14 @@ def _number(name: str, x, kind: str = "float", error: type[ValueError] = RangeEr
 class NetworkParams:
     """Ring of N oscillators, each coupled to the 2d sites within range d.
 
-    Rates are in units of ``kappa1``.  ``V`` is the coupling strength and
-    ``kappa2`` the nonlinear damping rate.
+    Rates are in units of the gain ``kappa1``, which is 1 and not a field.
+    ``V`` is the coupling strength and ``kappa2`` the nonlinear damping rate.
     """
 
     N: int
     d: int
     V: float
     kappa2: float
-    kappa1: float = 1.0
     hbar: float = 1.0
 
     def __post_init__(self):
@@ -73,7 +72,7 @@ class NetworkParams:
 
         The coupling range must satisfy 1 <= d <= (N-1)/2, except that
         d = (N+1)/2 is permitted for odd N (the all-to-all case).  V,
-        kappa1, kappa2 and hbar must be finite numbers.
+        kappa2 and hbar must be finite numbers.
         """
         for name, least in (("N", 2), ("d", 1)):
             if (n := _number(name, getattr(self, name), "int")) < least:
@@ -83,19 +82,19 @@ class NetworkParams:
                 f"d={self.d} out of range for N={self.N}: need 2d <= N-1 "
                 f"(or d=(N+1)/2 for odd N)"
             )
-        for name in ("V", "kappa1", "kappa2", "hbar"):
+        for name in ("V", "kappa2", "hbar"):
             if not math.isfinite(_number(name, getattr(self, name))):
                 raise RangeError(f"{name} must be finite, got {getattr(self, name)}")
         if self.V < 0:
             raise RangeError(f"V must be >= 0, got {self.V}")
-        for name in ("kappa1", "kappa2", "hbar"):
+        for name in ("kappa2", "hbar"):
             if getattr(self, name) <= 0:
                 raise RangeError(f"{name} must be > 0, got {getattr(self, name)}")
 
     @property
     def limit_cycle_radius(self) -> float:
         """Radius sqrt(kappa1 / 2 kappa2) of the uncoupled limit cycle."""
-        return float(np.sqrt(self.kappa1 / (2.0 * self.kappa2)))
+        return float(np.sqrt(1.0 / (2.0 * self.kappa2)))
 
 
 def neighbor_offsets(p: NetworkParams) -> tuple[int, ...]:

@@ -207,11 +207,11 @@ def _site_block_coeffs(p: NetworkParams, alphas: np.ndarray, mag2: np.ndarray):
     """Per-site drift coefficients (m, sr, si) and diffusion diagonal;
     ``mag2`` is ``alphas.real**2 + alphas.imag**2``."""
     rate = 4.0 * p.kappa2 * mag2
-    m = p.kappa1 - rate
+    m = 1.0 - rate
     a2 = alphas**2
     sr = -2.0 * p.kappa2 * a2.real
     si = -2.0 * p.kappa2 * a2.imag
-    b = p.hbar * (p.kappa1 + rate)
+    b = p.hbar * (1.0 + rate)
     return m, sr, si, b
 
 
@@ -301,12 +301,15 @@ def propagate_covariance(
     a sample copies it.
 
     Raises:
+        ValueError: if ``C0`` is not of N sites at the segment's first time.
         PhysicalityError: if a covariance on the grid violates the
             uncertainty bound beyond tolerance (linearization breakdown or
             too-large dt).
     """
-    C, margin_min = _check_c0(p, C0)
     times = mf_segment.times
+    if abs(C0.t - times[0]) > 1e-12:
+        raise ValueError(f"C0 is at t={C0.t}, the segment starts at t={times[0]}")
+    C, margin_min = _check_c0(p, C0)
     subs = _substeps(times, dt)
 
     mf_rhs = _rhs_of(p)
@@ -374,5 +377,5 @@ def propagate_covariance(
         params=p,
         margin_min=margin_min,
         certified=certified,
-        vacuum_bound_ratio_max=float(p.kappa2 * peak / p.kappa1),
+        vacuum_bound_ratio_max=float(p.kappa2 * peak),
     )

@@ -8,8 +8,8 @@ Small tables are formatted row by row with that rule.  Large payloads
 call, from line templates built once per table with the same rule, and
 written as they are made: at most one block of text is held.
 
-JSON objects are read by one reader, :func:`read_object`, from the fields
-of the dataclass each one is, and written through one rule, :func:`to_json`.
+Every JSON object is read by one reader, :func:`read_object`, from the
+fields of its dataclass, and written through one rule, :func:`to_json`.
 """
 
 from __future__ import annotations
@@ -132,21 +132,6 @@ def to_json(x):
     return [x.real, x.imag] if isinstance(x, complex) else x
 
 
-def params_to_json(p: NetworkParams) -> dict:
-    """The parameter object; kappa1 is fixed to 1 in files and not written."""
-    obj = to_json(p)
-    del obj["kappa1"]
-    return obj
-
-
-def params_from_json(obj) -> NetworkParams:
-    """Parse the parameter object; kappa1 is fixed to 1 in files."""
-    p = read_object(NetworkParams, obj, "params")
-    if p.kappa1 != 1.0:
-        raise ValueError("kappa1 is fixed to 1 in parameter files")
-    return p
-
-
 def save_state(
     path: Path,
     state: MeanFieldState,
@@ -154,7 +139,7 @@ def save_state(
     ic: InitialConditionSpec | None = None,
 ) -> None:
     """Persist oscillator amplitudes as [re, im] pairs with their provenance."""
-    write_json(path, {**to_json(state), "params": params_to_json(p), "ic": to_json(ic)})
+    write_json(path, {**to_json(state), "params": to_json(p), "ic": to_json(ic)})
 
 
 def load_state(path: Path) -> tuple[MeanFieldState, NetworkParams]:
@@ -165,7 +150,7 @@ def load_state(path: Path) -> tuple[MeanFieldState, NetworkParams]:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError(f"a state file holds a JSON object, got {type(obj).__name__}")
-    p = params_from_json(obj.get("params"))
+    p = read_object(NetworkParams, obj.get("params"), "params")
     t = read("t", obj.get("t", 0.0), "float")
     pairs = obj.get("alphas")
     if not (isinstance(pairs, list) and all(isinstance(a, list) and len(a) == 2 for a in pairs)):

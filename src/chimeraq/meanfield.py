@@ -119,14 +119,14 @@ def _rhs_of(p: NetworkParams):
     guarantee that.
     """
     KT = np.ascontiguousarray(coupling_matrix(p).T, dtype=complex)
-    k1, c2, cj = p.kappa1, 2.0 * p.kappa2, 1j * (p.V / (2.0 * p.d))
+    c2, cj = 2.0 * p.kappa2, 1j * (p.V / (2.0 * p.d))
 
     def rhs(alphas: np.ndarray, out: np.ndarray | None = None,
             mag2: np.ndarray | None = None) -> np.ndarray:
-        # alphas (k1 - 2 kappa2 |alphas|^2) - 1j (V / 2d) (alphas @ K.T)
+        # alphas (1 - 2 kappa2 |alphas|^2) - 1j (V / 2d) (alphas @ K.T)
         if mag2 is None:
             mag2 = alphas.real**2 + alphas.imag**2
-        out = np.multiply(alphas, k1 - c2 * mag2, out)
+        out = np.multiply(alphas, 1.0 - c2 * mag2, out)
         coupling = alphas[..., None, :] @ KT
         return np.subtract(out, np.multiply(cj, coupling, coupling)[..., 0, :], out)
 

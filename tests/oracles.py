@@ -139,7 +139,7 @@ def moment_oracle(
     subs = _substeps(times, dt)
 
     mf_rhs = _rhs_of(p)
-    k1, k2 = p.kappa1, p.kappa2
+    k1, k2 = 1.0, p.kappa2
     cV = p.V / (2.0 * p.d)
     F_stat = (-1j * cV) * coupling_matrix(p).astype(complex)
     gain = 2.0 * k1 * np.eye(p.N)
@@ -179,7 +179,7 @@ def vacuum_bound_ratio(p: NetworkParams, seg: MeanFieldTrajectory) -> float:
     """Largest kappa2 |alpha|^2 / kappa1 over the samples of a mean-field
     segment, as ``propagate_covariance`` reports it over its checked samples."""
     a = seg.alphas
-    return float(p.kappa2 * np.max(a.real**2 + a.imag**2) / p.kappa1)
+    return float(p.kappa2 * np.max(a.real**2 + a.imag**2))
 
 
 def _symmetric_sum(M: np.ndarray, out: np.ndarray) -> None:

@@ -243,7 +243,7 @@ def test_c07_squeezing_emergence(canonical_chimera, chimera_cov):
     # anisotropy threshold: halfway between the isotropic vacuum (ratio 1)
     # and the closed-form ratio of an uncoupled limit-cycle site at DELTA_T,
     # lambda_max / lambda_min = (1/2 + 3 kappa1 t) / (3/4 - exp(-4 kappa1 t)/4)
-    k1t = PAPER.kappa1 * DELTA_T
+    k1t = DELTA_T
     r_lc = (0.5 + 3.0 * k1t) / (0.75 - 0.25 * np.exp(-4.0 * k1t))
     r_star = 1.0 + 0.5 * (r_lc - 1.0)
     aniso_frac = float((lam_max / lam_min >= r_star).mean())

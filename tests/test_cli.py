@@ -132,13 +132,10 @@ class TestIo:
         assert obj["params"]["N"] == 6
         assert len(obj["alphas"]) == 6
 
-    def test_params_kappa1_fixed(self):
-        with pytest.raises(ValueError, match="kappa1"):
-            io.params_from_json({"N": 6, "d": 2, "V": 1.0, "kappa2": 0.2, "kappa1": 2.0})
-
     def test_params_unknown_key(self):
         with pytest.raises(ValueError, match="unknown"):
-            io.params_from_json({"N": 6, "d": 2, "V": 1.0, "kappa2": 0.2, "gamma": 1.0})
+            io.read_object(NetworkParams, {"N": 6, "d": 2, "V": 1.0, "kappa2": 0.2, "gamma": 1.0},
+                           "params")
 
     @pytest.mark.parametrize("value", [None, -0.0, 5e-324, 1e308, 1.0 / 3.0])
     def test_covariance_roundtrip(self, tmp_path, value):
@@ -508,6 +505,8 @@ class TestConfigErrors:
             *[("reproduce-fig4", {"fig_states": [{"name": name, "V": 1.2, "t0": 12.0}]},
                f"fig_states: name must hold no comma, quote or line break, got {name!r}")
               for name in ("chi,mera\nx", 'say "hi"', "chi\rmera")],
+            # rates are in units of kappa1, which is not a key
+            ("analyze", {"params": {**PARAMS, "kappa1": 1.0}}, "unknown params keys: ['kappa1']"),
         ],
     )
     def test_out_of_range_value_rejected_before_any_write(
@@ -650,6 +649,8 @@ class TestFigState:
         *[(field, value) for field in ("V", "t0")
           for value in (-1.0, float("nan"), float("inf"), -float("inf"))],
         *[("name", name) for name in ("chi,mera", 'say "hi"', "chi\nmera", "chi\rmera")],
+        # "" built a state with an empty CSV cell, 3 raised a bare TypeError
+        *[("name", name) for name in ("", 3, None)],
     ])
     def test_building_checks_every_field(self, field, value):
         with pytest.raises(RangeError, match=rf"\b{field}\b"):
@@ -669,7 +670,8 @@ NUMERIC_KEYS = [(prefix, f) for prefix, f in KEYS
 
 class TestBuiltInCode:
     """Objects built in code, not read from JSON, check the kind of each
-    numeric field too, and name the field when it is wrong."""
+    numeric, string and path field too, and name the field when it is
+    wrong."""
 
     @pytest.mark.parametrize("value", ["0.9", True, np.True_, [1.0], 1j])
     @pytest.mark.parametrize("key", NUMERIC_KEYS, ids=lambda k: k[0] + k[1].name)
@@ -692,6 +694,23 @@ class TestBuiltInCode:
         p = NetworkParams(np.int64(6), np.int32(2), np.float64(0.9), np.float64(0.2))
         assert p == NetworkParams(6, 2, 0.9, 0.2)
         assert InitialConditionSpec(seed=np.uint8(3)).seed == 3
+
+    @pytest.mark.parametrize("changes, message", [
+        # "" wrote the run's files into the working directory, 5 raised a
+        # bare TypeError
+        ({"outputs": ""}, "outputs must be a path string, got ''"),
+        ({"outputs": 5}, "outputs must be a path string, got 5"),
+        ({"ic": None, "ic_file": ""}, "ic_file must be a path string, got ''"),
+        # the run made its directory, then raised AttributeError on ic.r0
+        ({"ic": None}, "give exactly one of ic and ic_file"),
+        # the run started from the inline ic and echoed the ic_file
+        ({"ic_file": "nowhere.json"}, "give exactly one of ic and ic_file"),
+        ({"ic": None, "ic_file": "nowhere.json"}, "and ic_state with ic_file"),
+        ({"ic_state": MeanFieldState(0.0, np.ones(6))}, "and ic_state with ic_file"),
+    ])
+    def test_strings_paths_and_the_start_are_checked(self, changes, message):
+        with pytest.raises(cli.ConfigError, match=re.escape(message)):
+            replace(BUILT[""], **changes)
 
     def test_unknown_experiment_is_a_config_error(self):
         with pytest.raises(cli.ConfigError, match="unknown experiment: 'bogus'"):
@@ -899,7 +918,7 @@ class TestRunPipelines:
         assert manifest["physicality_margin_min"] == 0.0
         assert manifest["physicality_certified"] == 50
         snapshot, p = io.load_state(out / "snapshot.json")
-        ratio = p.kappa2 * np.abs(snapshot.alphas) ** 2 / p.kappa1
+        ratio = p.kappa2 * np.abs(snapshot.alphas) ** 2
         assert ratio.max() <= manifest["vacuum_bound_ratio_max"] <= 1.0
         assert manifest["beyond_validated_horizon"] is False
         meta = json.loads((out / "covariance_meta.json").read_text())

@@ -41,7 +41,6 @@ class TestValidateParams:
             (dict(N=5, d=0, V=1.0, kappa2=0.2), "d"),
             (dict(N=5, d=1, V=-0.1, kappa2=0.2), "V"),
             (dict(N=5, d=1, V=1.0, kappa2=0.0), "kappa2"),
-            (dict(N=5, d=1, V=1.0, kappa2=0.2, kappa1=-1.0), "kappa1"),
             (dict(N=5, d=1, V=1.0, kappa2=0.2, hbar=0.0), "hbar"),
         ],
     )
@@ -51,9 +50,9 @@ class TestValidateParams:
 
     @pytest.mark.parametrize("field, value", [
         ("N", 1), ("N", True), ("d", 0), ("d", 4), ("d", True),
-        *[(field, value) for field in ("V", "kappa2", "kappa1", "hbar")
+        *[(field, value) for field in ("V", "kappa2", "hbar")
           for value in (-1.0, float("nan"), float("inf"), -float("inf"))],
-        ("kappa2", 0.0), ("kappa1", 0.0), ("hbar", 0.0),
+        ("kappa2", 0.0), ("hbar", 0.0),
     ])
     def test_building_checks_every_field(self, field, value):
         # d=True passed as d=1

@@ -147,15 +147,15 @@ class TestDriftDiffusion:
         dd = drift_diffusion(p, MeanFieldState(0.0, np.full(3, r0, dtype=complex)))
         block = dd.A[:2, :2]
         assert np.allclose(block, np.array([[-2.0, 0.0], [0.0, 0.0]]), atol=1e-14)
-        assert np.trace(block) == pytest.approx(-2.0 * p.kappa1, abs=1e-14)
-        assert np.allclose(np.diag(dd.B), 3.0 * p.hbar * p.kappa1, atol=1e-14)
+        assert np.trace(block) == pytest.approx(-2.0, abs=1e-14)
+        assert np.allclose(np.diag(dd.B), 3.0 * p.hbar, atol=1e-14)
 
     def test_diffusion_diagonal_pairs(self):
         p = NetworkParams(N=5, d=2, V=1.3, kappa2=0.2, hbar=1.7)
         s = random_limit_cycle_state(p, 4)
         dd = drift_diffusion(p, s)
         assert np.array_equal(dd.B, np.diag(np.diag(dd.B)))
-        expect = p.hbar * (p.kappa1 + 4.0 * p.kappa2 * np.abs(s.alphas) ** 2)
+        expect = p.hbar * (1.0 + 4.0 * p.kappa2 * np.abs(s.alphas) ** 2)
         assert np.allclose(np.diag(dd.B)[0::2], expect, atol=1e-14)
         assert np.allclose(np.diag(dd.B)[1::2], expect, atol=1e-14)
 
@@ -292,6 +292,17 @@ class TestPropagateCovariance:
         with pytest.raises(ValueError):
             propagate_covariance(p, seg, vacuum_covariance(p), dt=3e-3)
 
+    @pytest.mark.parametrize("t", [0.0, 2.0 - 1e-9, 2.1])
+    def test_start_must_be_at_the_segment_start(self, t):
+        # C0.t was ignored: a vacuum at t = 0 started a segment at t = 2
+        p = NetworkParams(N=3, d=1, V=0.5, kappa2=0.2)
+        s0 = MeanFieldState(2.0, random_limit_cycle_state(p, 14).alphas)
+        seg = integrate(p, s0, 2.1, dt=1e-3, sample_every=10)
+        with pytest.raises(ValueError, match=rf"C0 is at t={t}, the segment starts at t=2\.0"):
+            propagate_covariance(p, seg, vacuum_covariance(p, t=t), dt=1e-3)
+        # within 1e-12 of the first time, as integrate_many's start times
+        propagate_covariance(p, seg, vacuum_covariance(p, t=2.0 + 1e-13), dt=1e-3)
+
 
 class TestMomentConversion:
     def test_roundtrip(self):
@@ -340,8 +351,8 @@ class TestVacuumBound:
         propagate_covariance(p, seg, vacuum_covariance(p), dt=1e-3, observe=observe)
         assert [t for t, _ in samples] == seg.times.tolist()
         for t, C in samples:
-            want_min = hbar * (0.75 - 0.25 * np.exp(-4.0 * p.kappa1 * t))
-            want_max = hbar * (0.5 + 3.0 * p.kappa1 * t)
+            want_min = hbar * (0.75 - 0.25 * np.exp(-4.0 * t))
+            want_max = hbar * (0.5 + 3.0 * t)
             for e in squeezing(p, CovarianceMatrix(t, C)):
                 assert abs(e.lambda_min - want_min) < 1e-10
                 assert abs(e.lambda_max - want_max) < 1e-10
@@ -353,7 +364,7 @@ class TestVacuumBound:
     def test_no_sub_vacuum_variance_below_threshold(self, N, d, V, kappa2, seed):
         p = NetworkParams(N=N, d=d, V=V, kappa2=kappa2)
         seg = integrate(p, random_limit_cycle_state(p, seed), 0.5, dt=1e-3, sample_every=20)
-        load = p.kappa2 * np.abs(seg.alphas) ** 2 / p.kappa1
+        load = p.kappa2 * np.abs(seg.alphas) ** 2
         assert load.max() <= 1.0  # precondition of the bound
         observe, samples = copying_observer()
         propagate_covariance(p, seg, vacuum_covariance(p), dt=1e-3, observe=observe)
@@ -365,7 +376,7 @@ class TestVacuumBound:
     @pytest.mark.parametrize("load, sub_vacuum", [(0.98, False), (1.6, True)])
     def test_bound_is_sharp_with_frozen_coefficients(self, load, sub_vacuum):
         p = NetworkParams(N=3, d=1, V=1.2, kappa2=0.2)
-        r = np.sqrt(load * p.kappa1 / p.kappa2)
+        r = np.sqrt(load / p.kappa2)
         s = MeanFieldState(0.0, r * np.exp(1j * np.array([0.3, -1.1, 2.4])))
         dd = drift_diffusion(p, s)
         C = propagate_frozen(dd.A, dd.B, vacuum_covariance(p).C, horizon=0.5, dt=1e-3)
@@ -514,7 +525,7 @@ class TestSampleChecks:
         ct = propagate_covariance(p, seg, vacuum_covariance(p), dt=1e-3)
         assert ct.vacuum_bound_ratio_max > 1.0
         # the amplitudes decay toward the limit cycle: the start holds the peak
-        start = p.kappa2 * np.max(np.abs(seg.alphas[0]) ** 2) / p.kappa1
+        start = p.kappa2 * np.max(np.abs(seg.alphas[0]) ** 2)
         assert ct.vacuum_bound_ratio_max == vacuum_bound_ratio(p, seg) == pytest.approx(start)
         assert ct.certified < len(seg.times) - 2
         # every sample but the certified ones and the vacuum start

@@ -30,7 +30,7 @@ from oracles import moment_oracle, oracle_margin
 def oracle_mean_field_rhs(p: NetworkParams, alphas: np.ndarray) -> np.ndarray:
     KT = np.ascontiguousarray(coupling_matrix(p).T, dtype=complex)
     cV = p.V / (2.0 * p.d)
-    local = alphas * (p.kappa1 - 2.0 * p.kappa2 * (alphas.real**2 + alphas.imag**2))
+    local = alphas * (1.0 - 2.0 * p.kappa2 * (alphas.real**2 + alphas.imag**2))
     return local - 1j * cV * (alphas[..., None, :] @ KT)[..., 0, :]
 
 
@@ -57,11 +57,11 @@ def oracle_joint_rhs(p: NetworkParams):
 
     def f(alpha, C):
         mag2 = alpha.real**2 + alpha.imag**2
-        m = p.kappa1 - 4.0 * p.kappa2 * mag2
+        m = 1.0 - 4.0 * p.kappa2 * mag2
         a2 = alpha**2
         sr = -2.0 * p.kappa2 * a2.real
         si = -2.0 * p.kappa2 * a2.imag
-        b = p.hbar * (p.kappa1 + 4.0 * p.kappa2 * mag2)
+        b = p.hbar * (1.0 + 4.0 * p.kappa2 * mag2)
         A = A0.copy()
         A[iq, iq] = m + sr
         A[ip, ip] = m - sr

@@ -3,13 +3,18 @@
 Runs in one process, into a temporary directory:
 
 * each of the eight experiments at N=20;
+* ``analyze`` from the ``meanfield`` run's ``snapshot.json`` and
+  ``reproduce-fig3`` from its ``initial_conditions.json``, through
+  ``ic_file``;
 * two-seed ``analyze`` and ``reproduce-fig4`` sweeps, and a sweep whose
   seeds diverge;
 * ``analyze`` at the ``analyze-paper`` and ``analyze-wide`` benchmark
   configs.
 
 For each run it prints the exit code, then one ``<sha256>  <run>/<path>``
-line per file, in path order.  A manifest (``manifest.json`` or
+line per file, in path order.  The runs start in the temporary directory,
+and an ``ic_file`` is named relative to it, so that the manifest echoes
+the same path on every run.  A manifest (``manifest.json`` or
 ``sweep_manifest.json``) is hashed without its ``*wall_time_s`` keys and
 its ``outputs`` echo, which differ on every run.  The package imported is
 named on stderr.
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -51,12 +57,19 @@ SMALL = {
     ],
 }
 
+#: SMALL without its ``ic``, for the runs that start from an ``ic_file``
+FROM_FILE = {k: v for k, v in SMALL.items() if k != "ic"}
+
 EXPERIMENTS = ("meanfield", "fluctuations", "analyze", "scan-mi", "reproduce-fig1",
                "reproduce-fig2", "reproduce-fig3", "reproduce-fig4")
 
 #: (run name, experiment, config, extra CLI arguments)
 RUNS = [
     *((e, e, SMALL, []) for e in EXPERIMENTS),
+    ("analyze-from-snapshot", "analyze",
+     {**FROM_FILE, "ic_file": "meanfield/snapshot.json", "t0": 22.5}, []),
+    ("fig3-from-start", "reproduce-fig3",
+     {**FROM_FILE, "ic_file": "meanfield/initial_conditions.json"}, []),
     ("analyze-sweep", "analyze", SMALL, ["--seeds", "1,2"]),
     ("fig4-sweep", "reproduce-fig4", SMALL, ["--seeds", "1,2"]),
     ("diverging-sweep", "meanfield", {**SMALL, "ic": {"seed": 1, "r0": 60.0}},
@@ -85,16 +98,21 @@ def digest(path: Path) -> str:
 
 def main_() -> int:
     print(f"chimeraq from {Path(chimeraq.__file__).parent}", file=sys.stderr)
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for name, experiment, config, extra in RUNS:
-            cfg = tmp / f"{name}.json"
-            cfg.write_text(json.dumps(config))
-            out = tmp / name
-            code = main([experiment, "--config", str(cfg), "--out", str(out), *extra])
-            print(f"exit {code}  {name}")
-            for path in sorted(p for p in out.rglob("*") if p.is_file()):
-                print(f"{digest(path)}  {path.relative_to(tmp)}")
+        os.chdir(tmp)
+        try:
+            for name, experiment, config, extra in RUNS:
+                cfg = tmp / f"{name}.json"
+                cfg.write_text(json.dumps(config))
+                out = tmp / name
+                code = main([experiment, "--config", str(cfg), "--out", str(out), *extra])
+                print(f"exit {code}  {name}")
+                for path in sorted(p for p in out.rglob("*") if p.is_file()):
+                    print(f"{digest(path)}  {path.relative_to(tmp)}")
+        finally:
+            os.chdir(cwd)
     return 0
 
 
