@@ -22,7 +22,7 @@ from .core import (
     NetworkParams,
     RangeError,
     SingularMatrixError,
-    _number,
+    check_value,
     coupling_matrix,
 )
 from .meanfield import RegimeLabel
@@ -145,7 +145,7 @@ def mutual_information(p: NetworkParams, cov: CovarianceMatrix, L: int) -> float
     integer with 1 <= L < N.
     """
     _check_size(p, cov)
-    if not 1 <= _number("L", L, "int") <= p.N - 1:
+    if not 1 <= check_value("L", L, int, RangeError) <= p.N - 1:
         raise RangeError(f"L must be in 1..{p.N - 1}, got {L}")
     return _mutual_information(cov.C, L)
 

@@ -17,19 +17,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__, io
-from .io import PathName
 from .analysis import (
     _mutual_information,
     build_record,
@@ -41,8 +39,9 @@ from .analysis import (
 from .core import (
     MeanFieldState,
     NetworkParams,
+    PathName,
     RangeError,
-    _number,
+    check_fields,
 )
 from .fluctuations import (
     VALIDATED_HORIZON,
@@ -69,17 +68,11 @@ class FigState:
     integrated with its own coupling strength to its own snapshot time."""
 
     name: str
-    V: float
-    t0: float
+    V: float = field(metadata={">=": 0})
+    t0: float = field(metadata={">=": 0})
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name:
-            raise RangeError(f"name must be a non-empty string, got {self.name!r}")
-        for key in ("V", "t0"):
-            value = _number(key, getattr(self, key))
-            if not math.isfinite(value) or value < 0:
-                raise RangeError(f"invalid fig state {self.name}: {key} must be finite "
-                                 f"and >= 0, got {key}={value}")
+        check_fields(self, RangeError)
         if set(self.name) & set(',"\r\n'):  # the name is a CSV cell of fig4a/fig4b
             raise RangeError(f"name must hold no comma, quote or line break, got {self.name!r}")
 
@@ -103,41 +96,33 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A parsed config: each field is a config key, read as the kind it is
-    annotated with (see ``io.read``), with the default it declares.  Each
-    field's object checks its own ranges when it is built; this one checks
-    its own keys and the rules that join keys.  Raises ConfigError."""
+    """A parsed config: each field is a config key, with its kind (the
+    annotation), bounds (the metadata) and default.  Building one checks
+    every field by one rule, ``core.check_fields`` (an object field by its
+    kind alone: its object checked itself), then the rules that join keys.
+    Raises ConfigError."""
 
     experiment: str
     params: NetworkParams
-    t0: float  # default: the experiment's (EXPERIMENTS)
+    t0: float = field(metadata={">=": 0})  # default: the experiment's (EXPERIMENTS)
     mi_partition: int  # default: from N, in load_config
     outputs: PathName  # default: runs/<experiment>
     ic: InitialConditionSpec | None = InitialConditionSpec()
     ic_file: PathName | None = None
-    delta_t: float = 0.5
-    dt_mf: float = 0.01
-    dt_cov: float = 0.001
-    sample_spacing: float = 1.0
-    window_spacing: float = 0.1
-    classify_window: float = 10.0
-    z_threshold: float = 0.8
-    w_min: int = 5
+    delta_t: float = field(default=0.5, metadata={">": 0})
+    dt_mf: float = field(default=0.01, metadata={">": 0})
+    dt_cov: float = field(default=0.001, metadata={">": 0})
+    sample_spacing: float = field(default=1.0, metadata={">": 0})
+    window_spacing: float = field(default=0.1, metadata={">": 0})
+    classify_window: float = field(default=10.0, metadata={">": 0})
+    z_threshold: float = field(default=0.8, metadata={">": 0, "<=": 1})
+    w_min: int = field(default=5, metadata={">=": 1})
     fig_states: tuple[FigState, ...] = FIG_STATES
     #: the start state read from ``ic_file`` by load_config; not a key
     ic_state: MeanFieldState | None = field(default=None, compare=False, metadata={"key": False})
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type in ("int", "float"):
-                value = _number(f.name, getattr(self, f.name), f.type, ConfigError)
-                if not math.isfinite(value):
-                    raise ConfigError(f"{f.name} must be finite, got {value}")
-            elif f.type.removesuffix(" | None") in ("str", "PathName"):
-                try:
-                    io.read(f.name, getattr(self, f.name), f.type)
-                except ValueError as exc:
-                    raise ConfigError(str(exc)) from None
+        check_fields(self, ConfigError)
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment: {self.experiment!r}")
         from_file = self.ic_file is not None
@@ -146,16 +131,6 @@ class ExperimentConfig:
         if self.ic_state is not None and self.ic_state.n_sites != self.params.N:
             raise ConfigError(f"ic_file has N={self.ic_state.n_sites}, "
                               f"config has N={self.params.N}")
-        if self.t0 < 0:
-            raise ConfigError(f"t0 must be >= 0, got {self.t0}")
-        for name in ("delta_t", "dt_mf", "dt_cov", "sample_spacing", "window_spacing",
-                     "classify_window"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not 0 < self.z_threshold <= 1:
-            raise ConfigError(f"z_threshold must be in (0, 1], got {self.z_threshold}")
-        if self.w_min < 1:
-            raise ConfigError(f"w_min must be >= 1, got {self.w_min}")
         # a step count beyond the float range (OverflowError) is off the grid
         try:
             _step_count(0.0, self.delta_t, self.dt_cov)
@@ -220,12 +195,10 @@ def load_config(path: str, experiment: str, seed: int | None, out: str | None) -
         )
     if "params" not in obj:
         raise ConfigError("config is missing 'params'")
-    if out == "":
-        raise ConfigError("--out must be a path, got ''")
     try:
         params = io.read_object(NetworkParams, obj["params"], "params")
-        ic_file = io.read("ic_file", obj.get("ic_file"), "PathName | None")
-        outputs = io.read("outputs", obj.get("outputs", f"runs/{experiment}"), "PathName")
+        ic_file = io.read("ic_file", obj.get("ic_file"), PathName | None)
+        outputs = io.read("outputs", obj.get("outputs", f"runs/{experiment}"), PathName)
         ic, state = None, None
         if ic_file is None or "ic" in obj:  # with both, the config is refused
             ic = io.read_object(InitialConditionSpec, obj.get("ic", {}), "ic")
@@ -243,7 +216,7 @@ def load_config(path: str, experiment: str, seed: int | None, out: str | None) -
         return io.read_object(
             ExperimentConfig, {**defaults, **obj}, "config",
             experiment=experiment, params=params, ic=ic, ic_file=ic_file, ic_state=state,
-            outputs=out or os.environ.get(ENV_OUT) or outputs,
+            outputs=io.read("--out", out, PathName | None) or os.environ.get(ENV_OUT) or outputs,
             fig_states=_fig_states(obj["fig_states"]) if "fig_states" in obj else FIG_STATES,
         )
     except ValueError as exc:
@@ -359,13 +332,15 @@ class _Run:
     """One run in progress: output directory, manifest, its own wall time
     and the transient parts of each state it has read so far.
 
-    Opening a run removes any earlier ``manifest.json``, then draws (or
-    takes the ``ic_file``'s) start state and writes it.
+    Opening a run draws (or takes the ``ic_file``'s) start state, so a
+    draw that fails writes nothing, then removes any earlier
+    ``manifest.json`` and writes the start state.
     """
 
     def __init__(self, cfg: ExperimentConfig):
         t_start = time.monotonic()
         self.cfg = cfg
+        self.state0 = cfg.ic_state or initial_conditions(cfg.params, cfg.ic)
         self.outdir = Path(cfg.outputs)
         self.outdir.mkdir(parents=True, exist_ok=True)
         (self.outdir / "manifest.json").unlink(missing_ok=True)
@@ -378,7 +353,6 @@ class _Run:
             "version": __version__,
             "config": config,
         }
-        self.state0 = cfg.ic_state or initial_conditions(cfg.params, cfg.ic)
         self.emit("initial_conditions.json", io.save_state, self.state0, cfg.params, cfg.ic)
         self.parts: list[list[MeanFieldTrajectory]] = []  # per state read so far
         self.wall_s = time.monotonic() - t_start

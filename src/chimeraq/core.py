@@ -8,13 +8,22 @@ Unit conventions used throughout the package:
   quantum-fluctuation machinery remain testable,
 * site indices are 1-based in all I/O and in every public function that
   takes a site (``l = 1..N``), 0-based inside array code.
+
+A config object is a frozen dataclass whose fields are its keys, each with
+its kind (the annotation) and bounds (``field(metadata={">": 0})``).  One
+rule, :func:`check_fields`, checks every field's kind, finiteness and
+bounds first in each ``__post_init__``, which then checks only the rules
+that join fields (d against N, say).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field, fields
+from typing import NewType, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -39,18 +48,62 @@ class SingularMatrixError(ArithmeticError):
     """A determinant required by an entropy formula is not positive."""
 
 
-def _number(name: str, x, kind: str = "float", error: type[ValueError] = RangeError):
-    """``x`` as an int if ``kind`` is "int", else as a float.  Raises ``error``
-    naming ``name`` unless ``x`` is an integer, or for "float" a real number,
-    within the float range; a bool is neither."""
-    whole = kind == "int"
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer) if whole else numbers.Real):
-        raise error(f"{name} must be {'an integer' if whole else 'a number'}, got {x!r}")
-    try:
-        value = float(x)
-    except OverflowError:
-        raise error(f"{name} must be finite, got an integer beyond the float range") from None
-    return int(x) if whole else value
+#: the kind of a config field that names a file or directory
+PathName = NewType("PathName", str)
+
+#: the comparison of each bound a field may declare in its metadata
+BOUNDS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+#: the kind of each field of a dataclass: its annotation, resolved
+field_kinds = functools.cache(get_type_hints)
+
+
+def check_value(name: str, x, kind, error: type[ValueError]):
+    """``x`` checked as the value of ``name`` of ``kind``, a resolved
+    annotation: ``int`` an integer and ``float`` a real number, both finite
+    and returned as ``kind`` (a bool is neither); ``str`` a non-empty
+    string, :data:`PathName` a path string; ``tuple[C, ...]`` a tuple of
+    ``C``; any other class an instance; ``<kind> | None`` also None.
+    Raises ``error`` naming ``name``."""
+    if type(None) in get_args(kind):
+        if x is None:
+            return None
+        (kind,) = (k for k in get_args(kind) if k is not type(None))
+    if kind in (int, float):
+        whole = kind is int
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer) if whole else numbers.Real):
+            raise error(f"{name} must be {'an integer' if whole else 'a number'}, got {x!r}")
+        try:
+            if not math.isfinite(float(x)):
+                raise error(f"{name} must be finite, got {float(x)}")
+        except OverflowError:
+            raise error(f"{name} must be finite, got an integer beyond the float range") from None
+        return kind(x)
+    if kind in (str, PathName):
+        ok = isinstance(x, str) and x != ""
+        what = "a path string" if kind is PathName else "a non-empty string"
+    elif get_origin(kind) is tuple:
+        item = get_args(kind)[0]
+        ok = isinstance(x, tuple) and all(isinstance(v, item) for v in x)
+        what = f"a tuple of {item.__name__}"
+    else:
+        ok, what = isinstance(x, kind), f"of type {kind.__name__}"
+    if not ok:
+        raise error(f"{name} must be {what}, got {x!r}")
+    return x
+
+
+def check_fields(obj, error: type[ValueError]) -> None:
+    """Check every field of the dataclass ``obj`` by one rule: its value is
+    of its kind (:func:`check_value`) and meets each bound its metadata
+    declares (None meets every bound).  Raises ``error`` naming the first
+    field that does not."""
+    kinds = field_kinds(type(obj))
+    for f in fields(obj):
+        value = check_value(f.name, getattr(obj, f.name), kinds[f.name], error)
+        for op, bound in f.metadata.items():
+            if op in BOUNDS and value is not None and not BOUNDS[op](value, bound):
+                raise error(f"{f.name} must be {op} {bound}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -61,35 +114,21 @@ class NetworkParams:
     ``V`` is the coupling strength and ``kappa2`` the nonlinear damping rate.
     """
 
-    N: int
-    d: int
-    V: float
-    kappa2: float
-    hbar: float = 1.0
+    N: int = field(metadata={">=": 2})
+    d: int = field(metadata={">=": 1})
+    V: float = field(metadata={">=": 0})
+    kappa2: float = field(metadata={">": 0})
+    hbar: float = field(default=1.0, metadata={">": 0})
 
     def __post_init__(self):
-        """Check the ranges; raises RangeError naming the violated field.
-
-        The coupling range must satisfy 1 <= d <= (N-1)/2, except that
-        d = (N+1)/2 is permitted for odd N (the all-to-all case).  V,
-        kappa2 and hbar must be finite numbers.
-        """
-        for name, least in (("N", 2), ("d", 1)):
-            if (n := _number(name, getattr(self, name), "int")) < least:
-                raise RangeError(f"{name} must be an integer >= {least}, got {n}")
+        """Check every field, then 2d <= N-1, or d = (N+1)/2 for odd N (the
+        all-to-all case); raises RangeError naming the violated field."""
+        check_fields(self, RangeError)
         if 2 * self.d > self.N - 1 and not (self.N % 2 == 1 and 2 * self.d == self.N + 1):
             raise RangeError(
                 f"d={self.d} out of range for N={self.N}: need 2d <= N-1 "
                 f"(or d=(N+1)/2 for odd N)"
             )
-        for name in ("V", "kappa2", "hbar"):
-            if not math.isfinite(_number(name, getattr(self, name))):
-                raise RangeError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.V < 0:
-            raise RangeError(f"V must be >= 0, got {self.V}")
-        for name in ("kappa2", "hbar"):
-            if getattr(self, name) <= 0:
-                raise RangeError(f"{name} must be > 0, got {getattr(self, name)}")
 
     @property
     def limit_cycle_radius(self) -> float:
@@ -218,7 +257,7 @@ class CovarianceMatrix:
     def site_marginal(self, l: int) -> np.ndarray:
         """2x2 (q, p) covariance block of 1-based site ``l``; raises
         RangeError unless ``l`` is an integer in 1..N."""
-        if not 1 <= (site := _number("site", l, "int")) <= self.n_sites:
+        if not 1 <= (site := check_value("site", l, int, RangeError)) <= self.n_sites:
             raise RangeError(f"site must be in 1..{self.n_sites}, got {l}")
         i = 2 * (site - 1)
         return np.array(self.C[i : i + 2, i : i + 2])

@@ -9,19 +9,19 @@ call, from line templates built once per table with the same rule, and
 written as they are made: at most one block of text is held.
 
 Every JSON object is read by one reader, :func:`read_object`, from the
-fields of its dataclass, and written through one rule, :func:`to_json`.
+fields of its dataclass, its values by the rule that checks every field
+(:func:`read`), and written through one rule, :func:`to_json`.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import MISSING, Field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import CovarianceMatrix, MeanFieldState, NetworkParams, _number
+from .core import CovarianceMatrix, MeanFieldState, NetworkParams, check_value, field_kinds
 from .meanfield import InitialConditionSpec
 
 
@@ -71,26 +71,14 @@ def write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-#: the kind of a config field that names a file or directory
-PathName = str
-
-
-def read(key: str, x, kind: str):
-    """The JSON value ``x`` of ``key`` as ``kind``, a field annotation:
-    ``int`` an integral number, ``float`` a number, both within the float
-    range (a bool is neither); ``str`` and :data:`PathName` a non-empty
-    string; ``<kind> | None`` also null.  Raises ValueError naming the key."""
-    if x is None and kind.endswith(" | None"):
-        return None
-    kind = kind.removesuffix(" | None")
-    if kind in ("str", "PathName"):
-        if isinstance(x, str) and x:
-            return x
-        noun = "path" if kind == "PathName" else "non-empty"
-        raise ValueError(f"{key} must be a {noun} string, got {x!r}")
-    if kind == "int" and isinstance(x, float) and x.is_integer():
-        x = int(x)  # JSON may write an integer as 3.0
-    return _number(key, x, kind, ValueError)
+def read(key: str, x, kind):
+    """The JSON value ``x`` of ``key`` as ``kind``, a resolved annotation, by
+    the one rule of :func:`core.check_value` (null is None), save that an
+    ``int`` takes an integral float, as JSON may write 3 as ``3.0``.
+    Raises ValueError naming the key."""
+    if kind is int and isinstance(x, float) and x.is_integer():
+        x = int(x)
+    return check_value(key, x, kind, ValueError)
 
 
 def keys(cls) -> list[Field]:
@@ -111,7 +99,8 @@ def read_object(cls, obj, what: str, **given):
     unknown = set(obj) - set(table)
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
-    kw = {k: read(k, x, table[k].type) for k, x in obj.items() if k not in given}
+    kinds = field_kinds(cls)
+    kw = {k: read(k, x, kinds[k]) for k, x in obj.items() if k not in given}
     for f in table.values():
         if f.name not in kw and f.name not in given and f.default is MISSING:
             raise ValueError(f"missing {what} key: {f.name}")
@@ -151,13 +140,11 @@ def load_state(path: Path) -> tuple[MeanFieldState, NetworkParams]:
     if not isinstance(obj, dict):
         raise ValueError(f"a state file holds a JSON object, got {type(obj).__name__}")
     p = read_object(NetworkParams, obj.get("params"), "params")
-    t = read("t", obj.get("t", 0.0), "float")
+    t = read("t", obj.get("t", 0.0), float)
     pairs = obj.get("alphas")
     if not (isinstance(pairs, list) and all(isinstance(a, list) and len(a) == 2 for a in pairs)):
         raise ValueError("alphas must be a list of [re, im] pairs")
-    alphas = np.array([complex(*(read("alphas", x, "float") for x in a)) for a in pairs])
-    if not (math.isfinite(t) and np.isfinite(alphas).all()):
-        raise ValueError(f"t and alphas must be finite, got t={t}")
+    alphas = np.array([complex(*(read("alphas", x, float) for x in a)) for a in pairs])
     if len(alphas) != p.N:
         raise ValueError(f"state file holds {len(alphas)} amplitudes, params say N={p.N}")
     return MeanFieldState(t=t, alphas=alphas), p

@@ -14,6 +14,7 @@ chimera motion (coexisting coherent and incoherent domains).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,7 @@ from .core import (
     NetworkParams,
     RangeError,
     RK4,
-    _number,
+    check_fields,
     coupling_matrix,
 )
 
@@ -53,25 +54,16 @@ class InitialConditionSpec:
     a coherent and an incoherent domain.
     """
 
-    seed: int = 0
-    r0: float | None = None
-    sigma: float = 9.0
+    seed: int = field(default=0, metadata={">=": 0})
+    r0: float | None = field(default=None, metadata={">": 0})
+    sigma: float = field(default=9.0, metadata={">": 0})
     mu: float | None = None
-    theta_range: float = 24.0 * math.pi
+    #: at most half the largest float, so that the draw's range is finite
+    theta_range: float = field(default=24.0 * math.pi,
+                               metadata={">": 0, "<=": sys.float_info.max / 2})
 
     def __post_init__(self):
-        if _number("seed", self.seed, "int") < 0:
-            raise RangeError(f"seed must be >= 0, got {self.seed}")
-        for name in ("r0", "sigma", "mu", "theta_range"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(_number(name, value)):
-                raise RangeError(f"{name} must be finite, got {value}")
-        if self.r0 is not None and self.r0 <= 0:
-            raise RangeError(f"r0 must be > 0, got {self.r0}")
-        if self.sigma <= 0:
-            raise RangeError(f"sigma must be > 0, got {self.sigma}")
-        if self.theta_range <= 0:
-            raise RangeError(f"theta_range must be > 0, got {self.theta_range}")
+        check_fields(self, RangeError)
 
 
 def phase_profile(
@@ -92,14 +84,17 @@ def initial_conditions(p: NetworkParams, ic: InitialConditionSpec) -> MeanFieldS
 
     Deterministic given ``ic.seed``; |alpha_l| equals ``r0`` for every site.
     A smooth single-bump profile lies in the basin of full synchrony, so
-    one angle is drawn per site.
+    one angle is drawn per site.  A draw that overflows (a tiny ``sigma``,
+    say) raises the DivergenceError of a non-finite amplitude, without
+    numpy's warnings.
     """
     r0 = p.limit_cycle_radius if ic.r0 is None else ic.r0
     mu = p.N / 2.0 if ic.mu is None else ic.mu
     rng = np.random.default_rng(ic.seed)
     theta = rng.uniform(-ic.theta_range, ic.theta_range, p.N)
-    phi = phase_profile(p.N, ic.sigma, mu, theta)
-    return MeanFieldState(t=0.0, alphas=r0 * np.exp(1j * phi))
+    with np.errstate(all="ignore"):
+        alphas = r0 * np.exp(1j * phase_profile(p.N, ic.sigma, mu, theta))
+    return MeanFieldState(t=0.0, alphas=alphas)
 
 
 def mean_field_rhs(p: NetworkParams, s: MeanFieldState) -> np.ndarray:

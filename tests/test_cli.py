@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import json
 import os
 import re
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from chimeraq import analysis, cli, io
 from chimeraq.cli import main
 from chimeraq.core import (
+    BOUNDS,
     CovarianceMatrix,
     DivergenceError,
     MeanFieldState,
@@ -441,9 +443,11 @@ class TestConfigErrors:
             ("meanfield", {"z_threshold": 0.0}, "z_threshold"),
             ("meanfield", {"z_threshold": float("nan")}, "z_threshold"),
             ("reproduce-fig3",
-             {"fig_states": [{"name": "chimera", "V": float("nan"), "t0": 12.0}]}, "V=nan"),
+             {"fig_states": [{"name": "chimera", "V": float("nan"), "t0": 12.0}]},
+             "fig_states: V must be finite, got nan"),
             ("reproduce-fig3",
-             {"fig_states": [{"name": "chimera", "V": 1.2, "t0": float("inf")}]}, "t0=inf"),
+             {"fig_states": [{"name": "chimera", "V": 1.2, "t0": float("inf")}]},
+             "fig_states: t0 must be finite, got inf"),
             # the triplet writes entries as a, b, c and keys the manifest by
             # name: a fourth entry never ran, though the manifest echoed it,
             # and a repeated name overwrote the first one's keys
@@ -522,6 +526,29 @@ class TestConfigErrors:
         assert key in err["message"]
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("ic, code, message", [
+        # rng.uniform raised OverflowError (exit 3) after the output
+        # directory was made
+        ({"seed": 1, "theta_range": 1e308}, 2,
+         "theta_range must be <= 8.988465674311579e+307, got 1e+308"),
+        # sigma**2 underflows: two numpy RuntimeWarnings came ahead of the
+        # error JSON, and the empty output directory was left
+        ({"seed": 1, "sigma": 1e-170}, 3, "non-finite amplitude"),
+    ])
+    def test_a_start_state_that_cannot_be_drawn_writes_nothing(
+        self, tmp_path, capsys, ic, code, message
+    ):
+        # outside pytest a warning is printed to stderr; here it is recorded
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", ic=ic)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["meanfield", "--config", str(cfg), "--out", str(out)]) == code
+        assert [str(w.message) for w in caught] == []
+        (line,) = capsys.readouterr().err.splitlines()
+        assert message in json.loads(line)["error"]["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [{"a": 1}, 7, True, ""])
     def test_outputs_must_be_a_path_string(self, tmp_path, monkeypatch, capsys, value):
         # str() of these named the run directory ({'a': 1}, 7, True), and
@@ -586,10 +613,10 @@ class TestConfigErrors:
         # ValueError, t=true ran from t=1, a NaN amplitude exited 3
         # (DivergenceError) and a list exited 2
         (None, "Is a directory"),
-        ({"t": float("inf")}, "t and alphas must be finite, got t=inf"),
-        ({"t": float("nan")}, "t and alphas must be finite, got t=nan"),
+        ({"t": float("inf")}, "t must be finite, got inf"),
+        ({"t": float("nan")}, "t must be finite, got nan"),
         ({"t": True}, "t must be a number, got True"),
-        ({"alphas": [[float("nan"), 0.0]] + [[1.0, 0.0]] * 5}, "t and alphas must be finite"),
+        ({"alphas": [[float("nan"), 0.0]] + [[1.0, 0.0]] * 5}, "alphas must be finite, got nan"),
         ([], "a state file holds a JSON object, got list"),
         # the file's params were read, then dropped unchecked: exit 0
         ({"params": {"N": 6, "d": 2, "V": -1, "kappa2": 0.2, "hbar": 1.0}},
@@ -670,8 +697,8 @@ NUMERIC_KEYS = [(prefix, f) for prefix, f in KEYS
 
 class TestBuiltInCode:
     """Objects built in code, not read from JSON, check the kind of each
-    numeric, string and path field too, and name the field when it is
-    wrong."""
+    field too, numbers, strings, paths and objects, and name the field
+    when it is wrong."""
 
     @pytest.mark.parametrize("value", ["0.9", True, np.True_, [1.0], 1j])
     @pytest.mark.parametrize("key", NUMERIC_KEYS, ids=lambda k: k[0] + k[1].name)
@@ -712,6 +739,23 @@ class TestBuiltInCode:
         with pytest.raises(cli.ConfigError, match=re.escape(message)):
             replace(BUILT[""], **changes)
 
+    @pytest.mark.parametrize("changes, message", [
+        # the config built, and a run failed in initial_conditions on ic.r0
+        ({"ic": 5}, "ic must be of type InitialConditionSpec, got 5"),
+        # a bare AttributeError from __post_init__
+        ({"params": {"N": 6}}, "params must be of type NetworkParams, got {'N': 6}"),
+        ({"fig_states": ("chimera",)},
+         "fig_states must be a tuple of FigState, got ('chimera',)"),
+        ({"ic": None, "ic_file": "x.json", "ic_state": 5},
+         "ic_state must be of type MeanFieldState, got 5"),
+        # a list built a config that is not hashable
+        ({"fig_states": [cli.FigState("chimera", 1.2, 12.0)]},
+         "fig_states must be a tuple of FigState, got [FigState("),
+    ])
+    def test_object_fields_are_checked_by_kind(self, changes, message):
+        with pytest.raises(cli.ConfigError, match=re.escape(message)):
+            replace(BUILT[""], **changes)
+
     def test_unknown_experiment_is_a_config_error(self):
         with pytest.raises(cli.ConfigError, match="unknown experiment: 'bogus'"):
             replace(BUILT[""], experiment="bogus")
@@ -724,6 +768,7 @@ class TestConfigSchema:
         rows = [[c.strip() for c in line.strip("|").split("|")]
                 for line in section.splitlines() if line.startswith("| `")]
         defaults = {key.strip("`"): default for key, _, default, _ in rows}
+        ranges = {key.strip("`"): cell for key, _, _, cell in rows}
         assert sorted(key.strip("`") for key, *_ in rows) == sorted(
             prefix + f.name for prefix, f in KEYS
         )
@@ -734,6 +779,23 @@ class TestConfigSchema:
                 assert not cell.startswith("`"), (f.name, cell)
             else:
                 assert cell == f"`{json.dumps(f.default)}`", (f.name, cell)
+            # the Range cell states exactly the bounds the field declares
+            declared = {f"{op} {bound}" for op, bound in f.metadata.items() if op in BOUNDS}
+            stated = set(re.findall(r"(?<![<>=])[<>]=? -?\d[\d.e+-]*", ranges[prefix + f.name]))
+            assert stated == declared, (f.name, ranges[prefix + f.name])
+
+    def test_the_payload_digest_breaks_every_declared_bound(self):
+        # the digest prints the message of each break, so that two versions
+        # of the code show every bound message they word differently
+        path = Path(__file__).resolve().parents[1] / "tools" / "payload_digest.py"
+        spec = importlib.util.spec_from_file_location("payload_digest", path)
+        digest = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(digest)
+        for prefix, f in KEYS:
+            for op, bound in f.metadata.items():
+                if op in BOUNDS:
+                    assert any(key == prefix + f.name and not BOUNDS[op](value, bound)
+                               for key, value in digest.BREAKS), (f.name, op, bound)
 
     #: the one numeric key that takes any finite value (the envelope centre)
     UNBOUNDED = {"mu"}

@@ -9,10 +9,15 @@ Runs in one process, into a temporary directory:
 * two-seed ``analyze`` and ``reproduce-fig4`` sweeps, and a sweep whose
   seeds diverge;
 * ``analyze`` at the ``analyze-paper`` and ``analyze-wide`` benchmark
-  configs.
+  configs;
+* hostile configs that must exit without writing: those of CI's
+  console-script step, a start state whose draw is not finite, and one
+  value just outside each bound a config key declares (:data:`BREAKS`).
 
-For each run it prints the exit code, then one ``<sha256>  <run>/<path>``
-line per file, in path order.  The runs start in the temporary directory,
+For each run it prints the exit code, then each line the run wrote to
+stderr (``stderr  <line>``), then one ``<sha256>  <run>/<path>`` line per
+file, in path order, or ``empty  <run>/`` for an output directory left
+empty.  The runs start in the temporary directory,
 and an ``ic_file`` is named relative to it, so that the manifest echoes
 the same path on every run.  A manifest (``manifest.json`` or
 ``sweep_manifest.json``) is hashed without its ``*wall_time_s`` keys and
@@ -20,7 +25,8 @@ its ``outputs`` echo, which differ on every run.  The package imported is
 named on stderr.
 
 Two runs of the same code print the same lines; so do two versions of the
-code that write the same payloads.  Usage::
+code that write the same payloads, save the error messages they word
+differently.  Usage::
 
     python tools/payload_digest.py > a.txt
     PYTHONPATH=<other checkout>/src python tools/payload_digest.py > b.txt
@@ -29,7 +35,10 @@ code that write the same payloads.  Usage::
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
 import sys
@@ -78,6 +87,45 @@ RUNS = [
       for name in ("analyze-paper", "analyze-wide")),
 ]
 
+#: (key, value) of each break of a declared bound: the value lies just
+#: outside one bound of the key, as the README's Range column states it
+BREAKS = [
+    ("params.N", 1), ("params.d", 0), ("params.V", -1.0), ("params.kappa2", 0.0),
+    ("params.hbar", 0.0), ("ic.seed", -1), ("ic.r0", 0.0), ("ic.sigma", 0.0),
+    ("ic.theta_range", 0.0), ("ic.theta_range", 1e308), ("t0", -1.0), ("delta_t", 0.0),
+    ("dt_mf", 0.0), ("dt_cov", 0.0), ("sample_spacing", 0.0), ("window_spacing", 0.0),
+    ("classify_window", 0.0), ("z_threshold", 0.0), ("z_threshold", 2.0), ("w_min", 0),
+    ("fig_states[].V", -1.0), ("fig_states[].t0", -1.0),
+]
+
+
+def _broken(key: str, value) -> tuple[str, dict]:
+    """The experiment that reads ``key`` and SMALL with ``key`` set to
+    ``value`` (a ``fig_states`` key in the first entry)."""
+    config = copy.deepcopy(SMALL)
+    *path, name = key.split(".")
+    obj = config
+    for part in path:
+        obj = obj["fig_states"][0] if part == "fig_states[]" else obj[part]
+    obj[name] = value
+    return ("reproduce-fig3" if path == ["fig_states[]"] else "meanfield"), config
+
+
+HOSTILE = [
+    # those of CI's console-script step, at N=20: an ic_file that names a
+    # directory, a t0 whose step count is beyond the float range, a t0
+    # before the ic_file's t (12.5) and a fig state with a negative V
+    ("directory-ic-file", "meanfield", {**FROM_FILE, "ic_file": "not-a-state"}, []),
+    ("far-t0", "meanfield", {**SMALL, "t0": 1e308}, []),
+    ("t0-before-ic-file", "analyze",
+     {**FROM_FILE, "ic_file": "meanfield/snapshot.json", "t0": 5.5}, []),
+    ("negative-fig-v", "reproduce-fig3",
+     {**SMALL, "fig_states": [{"name": "chimera", "V": -1, "t0": 12.0}]}, []),
+    # sigma**2 underflows: the draw is not finite
+    ("tiny-sigma", "meanfield", {**SMALL, "ic": {"seed": 1, "sigma": 1e-170}}, []),
+    *((f"break-{key}={value!r}", *_broken(key, value), []) for key, value in BREAKS),
+]
+
 MANIFESTS = ("manifest.json", "sweep_manifest.json")
 
 
@@ -102,15 +150,23 @@ def main_() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         os.chdir(tmp)
+        (tmp / "not-a-state").mkdir()
         try:
-            for name, experiment, config, extra in RUNS:
+            for name, experiment, config, extra in RUNS + HOSTILE:
                 cfg = tmp / f"{name}.json"
                 cfg.write_text(json.dumps(config))
                 out = tmp / name
-                code = main([experiment, "--config", str(cfg), "--out", str(out), *extra])
+                stderr = io.StringIO()
+                with contextlib.redirect_stderr(stderr):
+                    code = main([experiment, "--config", str(cfg), "--out", str(out), *extra])
                 print(f"exit {code}  {name}")
-                for path in sorted(p for p in out.rglob("*") if p.is_file()):
+                for line in stderr.getvalue().splitlines():
+                    print(f"stderr  {line}")
+                files = sorted(p for p in out.rglob("*") if p.is_file()) if out.exists() else []
+                for path in files:
                     print(f"{digest(path)}  {path.relative_to(tmp)}")
+                if out.exists() and not files:
+                    print(f"empty  {name}/")
         finally:
             os.chdir(cwd)
     return 0
