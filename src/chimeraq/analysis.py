@@ -23,6 +23,7 @@ from .core import (
     RangeError,
     SingularMatrixError,
     check_value,
+    cholesky_diagonal,
     coupling_matrix,
 )
 from .meanfield import RegimeLabel
@@ -107,15 +108,10 @@ def husimi_marginal(p: NetworkParams, cov: CovarianceMatrix, site: int) -> np.nd
 
 def _log_pivots(M: np.ndarray) -> np.ndarray:
     """2 log diag of the Cholesky factor of a symmetric positive-definite
-    matrix; the sum of the first k entries is the log det of ``M[:k, :k]``."""
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"matrix is not positive definite: {exc}") from exc
-    diag = np.diag(L)
-    if not np.all(np.isfinite(diag)) or np.any(diag <= 0):
-        raise SingularMatrixError("non-positive pivot in Cholesky factor")
-    return 2.0 * np.log(diag)
+    matrix; the sum of the first k entries is the log det of ``M[:k, :k]``.
+    Raises SingularMatrixError if M has no Cholesky factor with a finite,
+    positive diagonal (:func:`~chimeraq.core.cholesky_diagonal`)."""
+    return 2.0 * np.log(cholesky_diagonal(M))
 
 
 def _logdet_pd(M: np.ndarray) -> float:

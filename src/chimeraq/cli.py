@@ -58,7 +58,6 @@ from .meanfield import (
     initial_conditions,
     integrate,
     integrate_many,
-    spacetime_grid,
 )
 
 
@@ -266,26 +265,24 @@ def _classify_window(parts: list[MeanFieldTrajectory], cfg: ExperimentConfig):
 #: at a time, so a grid's memory does not grow with the length of a part
 _GRID_CHUNK_ROWS = 4096
 
+#: each grid column from the amplitudes: the phase in (-pi, pi] and |alpha|^2
+_GRID_COLUMNS = {"phi": np.angle, "r2": lambda a: a.real**2 + a.imag**2}
+
 
 def _grid_blocks(parts: list[MeanFieldTrajectory], columns: tuple[str, ...]):
     """CSV text of the rows (t, l, *columns) over consecutive parts, one
-    block per sample time (its N rows), each time written once."""
-    t_seen = -np.inf
-    for traj in parts:
+    block per sample time (its N rows).  Each part after the first starts
+    at the last sample of the one before, so its first sample is skipped:
+    a boundary sample is written once."""
+    for j, traj in enumerate(parts):
         n = traj.params.N
         lines = io.line_templates([(l + 1,) for l in range(n)], len(columns))
         step = max(1, _GRID_CHUNK_ROWS // n)
-        for k in range(0, len(traj), step):
-            chunk = MeanFieldTrajectory(
-                traj.times[k : k + step], traj.alphas[k : k + step], traj.params
-            )
-            grids = dict(zip(("phi", "r2"), spacetime_grid(chunk)))
+        for k in range(1 if j else 0, len(traj), step):
+            a = traj.alphas[k : k + step]
             # (times, N, columns): each sample time's numbers in line order
-            cells = np.stack([grids[c].T for c in columns], axis=-1)
-            for t, values in zip(chunk.times.tolist(), cells):
-                if t <= t_seen + 1e-12:
-                    continue
-                t_seen = t
+            cells = np.stack([_GRID_COLUMNS[c](a) for c in columns], axis=-1)
+            for t, values in zip(traj.times[k : k + step].tolist(), cells):
                 yield io.block(io.fmt(t), lines, values.ravel().tolist())
 
 
@@ -622,8 +619,9 @@ def seed_sweep(cfg: ExperimentConfig, seeds: list[int]) -> tuple[dict, int]:
         "failed_seeds": failed,
         "errors": errors,
         "transient_wall_time_s": transient_s,
+        # every seed's directory the sweep leaves, a failed seed's included
         "files": ["sweep_summary.csv", "sweep_manifest.json"]
-        + [f"seed_{s}" for s in seeds if s not in failed],
+        + [f"seed_{s}" for s in seeds if (outdir / f"seed_{s}").exists()],
     }
     io.write_json(outdir / "sweep_manifest.json", sweep_manifest)
     return sweep_manifest, (4 if failed else 0)

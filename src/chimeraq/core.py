@@ -139,19 +139,11 @@ class NetworkParams:
 def neighbor_offsets(p: NetworkParams) -> tuple[int, ...]:
     """Nonzero index offsets (mod N) of the coupling window -d..d.
 
-    When 2d >= N-1 some window positions alias the same site; each site is
-    counted once (the 1/2d prefactor in the dynamics keeps the literal 2d).
+    In the all-to-all window d = (N+1)/2 of odd N, two sites lie at two
+    window positions each; each site is counted once (the 1/2d prefactor
+    in the dynamics keeps the literal 2d).
     """
-    offsets = []
-    seen = set()
-    for o in range(-p.d, p.d + 1):
-        if o == 0:
-            continue
-        r = o % p.N
-        if r not in seen:
-            seen.add(r)
-            offsets.append(r)
-    return tuple(offsets)
+    return tuple(dict.fromkeys(o % p.N for o in range(-p.d, p.d + 1) if o != 0))
 
 
 def coupling_matrix(p: NetworkParams) -> np.ndarray:
@@ -160,6 +152,19 @@ def coupling_matrix(p: NetworkParams) -> np.ndarray:
     idx = np.arange(p.N)[:, None]
     K[idx, (idx + np.array(neighbor_offsets(p))) % p.N] = 1.0
     return K
+
+
+def cholesky_diagonal(M: np.ndarray) -> np.ndarray:
+    """The diagonal of the Cholesky factor of the symmetric ``M``; raises
+    SingularMatrixError unless it is finite and positive (on NaN or inf
+    input ``np.linalg.cholesky`` returns a NaN factor instead of raising)."""
+    try:
+        d = np.diagonal(np.linalg.cholesky(M))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"matrix is not positive definite: {exc}") from exc
+    if not np.all(np.isfinite(d) & (d > 0.0)):
+        raise SingularMatrixError("non-positive pivot in Cholesky factor")
+    return d
 
 
 class RK4:

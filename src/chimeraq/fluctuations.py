@@ -32,6 +32,8 @@ from .core import (
     NetworkParams,
     PhysicalityError,
     RK4,
+    SingularMatrixError,
+    cholesky_diagonal,
     coupling_matrix,
 )
 from .meanfield import MeanFieldTrajectory, _rhs_of, _step_count
@@ -98,16 +100,13 @@ def _checked_margin(C: np.ndarray, hbar: float, what: str) -> float:
 
 
 def _factorizes(M: np.ndarray) -> bool:
-    """Whether M has a Cholesky factor with a finite, positive diagonal.
-
-    ``np.linalg.cholesky`` does not raise on NaN or inf input; it returns a
-    factor whose diagonal is not finite, so the diagonal is checked too.
-    """
+    """Whether M has a Cholesky factor with a finite, positive diagonal
+    (:func:`~chimeraq.core.cholesky_diagonal`)."""
     try:
-        d = np.diagonal(np.linalg.cholesky(M)).real
-    except np.linalg.LinAlgError:
+        cholesky_diagonal(M)
+    except SingularMatrixError:
         return False
-    return bool(np.all(np.isfinite(d) & (d > 0.0)))
+    return True
 
 
 def _block_dominant(C: np.ndarray, shift: float, work: np.ndarray) -> bool:
@@ -251,7 +250,6 @@ class CovarianceTrajectory:
 
     times: np.ndarray
     covs: np.ndarray
-    params: NetworkParams
     margin_min: float
     certified: int
     vacuum_bound_ratio_max: float
@@ -374,7 +372,6 @@ def propagate_covariance(
     return CovarianceTrajectory(
         times=times[[0, -1]],
         covs=covs,
-        params=p,
         margin_min=margin_min,
         certified=certified,
         vacuum_bound_ratio_max=float(p.kappa2 * peak),

@@ -271,7 +271,7 @@ class RegimeLabel:
     """Outcome of the regime detector.
 
     ``mask`` flags locally synchronized sites; ``coherent_width`` is the
-    largest contiguous synchronized block on the ring.
+    length of the longest circular block of them (:func:`largest_block`).
     """
 
     regime: str
@@ -297,29 +297,23 @@ def local_order_parameter(p: NetworkParams, alphas: np.ndarray) -> np.ndarray:
 
 
 def largest_block(mask: np.ndarray, value: bool = True) -> tuple[int, int]:
-    """(start, length) of the longest circular run of ``value`` in ``mask``.
+    """(start, length) of the longest circular run of ``value`` in ``mask``,
+    the first by start when several are longest.
 
-    ``start`` is a 0-based index; length 0 with start -1 when absent.
+    ``start`` is a 0-based index; length 0 with start -1 when absent.  A run
+    starts where the site before it (circularly) misses ``value`` and ends
+    at the first miss after it.
     """
-    m = np.asarray(mask, dtype=bool)
-    n = m.size
-    if bool(np.all(m == value)):
-        return 0, n
-    if not bool(np.any(m == value)):
+    hit = np.asarray(mask, dtype=bool) == value
+    if bool(np.all(hit)):
+        return 0, hit.size
+    starts = np.flatnonzero(hit & ~np.roll(hit, 1))
+    if starts.size == 0:
         return -1, 0
-    doubled = np.concatenate([m, m]) == value
-    best_len = 0
-    best_start = -1
-    run = 0
-    for i in range(2 * n):
-        if doubled[i]:
-            run += 1
-            if run > best_len and i - run + 1 < n:
-                best_len = min(run, n)
-                best_start = i - run + 1
-        else:
-            run = 0
-    return best_start % n, best_len
+    misses = np.flatnonzero(~hit)
+    lengths = (misses[np.searchsorted(misses, starts) % misses.size] - starts) % hit.size
+    k = int(np.argmax(lengths))  # the first longest
+    return int(starts[k]), int(lengths[k])
 
 
 def classify(

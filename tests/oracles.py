@@ -168,7 +168,6 @@ def moment_oracle(
     return CovarianceTrajectory(
         times=times[[0, -1]],
         covs=np.array([first, C]),
-        params=p,
         margin_min=margin_min,
         certified=0,
         vacuum_bound_ratio_max=vacuum_bound_ratio(p, mf_segment),

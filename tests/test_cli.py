@@ -253,6 +253,19 @@ class TestCsvBytes:
                            if line.startswith(oracle_cell(boundary) + ",")]
             assert len(at_boundary) == cfg.params.N
 
+    @pytest.mark.parametrize("t0", [5.5, 0.0])
+    def test_grid_bytes_of_one_part_or_none(self, tmp_path, t0):
+        # below classify_window the window is the one part; at the start
+        # time there is no part, and the grid is its header alone
+        out = tmp_path / "meanfield"
+        cfg_path = write_config(tmp_path / "c.json", outputs=str(out), t0=t0)
+        assert main(["meanfield", "--config", str(cfg_path)]) == 0
+        cfg = cli.load_config(str(cfg_path), "meanfield", None, None)
+        parts = transient_parts(cfg, cfg.params, t0) if t0 else []
+        assert len(parts) == (1 if t0 else 0)
+        assert (out / "meanfield_grid.csv").read_bytes() == oracle_csv(
+            ["t", "l", "phi", "r2"], oracle_grid_rows(parts, ("phi", "r2")))
+
     def test_covariance_bytes(self, tmp_path):
         out, cfg, parts = self._run(tmp_path, "fluctuations")
         p, snapshot = cfg.params, parts[-1].final_state
@@ -1235,6 +1248,8 @@ class TestSeedSweep:
             "exit_code": 3,
         }
         assert sweep["errors"] == {"1": error, "2": error}
+        # the failed seeds' directories, each holding its start state, are listed
+        assert set(sweep["files"]) == {path.name for path in out.iterdir()}
 
     def test_one_diverging_seed(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "sweep"
@@ -1257,7 +1272,8 @@ class TestSeedSweep:
         assert sweep["errors"]["2"]["exit_code"] == 3
         (line,) = capsys.readouterr().err.splitlines()
         assert json.loads(line) == {"seed": 2, "error": sweep["errors"]["2"]}
-        assert sweep["files"] == ["sweep_summary.csv", "sweep_manifest.json", "seed_1"]
+        # the failed seed's directory, holding its start state, is listed too
+        assert sweep["files"] == ["sweep_summary.csv", "sweep_manifest.json", "seed_1", "seed_2"]
         assert {f.name for f in (out / "seed_2").iterdir()} == {"initial_conditions.json"}
 
         good = out / "seed_1"
@@ -1299,7 +1315,8 @@ class TestSeedSweep:
         sweep = json.loads((out / "sweep_manifest.json").read_text())
         assert sweep["failed_seeds"] == [2]
         assert sweep["errors"]["2"]["type"] == "DivergenceError"
-        assert sweep["files"] == ["sweep_summary.csv", "sweep_manifest.json", "seed_1"]
+        # the failed seed's directory, holding its start state, is listed too
+        assert sweep["files"] == ["sweep_summary.csv", "sweep_manifest.json", "seed_1", "seed_2"]
         assert {f.name for f in (out / "seed_2").iterdir()} == {"initial_conditions.json"}
 
         # a transient and a classify window per state: only the first call

@@ -118,6 +118,15 @@ class TestCouplingMatrix:
         p = NetworkParams(N=5, d=3, V=1.0, kappa2=0.2)
         assert sorted(neighbor_offsets(p)) == [1, 2, 3, 4]
 
+    def test_every_window_up_to_24_sites(self):
+        # K[l, m] = 1 exactly when m != l and the ring distance is <= d
+        for N in range(2, 25):
+            dist = np.abs(np.subtract.outer(np.arange(N), np.arange(N)))
+            for d in (d for d in range(1, N) if 2 * d <= N - 1 or 2 * d == N + 1):
+                expected = (dist != 0) & (np.minimum(dist, N - dist) <= d)
+                K = coupling_matrix(NetworkParams(N=N, d=d, V=1.0, kappa2=0.2))
+                assert np.array_equal(K, expected.astype(float)), (N, d)
+
 
 class TestRk4Step:
     """A tuple state whose parts differ in shape: a vector with rates lam and

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -287,6 +288,27 @@ class TestLargestBlock:
         start, length = largest_block(mask, True)
         assert length == 4
         assert start == 4
+
+    @staticmethod
+    def reference(mask, value):
+        """(start, length) by trying every start and every length: the
+        longest circular run of ``value``, the smallest start among ties."""
+        n = len(mask)
+        best = (-1, 0)
+        for start in range(n):
+            length = 0
+            while length < n and mask[(start + length) % n] == value:
+                length += 1
+            if length > best[1]:
+                best = (start, length)
+        return best
+
+    def test_every_mask_up_to_twelve_sites(self):
+        for n in range(1, 13):
+            for bits in itertools.product((False, True), repeat=n):
+                mask = np.array(bits)
+                for value in (True, False):
+                    assert largest_block(mask, value) == self.reference(bits, value), (bits, value)
 
 
 class TestSpacetimeGrid:

@@ -6,6 +6,9 @@ Runs in one process, into a temporary directory:
 * ``analyze`` from the ``meanfield`` run's ``snapshot.json`` and
   ``reproduce-fig3`` from its ``initial_conditions.json``, through
   ``ic_file``;
+* the grid writer's edge cases: ``meanfield`` from that ``snapshot.json``
+  at its own time (no mean-field part, a grid of its header alone) and
+  ``reproduce-fig1`` at a ``t0`` below ``classify_window`` (one part);
 * two-seed ``analyze`` and ``reproduce-fig4`` sweeps, and a sweep whose
   seeds diverge;
 * ``analyze`` at the ``analyze-paper`` and ``analyze-wide`` benchmark
@@ -79,6 +82,9 @@ RUNS = [
      {**FROM_FILE, "ic_file": "meanfield/snapshot.json", "t0": 22.5}, []),
     ("fig3-from-start", "reproduce-fig3",
      {**FROM_FILE, "ic_file": "meanfield/initial_conditions.json"}, []),
+    ("meanfield-at-snapshot", "meanfield",
+     {**FROM_FILE, "ic_file": "meanfield/snapshot.json", "t0": SMALL["t0"]}, []),
+    ("fig1-one-part", "reproduce-fig1", {**SMALL, "t0": 5.5}, []),
     ("analyze-sweep", "analyze", SMALL, ["--seeds", "1,2"]),
     ("fig4-sweep", "reproduce-fig4", SMALL, ["--seeds", "1,2"]),
     ("diverging-sweep", "meanfield", {**SMALL, "ic": {"seed": 1, "r0": 60.0}},
