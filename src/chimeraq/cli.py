@@ -1,16 +1,16 @@
 """Experiment runner: mean-field runs, fluctuation propagation, analysis,
 and figure-data pipelines, driven by JSON configs.
 
-One loop, ``_run_seeds``, takes every run or sweep from its start states
-to its manifests: for each state the experiment reads (the state at
-``t0``, or each entry of the fig3/fig4 triplet), each mean-field phase is
-integrated as one batch over the seeds still going, then each run
-classifies its states and runs its pipeline on them.
+One loop, ``_run_seeds``, takes every run, sweep or ``reproduce-paper``
+to its manifests: each distinct state the runs read (the state at ``t0``,
+or a fig3/fig4 triplet entry) is integrated once, each mean-field phase as
+one batch over the start states still going, then each run classifies its
+states and runs its pipeline on them.
 
 Every run writes its artifacts plus a ``manifest.json`` echoing the config;
 CSV payloads are byte-identical across reruns with the same inputs.
 
-Exit codes: 0 ok, 2 config error, 3 numerical error, 4 partial sweep failure.
+Exit codes: 0 ok, 2 config error, 3 numerical error, 4 a failed run of a sweep or paper.
 """
 
 from __future__ import annotations
@@ -327,7 +327,7 @@ def _covariance(r: _Run, s: _State, observe=None) -> CovarianceTrajectory:
 
 class _Run:
     """One run in progress: output directory, manifest, its own wall time
-    and the transient parts of each state it has read so far.
+    and the transient parts of each state it reads, by state key.
 
     Opening a run draws (or takes the ``ic_file``'s) start state, so a
     draw that fails writes nothing, then removes any earlier
@@ -338,8 +338,7 @@ class _Run:
         t_start = time.monotonic()
         self.cfg = cfg
         self.state0 = cfg.ic_state or initial_conditions(cfg.params, cfg.ic)
-        self.outdir = Path(cfg.outputs)
-        self.outdir.mkdir(parents=True, exist_ok=True)
+        self.outdir = _make_dir(Path(cfg.outputs))
         (self.outdir / "manifest.json").unlink(missing_ok=True)
         self.files: list[str] = []
         config = io.to_json(cfg)
@@ -351,12 +350,24 @@ class _Run:
             "config": config,
         }
         self.emit("initial_conditions.json", io.save_state, self.state0, cfg.params, cfg.ic)
-        self.parts: list[list[MeanFieldTrajectory]] = []  # per state read so far
+        # all that fixes the parts of each state the run reads but the start state
+        start = self.state0.t
+        self.keys = [(p, start, cfg.dt_mf, tuple(_phases(start, t, cfg)) if t > start else ())
+                     for _, p, t in cfg.snapshots()]
+        self.parts: dict[tuple, list[MeanFieldTrajectory]] = {}
         self.wall_s = time.monotonic() - t_start
 
     def emit(self, name: str, writer, *args, **kwargs) -> None:
         writer(self.outdir / name, *args, **kwargs)
         self.files.append(name)
+
+
+def _make_dir(path: Path) -> Path:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {path}: {exc}") from exc
+    return path
 
 
 def _attempt(fn, *args):
@@ -368,41 +379,45 @@ def _attempt(fn, *args):
 
 
 def _run_seeds(cfgs: list[ExperimentConfig]) -> tuple[list[dict | Exception], float]:
-    """Run configs that differ only in IC seed and output directory.
+    """Run configs of one config file, of any experiments and seeds.
 
-    Every run first draws and writes its start state.  Then, for each state
-    the experiment reads (``ExperimentConfig.snapshots``), from the start
-    state, each phase of the mean-field transient and classify window
-    (``_phases``) runs as one ``integrate_many`` batch over the runs still
-    going.  A run whose row fails ends there and skips its later states; an
-    exception from the batch call itself ends every run in the batch.  Each
-    run then classifies, propagates and writes on its own.
+    Every run first draws and writes its start state.  Then each distinct
+    state the runs read (``_Run.keys``) is integrated once, in the order
+    they first read it: each phase of its transient and classify window
+    (``_phases``) is one ``integrate_many`` batch with a row per start
+    state still going, whose parts every run reading it holds.  A row that
+    fails ends its runs, which skip their later states; an exception from
+    the batch call ends every run in the batch.  Each run then classifies,
+    propagates and writes on its own.
 
     ``runs[i]`` is run i's one result slot: its ``_Run``, then its manifest
     or the exception that ended it; returns the slots and the wall time of
     the batched transients.  A run's ``wall_time_s`` counts them only when
-    the batch held that run alone.
+    the invocation held that run alone.
     """
-    cfg = cfgs[0]
     runs: list = [_attempt(_Run, c) for c in cfgs]
     alone = sum(isinstance(r, _Run) for r in runs) == 1
     t_start = time.monotonic()
-    for _, p, t_snap in cfg.snapshots():
-        live = [i for i, r in enumerate(runs) if isinstance(r, _Run)]
-        for i in live:
-            runs[i].parts.append([])
-        start = runs[live[0]].state0.t if live else t_snap
-        for t_end, spacing in _phases(start, t_snap, cfg) if t_snap > start else ():
-            live = [i for i in live if isinstance(runs[i], _Run)]
-            heads = [r.parts[-1][-1].final_state if r.parts[-1] else r.state0
-                     for r in (runs[i] for i in live)]
-            batch = _attempt(integrate_many, p, heads, t_end, cfg.dt_mf,
-                             _sample_every(spacing, cfg.dt_mf))
-            for i, traj in zip(live, [batch] * len(live) if isinstance(batch, Exception) else batch):
+    for key in dict.fromkeys(k for r in runs if isinstance(r, _Run) for k in r.keys):
+        p, _, dt, phases = key
+        rows: dict[bytes, tuple[list, list[int]]] = {}  # per start state: parts, runs
+        for i in [i for i, r in enumerate(runs) if isinstance(r, _Run) and key in r.keys]:
+            parts, idx = rows.setdefault(runs[i].state0.alphas.tobytes(), ([], []))
+            idx.append(i)
+            runs[i].parts[key] = parts
+        for t_end, spacing in phases if rows else ():
+            heads = [parts[-1].final_state if parts else runs[idx[0]].state0
+                     for parts, idx in rows.values()]
+            batch = _attempt(integrate_many, p, heads, t_end, dt, _sample_every(spacing, dt))
+            for row, traj in zip(list(rows),
+                                 [batch] * len(rows) if isinstance(batch, Exception) else batch):
+                parts, idx = rows[row]
                 if isinstance(traj, Exception):
-                    runs[i] = traj  # drops the run's parts
+                    del rows[row]
+                    for i in idx:
+                        runs[i] = traj  # drops the run's parts
                 else:
-                    runs[i].parts[-1].append(traj)
+                    parts.append(traj)
     transient_s = time.monotonic() - t_start
     for i, r in enumerate(runs):
         if isinstance(r, _Run):
@@ -428,7 +443,7 @@ def _finish(r: _Run) -> dict:
     states = [
         _State(name, p, parts, parts[-1].final_state if parts else r.state0,
                _classify_window(parts, r.cfg))
-        for (name, p, _), parts in zip(r.cfg.snapshots(), r.parts)
+        for (name, p, _), parts in zip(r.cfg.snapshots(), [r.parts[k] for k in r.keys])
     ]
     experiment = EXPERIMENTS[r.cfg.experiment]
     if experiment.triplet:
@@ -556,14 +571,16 @@ EXPERIMENTS = {
 
 
 def seed_sweep(cfg: ExperimentConfig, seeds: list[int]) -> tuple[dict, int]:
-    """Run the experiment once per seed, with one batched mean-field
-    transient for all seeds per state it reads; summarize regimes (of a
-    single-state experiment) and MI values.
+    """Run the experiment once per seed through one ``_run_seeds`` call and
+    summarize regimes (of a single-state experiment) and MI values.  Returns
+    (sweep manifest, exit code): 4 if a seed failed, the others still
+    written."""
+    sweep = _sweep_report(cfg, seeds, *_run_seeds(_sweep_configs(cfg, seeds)))
+    return sweep, (4 if sweep["failed_seeds"] else 0)
 
-    Returns (sweep manifest, exit code); a failed seed yields exit code 4
-    and is listed with its error in the report, successful seeds are still
-    written.
-    """
+
+def _sweep_configs(cfg: ExperimentConfig, seeds: list[int]) -> list[ExperimentConfig]:
+    """Each seed's config, into ``seed_<k>/`` of the sweep directory, made."""
     if not seeds:
         raise ConfigError("seed sweep needs at least one seed")
     if len(set(seeds)) != len(seeds):
@@ -578,35 +595,26 @@ def seed_sweep(cfg: ExperimentConfig, seeds: list[int]) -> tuple[dict, int]:
         ]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "sweep_manifest.json").unlink(missing_ok=True)
+    (_make_dir(outdir) / "sweep_manifest.json").unlink(missing_ok=True)
+    return subs
 
-    results, transient_s = _run_seeds(subs)
+
+def _sweep_report(cfg: ExperimentConfig, seeds: list[int], results, transient_s) -> dict:
+    """Write the sweep's summary and manifest from its seeds' results."""
+    outdir = Path(cfg.outputs)
+    errors = {str(s): _error_dict(r) for s, r in zip(seeds, results) if isinstance(r, Exception)}
     rows = []
-    mi_values = []
-    widths = []
-    failed = []
-    errors = {}
     for seed, res in zip(seeds, results):
-        if isinstance(res, Exception):  # collected into the partial-failure report
-            failed.append(seed)
-            errors[str(seed)] = _error_dict(res)
+        if isinstance(res, Exception):
             rows.append((seed, "failed", "", "", ""))
             continue
-        regime = None if EXPERIMENTS[cfg.experiment].triplet else res["regime"]
-        if regime is not None:
-            reg_name, width = regime["regime"], regime["coherent_width"]
-            widths.append(width)
-        else:
-            reg_name, width = "", ""
-        mi = res.get("mi_value", "")
-        if mi != "":
-            mi_values.append(mi)
-        rows.append((seed, "ok", reg_name, width, mi))
-    for stat, q in (("q1", 25), ("median", 50), ("q3", 75)):
-        w = float(np.percentile(widths, q)) if widths else ""
-        m = float(np.percentile(mi_values, q)) if mi_values else ""
-        rows.append((stat, "", "", w, m))
+        regime = {} if EXPERIMENTS[cfg.experiment].triplet else res["regime"] or {}
+        rows.append((seed, "ok", regime.get("regime", ""), regime.get("coherent_width", ""),
+                     res.get("mi_value", "")))
+    # the quartiles of each column over the seeds that have it
+    columns = [[row[k] for row in rows if row[k] != ""] for k in (3, 4)]
+    rows += [(stat, "", "", *(float(np.percentile(c, q)) if c else "" for c in columns))
+             for stat, q in (("q1", 25), ("median", 50), ("q3", 75))]
     io.write_csv(
         outdir / "sweep_summary.csv",
         ["seed", "status", "regime", "coherent_width", "mi_value"],
@@ -616,7 +624,7 @@ def seed_sweep(cfg: ExperimentConfig, seeds: list[int]) -> tuple[dict, int]:
         "experiment": cfg.experiment,
         "version": __version__,
         "seeds": seeds,
-        "failed_seeds": failed,
+        "failed_seeds": [int(k) for k in errors],
         "errors": errors,
         "transient_wall_time_s": transient_s,
         # every seed's directory the sweep leaves, a failed seed's included
@@ -624,7 +632,33 @@ def seed_sweep(cfg: ExperimentConfig, seeds: list[int]) -> tuple[dict, int]:
         + [f"seed_{s}" for s in seeds if (outdir / f"seed_{s}").exists()],
     }
     io.write_json(outdir / "sweep_manifest.json", sweep_manifest)
-    return sweep_manifest, (4 if failed else 0)
+    return sweep_manifest
+
+
+def _reproduce_paper(cfgs: list[ExperimentConfig], seeds: list[int] | None) -> dict:
+    """Run every experiment, once or as a sweep over ``seeds``, into
+    ``<top>/<experiment>`` through one ``_run_seeds`` call; returns the
+    paper manifest, which lists each failed run."""
+    given = {c.outputs for c in cfgs}  # one path if given, else runs/<experiment> each
+    top = Path(given.pop() if len(given) == 1 else "runs/reproduce-paper")
+    cfgs = [replace(c, outputs=str(top / c.experiment)) for c in cfgs]
+    subs = [s for c in cfgs for s in ([c] if seeds is None else _sweep_configs(c, seeds))]
+    (_make_dir(top) / "paper_manifest.json").unlink(missing_ok=True)
+    results, transient_s = _run_seeds(subs)
+    for k, cfg in enumerate(cfgs if seeds is not None else ()):
+        _sweep_report(cfg, seeds, results[k * len(seeds) : (k + 1) * len(seeds)], transient_s)
+    paper = {
+        "experiment": "reproduce-paper",
+        "version": __version__,
+        "failed": [{"experiment": c.experiment, "seed": None if c.ic is None else c.ic.seed,
+                    "error": _error_dict(res)}
+                   for c, res in zip(subs, results) if isinstance(res, Exception)],
+        "transient_wall_time_s": transient_s,
+        "files": [c.experiment for c in cfgs if (top / c.experiment).exists()]
+        + ["paper_manifest.json"],
+    }
+    io.write_json(top / "paper_manifest.json", paper)
+    return paper
 
 
 def _error_dict(exc: Exception) -> dict:
@@ -639,7 +673,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="chimera-q",
         description="Run oscillator-ring experiments from a JSON config.",
     )
-    parser.add_argument("experiment", choices=EXPERIMENTS)
+    parser.add_argument("experiment", choices=[*EXPERIMENTS, "reproduce-paper"])
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--seed", type=int, default=None, help="override the IC seed")
     parser.add_argument(
@@ -664,6 +698,12 @@ def main(argv: list[str] | None = None) -> int:
                 (seed,) = seeds
             else:
                 sweep_seeds = seeds
+        if args.experiment == "reproduce-paper":
+            cfgs = [load_config(args.config, e, seed, args.out) for e in EXPERIMENTS]
+            paper = _reproduce_paper(cfgs, sweep_seeds)
+            for failure in paper["failed"]:
+                print(json.dumps(failure), file=sys.stderr)
+            return 4 if paper["failed"] else 0
         cfg = load_config(args.config, args.experiment, seed, args.out)
         if sweep_seeds is not None:
             sweep, code = seed_sweep(cfg, sweep_seeds)

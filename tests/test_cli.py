@@ -562,6 +562,25 @@ class TestConfigErrors:
         assert message in json.loads(line)["error"]["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment, out, flags", [
+        ("meanfield", "a-file", []),
+        ("meanfield", "a-file", ["--seeds", "1,2"]),
+        ("meanfield", "a-file/sub", []),
+        ("reproduce-paper", "a-file", []),
+    ], ids=["run", "sweep", "below-a-file", "paper"])
+    def test_an_output_path_that_cannot_be_made(self, tmp_path, capsys, experiment, out, flags):
+        # FileExistsError or NotADirectoryError exited 3, the code of
+        # numerical errors
+        cfg = write_config(tmp_path / "c.json")
+        (tmp_path / "a-file").write_text("kept\n")
+        out = tmp_path / out
+        assert main([experiment, "--config", str(cfg), "--out", str(out), *flags]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError"
+        assert f"cannot make output directory {out}" in err["message"]
+        assert sorted(os.listdir(tmp_path)) == ["a-file", "c.json"]
+        assert (tmp_path / "a-file").read_text() == "kept\n"
+
     @pytest.mark.parametrize("value", [{"a": 1}, 7, True, ""])
     def test_outputs_must_be_a_path_string(self, tmp_path, monkeypatch, capsys, value):
         # str() of these named the run directory ({'a': 1}, 7, True), and
@@ -1398,10 +1417,11 @@ class TestSeedSweep:
         assert "seed must be >= 0, got -1" in err["message"]
         assert not out.exists()
 
-    def test_repeated_seeds_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("experiment", ["meanfield", "reproduce-paper"])
+    def test_repeated_seeds_rejected(self, tmp_path, capsys, experiment):
         out = tmp_path / "sweep"
         cfg = write_config(tmp_path / "c.json", outputs=str(out))
-        assert main(["meanfield", "--config", str(cfg), "--seeds", "3,3"]) == 2
+        assert main([experiment, "--config", str(cfg), "--seeds", "3,3"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigError"
         assert not out.exists()
@@ -1428,6 +1448,20 @@ class TestSeedSweep:
                 data = (out / f"seed_{seed}" / name).read_bytes()
                 assert data == (solo / name).read_bytes(), name
 
+    def test_sweep_of_states_too_short_to_classify(self, tmp_path):
+        # a t0 below classify_window leaves each seed's regime null
+        out = tmp_path / "sweep"
+        cfg = write_config(tmp_path / "c.json", outputs=str(out), t0=5.0, mi_partition=3)
+        assert main(["analyze", "--config", str(cfg), "--seeds", "1,2"]) == 0
+        assert read_manifest(out / "seed_1")["regime"] is None
+        rows = [line.split(",") for line in (out / "sweep_summary.csv").read_text().splitlines()]
+        assert [row[:4] for row in rows[1:]] == [
+            ["1", "ok", "", ""], ["2", "ok", "", ""],
+            ["q1", "", "", ""], ["median", "", "", ""], ["q3", "", "", ""]]
+        mi = [read_manifest(out / f"seed_{s}")["mi_value"] for s in (1, 2)]
+        assert [float(row[4]) for row in rows[1:3]] == mi
+        assert float(rows[4][4]) == float(np.percentile(mi, 50))
+
     def test_triplet_sweep_summary(self, tmp_path):
         # a state named "regime" made the summary read the name-keyed
         # regimes as one label: KeyError after every seed ran
@@ -1441,3 +1475,106 @@ class TestSeedSweep:
         sweep = json.loads((out / "sweep_manifest.json").read_text())
         assert sweep["files"] == ["sweep_summary.csv", "sweep_manifest.json", "seed_1", "seed_2"]
         assert set(read_manifest(out / "seed_1")["regime"]) == {"regime", "sync"}
+
+
+#: the N=6 fig4 config of CI's console-script step: three distinct states,
+#: V=0.9 at 12.0 (single-state experiments) and the triplet's two
+CI_FIG4 = dict(mi_partition=2, fig_states=[{"name": "chimera", "V": 1.2, "t0": 12.0},
+                                           {"name": "desynchronized", "V": 0.8, "t0": 20.0}])
+
+#: a triplet whose chimera is the single-state experiments' state and whose
+#: second state has its V but a later time: two distinct states
+SHARED_CHIMERA = dict(mi_partition=2, fig_states=[{"name": "chimera", "V": 0.9, "t0": 12.0},
+                                                  {"name": "later", "V": 0.9, "t0": 20.0}])
+
+
+def stable_manifest(path: Path) -> dict:
+    """A manifest without the keys that differ on every run."""
+
+    def strip(obj):
+        if isinstance(obj, dict):
+            return {k: strip(v) for k, v in obj.items()
+                    if k != "outputs" and not k.endswith("wall_time_s")}
+        return obj
+
+    return strip(json.loads(path.read_text()))
+
+
+class TestReproducePaper:
+    def count_batches(self, monkeypatch) -> list:
+        batch, calls = cli.integrate_many, []
+
+        def counted(p, states0, *args, **kwargs):
+            calls.append(len(states0))
+            return batch(p, states0, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "integrate_many", counted)
+        return calls
+
+    @pytest.mark.parametrize("overrides, flags, batches", [
+        (CI_FIG4, ["--seed", "1"], [1] * 6),
+        (CI_FIG4, ["--seeds", "1,2"], [2] * 6),
+        (SHARED_CHIMERA, ["--seeds", "1,2"], [2] * 4),
+    ], ids=["seed", "seeds", "shared-chimera"])
+    def test_equals_the_solo_runs(self, tmp_path, monkeypatch, capsys, overrides, flags, batches):
+        cfg = write_config(tmp_path / "c.json", **overrides)
+        calls = self.count_batches(monkeypatch)
+        paper = tmp_path / "paper"
+        assert main(["reproduce-paper", "--config", str(cfg), "--out", str(paper), *flags]) == 0
+        assert capsys.readouterr().err == ""
+        # each distinct state once: its transient and its classify window
+        assert calls == batches
+        manifest = json.loads((paper / "paper_manifest.json").read_text())
+        assert manifest["failed"] == []
+        assert manifest["files"] == [*cli.EXPERIMENTS, "paper_manifest.json"]
+        assert sorted(manifest["files"]) == sorted(os.listdir(paper))
+
+        del calls[:]
+        for experiment in cli.EXPERIMENTS:
+            solo = tmp_path / "solo" / experiment
+            assert main([experiment, "--config", str(cfg), "--out", str(solo), *flags]) == 0
+            shared = paper / experiment
+            files = sorted(p.relative_to(solo) for p in solo.rglob("*") if p.is_file())
+            assert files == sorted(p.relative_to(shared) for p in shared.rglob("*") if p.is_file())
+            for name in files:
+                if name.name.endswith("manifest.json"):
+                    assert stable_manifest(shared / name) == stable_manifest(solo / name), name
+                else:
+                    assert (shared / name).read_bytes() == (solo / name).read_bytes(), name
+        assert len(calls) == 20
+
+    def test_runs_reading_a_state_hold_the_same_parts(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path / "c.json", **SHARED_CHIMERA)
+        finish, parts = cli._finish, {}  # (experiment, seed, state name): parts
+
+        def recorded(r):
+            for (name, _, _), key in zip(r.cfg.snapshots(), r.keys):
+                parts[r.cfg.experiment, r.cfg.ic.seed, name] = r.parts[key]
+            return finish(r)
+
+        monkeypatch.setattr(cli, "_finish", recorded)
+        out = tmp_path / "paper"
+        assert main(["reproduce-paper", "--config", str(cfg), "--out", str(out),
+                     "--seeds", "1,2"]) == 0
+        for seed in (1, 2):
+            chimera = parts["analyze", seed, None]
+            assert len(chimera) == 2  # a transient and a classify window
+            for (_, s, name), held in parts.items():
+                assert (held is chimera) == (s == seed and name in (None, "chimera"))
+
+    def test_diverging_seeds_fail_every_run(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", ic={"seed": 1, "r0": 60.0}, **CI_FIG4)
+        out = tmp_path / "paper"
+        assert main(["reproduce-paper", "--config", str(cfg), "--out", str(out),
+                     "--seeds", "1,2"]) == 4
+        manifest = json.loads((out / "paper_manifest.json").read_text())
+        assert [(f["experiment"], f["seed"]) for f in manifest["failed"]] == [
+            (e, seed) for e in cli.EXPERIMENTS for seed in (1, 2)]
+        assert {f["error"]["type"] for f in manifest["failed"]} == {"DivergenceError"}
+        lines = capsys.readouterr().err.splitlines()
+        assert [json.loads(line) for line in lines] == manifest["failed"]
+        # each experiment's sweep directory, as its solo sweep leaves it
+        assert sorted(manifest["files"]) == sorted(os.listdir(out))
+        for e in cli.EXPERIMENTS:
+            sweep = json.loads((out / e / "sweep_manifest.json").read_text())
+            assert sweep["failed_seeds"] == [1, 2]

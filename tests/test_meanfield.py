@@ -184,6 +184,34 @@ class TestBatchRows:
         for k, traj in enumerate(batch):
             assert np.array_equal(rows[k], mean_field_rhs(p, traj.final_state))
 
+    @pytest.mark.parametrize("N, d", [(6, 2), (50, 10)])
+    @pytest.mark.parametrize("phases", [
+        ((3.0, 100),),
+        ((2.9, 100), (2.95, 10), (3.0, 10)),  # a transient, then a window in two
+        ((0.01, 1), (1.0, 7), (3.0, 3)),  # a phase of one step
+        ((2.99, 1000), (3.0, 1)),  # a spacing beyond the phase
+    ], ids=["direct", "three", "one-step", "wide-spacing"])
+    def test_phases_keep_the_bits(self, N, d, phases):
+        # the stepping does not depend on where phases end, on the sample
+        # spacing or on the batch; a phase's times are its start plus whole
+        # steps, so its last time may differ from a direct run's in the last
+        # bit (2.95 + 5 * 0.01 = 2.9999999999999996): runs share a state's
+        # parts only when their phases are equal
+        p = NetworkParams(N=N, d=d, V=1.2, kappa2=0.2)
+        states = [initial_conditions(p, InitialConditionSpec(seed=s)) for s in (1, 2, 3)]
+        every_step = [integrate(p, s0, 3.0, dt=1e-2) for s0 in states]
+        heads, parts = states, []
+        for t_end, sample_every in phases:
+            parts.append(integrate_many(p, heads, t_end, dt=1e-2, sample_every=sample_every))
+            heads = [traj.final_state for traj in parts[-1]]
+        for b, ref in enumerate(every_step):
+            for traj in (batch[b] for batch in parts):
+                steps = np.rint(traj.times / 1e-2).astype(int)
+                assert np.allclose(traj.times, ref.times[steps], rtol=0, atol=1e-12)
+                assert np.array_equal(traj.alphas, ref.alphas[steps])
+            assert heads[b].t == pytest.approx(ref.final_state.t, rel=0, abs=1e-12)
+            assert np.array_equal(heads[b].alphas, ref.final_state.alphas)
+
     def test_diverging_row_retires_alone(self, small_params):
         rng = np.random.default_rng(9)
         sound = [

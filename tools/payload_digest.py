@@ -11,21 +11,24 @@ Runs in one process, into a temporary directory:
   ``reproduce-fig1`` at a ``t0`` below ``classify_window`` (one part);
 * two-seed ``analyze`` and ``reproduce-fig4`` sweeps, and a sweep whose
   seeds diverge;
+* ``reproduce-paper`` with one seed and with ``--seeds 1,2``: each of its
+  ``<experiment>/`` files hashes as the solo run's (or sweep's) file;
 * ``analyze`` at the ``analyze-paper`` and ``analyze-wide`` benchmark
   configs;
 * hostile configs that must exit without writing: those of CI's
-  console-script step, a start state whose draw is not finite, and one
-  value just outside each bound a config key declares (:data:`BREAKS`).
+  console-script step, a start state whose draw is not finite, an
+  ``--out`` that names a file, and one value just outside each bound a
+  config key declares (:data:`BREAKS`).
 
 For each run it prints the exit code, then each line the run wrote to
 stderr (``stderr  <line>``), then one ``<sha256>  <run>/<path>`` line per
 file, in path order, or ``empty  <run>/`` for an output directory left
 empty.  The runs start in the temporary directory,
 and an ``ic_file`` is named relative to it, so that the manifest echoes
-the same path on every run.  A manifest (``manifest.json`` or
-``sweep_manifest.json``) is hashed without its ``*wall_time_s`` keys and
-its ``outputs`` echo, which differ on every run.  The package imported is
-named on stderr.
+the same path on every run.  A manifest (``manifest.json``,
+``sweep_manifest.json`` or ``paper_manifest.json``) is hashed without its
+``*wall_time_s`` keys and its ``outputs`` echo, which differ on every run.
+The package imported is named on stderr.
 
 Two runs of the same code print the same lines; so do two versions of the
 code that write the same payloads, save the error messages they word
@@ -89,6 +92,8 @@ RUNS = [
     ("fig4-sweep", "reproduce-fig4", SMALL, ["--seeds", "1,2"]),
     ("diverging-sweep", "meanfield", {**SMALL, "ic": {"seed": 1, "r0": 60.0}},
      ["--seeds", "1,2"]),
+    ("reproduce-paper", "reproduce-paper", SMALL, []),
+    ("reproduce-paper-sweep", "reproduce-paper", SMALL, ["--seeds", "1,2"]),
     *((name, "analyze", WORKLOADS[name].config, [])
       for name in ("analyze-paper", "analyze-wide")),
 ]
@@ -129,10 +134,12 @@ HOSTILE = [
      {**SMALL, "fig_states": [{"name": "chimera", "V": -1, "t0": 12.0}]}, []),
     # sigma**2 underflows: the draw is not finite
     ("tiny-sigma", "meanfield", {**SMALL, "ic": {"seed": 1, "sigma": 1e-170}}, []),
+    # the last --out wins: one that names a file
+    ("out-names-a-file", "meanfield", SMALL, ["--out", "a-file"]),
     *((f"break-{key}={value!r}", *_broken(key, value), []) for key, value in BREAKS),
 ]
 
-MANIFESTS = ("manifest.json", "sweep_manifest.json")
+MANIFESTS = ("manifest.json", "sweep_manifest.json", "paper_manifest.json")
 
 
 def _stable(obj):
@@ -157,6 +164,7 @@ def main_() -> int:
         tmp = Path(tmp)
         os.chdir(tmp)
         (tmp / "not-a-state").mkdir()
+        (tmp / "a-file").write_text("")
         try:
             for name, experiment, config, extra in RUNS + HOSTILE:
                 cfg = tmp / f"{name}.json"
@@ -164,7 +172,10 @@ def main_() -> int:
                 out = tmp / name
                 stderr = io.StringIO()
                 with contextlib.redirect_stderr(stderr):
-                    code = main([experiment, "--config", str(cfg), "--out", str(out), *extra])
+                    try:
+                        code = main([experiment, "--config", str(cfg), "--out", str(out), *extra])
+                    except SystemExit as exc:  # a CLI that does not know the experiment
+                        code = exc.code
                 print(f"exit {code}  {name}")
                 for line in stderr.getvalue().splitlines():
                     print(f"stderr  {line}")
