@@ -146,8 +146,8 @@ class ExperimentConfig:
         names = [s.name for s in self.fig_states]
         if len(set(names)) != len(names):
             raise ConfigError(f"fig_states has repeated names: {names}")
-        # every snapshot time is at or after the start state's time, and every
-        # mean-field phase between them lies on the dt_mf grid
+        # every snapshot time is at or after the start state's time, and each
+        # phase between them lies on the dt_mf grid with a countable spacing
         start = 0.0 if self.ic_state is None else self.ic_state.t
         for name, _, t_snap in self.snapshots():
             key = "t0" if name is None else f"t0 of fig state {name}"
@@ -157,9 +157,16 @@ class ExperimentConfig:
                 continue
             t_from = start
             try:
-                for t_end, _ in _phases(start, t_snap, self):
+                for t_end, spacing in _phases(start, t_snap, self):
                     _step_count(t_from, t_end, self.dt_mf)
                     t_from = t_end
+                    try:
+                        _sample_every(spacing, self.dt_mf)
+                    except OverflowError:
+                        which = "window_spacing" if t_end == t_snap else "sample_spacing"
+                        raise ConfigError(f"{which}={spacing} is too many dt_mf steps to count")
+            except ConfigError:
+                raise
             except (ValueError, OverflowError) as exc:
                 raise ConfigError(f"{key} is off the dt_mf grid: {exc}") from exc
 

@@ -203,10 +203,10 @@ def integrate_many(
 
     All states must share the start time; the batch advances in lockstep,
     which amortizes the per-step cost across runs (seed sweeps).  Each row
-    has the same bits as a solo ``integrate`` of its state.  A row that
-    fails the divergence check at a sample step retires there: its slot
-    holds the ``DivergenceError`` a solo run would raise, and the other
-    rows go on.
+    has the same bits as a solo ``integrate`` of its state.  A row's slot
+    holds the ``DivergenceError`` a solo run would raise at the first sample
+    step whose divergence check it fails.  Rows never mix, so a failed row
+    stays in the batch; the batch stops once every row has failed.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -236,34 +236,25 @@ def integrate_many(
     a = np.array([s.alphas for s in states0], dtype=complex)
     stack = np.empty((a.shape[0], len(sample_steps), p.N), dtype=complex)  # (B, T, N)
     stack[:, 0] = a
-    rows = np.arange(a.shape[0])  # batch index of each row still in ``a``
-    errors: dict[int, DivergenceError] = {}
+    errors: list[DivergenceError | None] = [None] * a.shape[0]
     stepper = RK4(f, (a,))
-    k = 1
-    # a diverging row can overflow between sample steps; the check below
-    # retires it, so numpy's overflow warnings would only clutter stderr
+    # rows never mix, so a failed row runs on as inf/NaN beside the sound
+    # ones; numpy's overflow warnings on it would only clutter stderr
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
-            stepper.step((a,), dt)
-            if step == sample_steps[k]:
-                mag2 = a.real**2 + a.imag**2
-                bad = ~np.all(mag2 <= blow_up, axis=1)  # NaN and inf fail too
-                if bad.any():
-                    message = f"|alpha| exceeded {DIVERGENCE_FACTOR} r0 at t={t0 + step * dt:g}"
-                    for b in rows[bad]:
-                        errors[int(b)] = DivergenceError(message)
-                    a, rows = a[~bad], rows[~bad]
-                    if rows.size == 0:
-                        break
-                    stepper = RK4(f, (a,))
-                stack[rows, k] = a
-                k += 1
+        for k in range(1, len(sample_steps)):
+            for _ in range(sample_steps[k] - sample_steps[k - 1]):
+                stepper.step((a,), dt)
+            stack[:, k] = a
+            mag2 = a.real**2 + a.imag**2
+            for b in np.flatnonzero(~np.all(mag2 <= blow_up, axis=1)):  # NaN and inf fail too
+                errors[b] = errors[b] or DivergenceError(
+                    f"|alpha| exceeded {DIVERGENCE_FACTOR} r0 at t={t0 + sample_steps[k] * dt:g}")
+            if all(errors):
+                break
 
     times = t0 + dt * np.asarray(sample_steps, dtype=float)
-    return [
-        errors[b] if b in errors else MeanFieldTrajectory(times=times, alphas=stack[b], params=p)
-        for b in range(len(states0))
-    ]
+    return [errors[b] or MeanFieldTrajectory(times=times, alphas=stack[b], params=p)
+            for b in range(len(states0))]
 
 
 @dataclass(frozen=True)

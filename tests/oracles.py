@@ -13,6 +13,10 @@
 * :func:`vacuum_bound_ratio` reads the vacuum-bound ratio off a mean-field
   segment, and :func:`shift_covariance` relabels the sites of a covariance
   around the ring.
+* :func:`ring_mode_covariance` is the exact covariance about a twisted
+  state of the coupled ring (:func:`twisted_state`; the uniform state is
+  q = 0), by matrix exponentials of the drift made constant in the frame
+  that rotates with each site's phase.
 * :func:`neighbors`, :func:`axial_circular_variance` and
   :func:`load_covariance` are a topology query, a circular statistic and a
   reader of ``covariance.csv``.
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import block_diag, expm
 
 from chimeraq.core import (
     RK4,
@@ -209,6 +214,82 @@ def propagate_frozen(
         stepper.step((C,), dt)
         C[...] = 0.5 * (C + C.T)
     return C
+
+
+def twisted_state(p: NetworkParams, q: int = 0) -> MeanFieldState:
+    """The q-twisted state ``r0 exp(2 pi i q l / N)`` at t = 0, l = 0..N-1
+    the array index and r0 the limit-cycle radius; q = 0 is the uniform
+    state.  It solves the mean field exactly: every site keeps ``|alpha| =
+    r0`` and rotates at ``-omega_q`` (:func:`_twist_frequency`)."""
+    return MeanFieldState(0.0, p.limit_cycle_radius * np.exp(1j * _twist_phases(p, q)))
+
+
+def _twist_phases(p: NetworkParams, q: int) -> np.ndarray:
+    return 2.0 * np.pi * q * np.arange(p.N) / p.N
+
+
+def _twist_frequency(p: NetworkParams, q: int) -> float:
+    """omega_q = (V / 2d) sum_o cos(2 pi q o / N) over the distinct offsets
+    of the coupling window (V for q = 0, unless the window is all-to-all)."""
+    offsets = np.array(neighbor_offsets(p))
+    return float(p.V / (2.0 * p.d) * np.cos(2.0 * np.pi * q * offsets / p.N).sum())
+
+
+def _van_loan(A: np.ndarray, C0: np.ndarray, Q: np.ndarray, t: float) -> np.ndarray:
+    """C(t) of dC/dt = A C + C A^T + Q with constant A and Q, from C(0) = C0:
+    ``e^{At} C0 e^{A^T t} + int_0^t e^{As} Q e^{A^T s} ds``, the integral from
+    one exponential of [[-A, Q], [0, A^T]] t (Van Loan, IEEE Trans. Autom.
+    Control 23, 395 (1978))."""
+    n = A.shape[0]
+    F = expm(np.block([[-A, Q], [np.zeros((n, n)), A.T]]) * t)
+    E = F[n:, n:].T  # e^{At}
+    C = E @ C0 @ E.T + E @ F[:n, n:]
+    return 0.5 * (C + C.T)
+
+
+def ring_mode_covariance(p: NetworkParams, t: float, q: int = 0) -> np.ndarray:
+    """The exact 2N x 2N covariance at time ``t`` from the vacuum at t = 0,
+    about the q-twisted state of :func:`twisted_state`.
+
+    Turn site l's quadratures by its phase phi_l(t) = 2 pi q l / N - omega_q t.
+    In that frame each site's drift block is diag(-2 kappa1, 0) - omega_q J,
+    J = [[0, 1], [-1, 0]], the block coupling site l to a site m of its
+    window is (V / 2d) J R(phi_m - phi_l), R a rotation, and the diffusion
+    is hbar (kappa1 + 4 kappa2 r0^2) I = 3 hbar I: all constant in time.
+
+    For q = 0 the coupling is (V / 2d) K (x) J, and the eigenvectors of the
+    symmetric K split the drift into one 2x2 block
+    diag(-2, 0) + (V mu_k / 2d - omega_0) J per Bloch mode, mu_k an
+    eigenvalue of K: one 4x4 Van Loan exponential per mode.  For q != 0 the
+    whole 2N x 2N drift takes one exponential.
+    """
+    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    omega, phases = _twist_frequency(p, q), _twist_phases(p, q)
+    site = np.diag([-2.0, 0.0]) - omega * J
+    c = p.V / (2.0 * p.d)
+    vacuum, diffusion = 0.5 * p.hbar, 3.0 * p.hbar
+    if q == 0:
+        mu, U = np.linalg.eigh(coupling_matrix(p))
+        eye = np.eye(2)
+        modes = block_diag(*(_van_loan(site + c * m * J, vacuum * eye, diffusion * eye, t)
+                             for m in mu))
+        W = np.kron(U, eye)
+        C = W @ modes @ W.T
+    else:
+        gap = phases[None, :] - phases[:, None]  # phi_m - phi_l
+        K = c * coupling_matrix(p)
+        A = np.kron(np.eye(p.N), site)
+        A[0::2, 0::2] += K * np.sin(gap)  # (V / 2d) J R(gap), entry by entry
+        A[0::2, 1::2] += K * np.cos(gap)
+        A[1::2, 0::2] -= K * np.cos(gap)
+        A[1::2, 1::2] += K * np.sin(gap)
+        eye = np.eye(2 * p.N)
+        C = _van_loan(A, vacuum * eye, diffusion * eye, t)
+    # back to the sites' own quadratures, each turned by its phase
+    R = block_diag(*([[np.cos(f), -np.sin(f)], [np.sin(f), np.cos(f)]]
+                     for f in phases - omega * t))
+    C = R @ C @ R.T
+    return 0.5 * (C + C.T)
 
 
 def shift_covariance(cov: CovarianceMatrix, k: int) -> CovarianceMatrix:

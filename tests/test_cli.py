@@ -539,6 +539,31 @@ class TestConfigErrors:
         assert key in err["message"]
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("key", ["sample_spacing", "window_spacing"])
+    @pytest.mark.parametrize("experiment, flags", [
+        ("meanfield", []),
+        ("meanfield", ["--seeds", "1,2"]),
+        ("reproduce-paper", []),
+    ], ids=["run", "sweep", "paper"])
+    def test_a_spacing_too_large_to_count_writes_nothing(
+        self, tmp_path, capsys, experiment, flags, key
+    ):
+        # OverflowError exited 3 after every run had written its start
+        # state, and a sweep or paper wrote no summary or manifest
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", **{key: 1e308})
+        assert main([experiment, "--config", str(cfg), "--out", str(out), *flags]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "ConfigError", "exit_code": 2,
+            "message": f"{key}=1e+308 is too many dt_mf steps to count",
+        }
+        assert not out.exists()
+
+    def test_a_spacing_no_phase_uses_is_not_counted(self, tmp_path):
+        # t0 below classify_window: the run is its window alone
+        cfg = write_config(tmp_path / "c.json", t0=5.0, sample_spacing=1e308)
+        assert main(["meanfield", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
     @pytest.mark.parametrize("ic, code, message", [
         # rng.uniform raised OverflowError (exit 3) after the output
         # directory was made

@@ -15,6 +15,7 @@ from chimeraq import (
     initial_conditions,
     integrate,
     mean_field_rhs,
+    mi_scan,
     physicality_margin,
     propagate_covariance,
     squeezing,
@@ -39,8 +40,10 @@ from oracles import (
     moments_to_covariance,
     oracle_margin,
     propagate_frozen,
+    ring_mode_covariance,
     shift_covariance,
     symplectic_form,
+    twisted_state,
     vacuum_bound_ratio,
 )
 
@@ -400,6 +403,66 @@ class TestVacuumBound:
         ct = propagate_covariance(p, seg, vacuum_covariance(p, t=t0), dt=1e-3)
         assert ct.vacuum_bound_ratio_max == vacuum_bound_ratio(p, seg)
         assert 0.0 < ct.vacuum_bound_ratio_max <= 1.0
+
+
+def exact_ring_gap(p: NetworkParams, q: int, t: float = 0.5, sample_every: int = 10):
+    """(program's covariance, exact one, relative Frobenius gap) at ``t``
+    from the vacuum about the q-twisted state, dt_cov 1e-3."""
+    seg = integrate(p, twisted_state(p, q), t, dt=1e-3, sample_every=sample_every)
+    C = propagate_covariance(p, seg, vacuum_covariance(p), dt=1e-3).final_cov.C
+    exact = ring_mode_covariance(p, t, q)
+    return C, exact, float(np.linalg.norm(C - exact) / np.linalg.norm(exact))
+
+
+class TestExactRing:
+    """The coupled ring about its uniform (q = 0) and twisted states, where
+    the drift is constant in the frame turning with each site's phase, so
+    the covariance has a closed form (``oracles.ring_mode_covariance``).
+    Gaps measured at delta_t 0.5: 2e-13 to 6.3e-13 for q = 0, 7e-14 to
+    2e-13 for q = 1 and 3."""
+
+    @pytest.mark.parametrize("N, d, V, kappa2, hbar", [
+        (7, 1, 1.3, 0.25, 2.0), (7, 3, 1.3, 0.25, 2.0),
+        (7, 4, 1.3, 0.25, 2.0),  # the all-to-all window: six offsets, 2d = 8
+        (20, 4, 0.8, 0.3, 1.0), (20, 9, 1.6, 0.2, 1.0),
+        (50, 10, 1.6, 0.2, 1.0), (50, 10, 1.2, 0.2, 1.7), (50, 24, 1.2, 0.2, 1.0),
+        pytest.param(200, 40, 1.6, 0.2, 1.0, marks=pytest.mark.slow),
+    ])
+    def test_uniform_state_matches_the_bloch_modes(self, N, d, V, kappa2, hbar):
+        p = NetworkParams(N=N, d=d, V=V, kappa2=kappa2, hbar=hbar)
+        assert exact_ring_gap(p, 0)[2] < 1e-11
+
+    @settings(max_examples=40, deadline=None)
+    @given(ring=st.integers(3, 20).flatmap(lambda N: st.tuples(
+               st.just(N), st.integers(1, (N + 1) // 2 if N % 2 else (N - 1) // 2))),
+           V=st.floats(0.0, 2.0), kappa2=st.floats(0.05, 1.0), hbar=st.floats(0.1, 10.0),
+           q=st.sampled_from([0, 1]))
+    def test_property_over_rings(self, ring, V, kappa2, hbar, q):
+        (N, d) = ring
+        p = NetworkParams(N=N, d=d, V=V, kappa2=kappa2, hbar=hbar)
+        # q = 1 takes the whole 2N x 2N exponential, q = 0 one per mode
+        assert exact_ring_gap(p, q, sample_every=50)[2] < 1e-11
+
+    @pytest.mark.parametrize("N, d", [(7, 3), (20, 4)])
+    def test_uniform_mode_is_the_uncoupled_closed_form(self, N, d):
+        # the k = 0 mode, (1/sqrt N) sum_l (q_l, p_l), feels no coupling:
+        # its ellipse is TestVacuumBound's hbar (3/4 - exp(-4t)/4) by
+        # hbar (1/2 + 3t), in the program's covariance as in the exact one
+        p = NetworkParams(N=N, d=d, V=1.2, kappa2=0.2, hbar=1.3)
+        u = np.kron(np.ones((N, 1)) / np.sqrt(N), np.eye(2))
+        want = p.hbar * np.array([0.75 - 0.25 * np.exp(-4.0 * 0.5), 0.5 + 3.0 * 0.5])
+        for C in exact_ring_gap(p, 0)[:2]:
+            assert np.allclose(np.linalg.eigvalsh(u.T @ C @ u), want, rtol=1e-11, atol=0)
+
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_mutual_information_is_mirror_symmetric(self, q):
+        # every block of L contiguous sites is the same up to local
+        # rotations, so I2(L) = S(L) + S(N - L) - S(N) = I2(N - L)
+        p = NetworkParams(N=20, d=4, V=1.6, kappa2=0.2)
+        scan = mi_scan(p, CovarianceMatrix(0.5, ring_mode_covariance(p, 0.5, q)))
+        assert min(scan.values()) > 1e-3
+        for L in range(1, p.N):
+            assert scan[L] == pytest.approx(scan[p.N - L], rel=1e-12, abs=0)
 
 
 def _ring_segment(p: NetworkParams, ic_seed: int, t_end: float, dt: float, sample_every: int):

@@ -23,6 +23,7 @@ from chimeraq import (
     mean_field_rhs,
     spacetime_grid,
 )
+from chimeraq import meanfield
 from chimeraq.meanfield import MeanFieldTrajectory, _rhs_of, largest_block, phase_profile
 
 R0_02 = 1.5811388300841898  # sqrt(kappa1 / (2 * 0.2))
@@ -212,21 +213,56 @@ class TestBatchRows:
             assert heads[b].t == pytest.approx(ref.final_state.t, rel=0, abs=1e-12)
             assert np.array_equal(heads[b].alphas, ref.final_state.alphas)
 
-    def test_diverging_row_retires_alone(self, small_params):
+    def test_diverging_row_retires_alone(self, small_params, monkeypatch):
         rng = np.random.default_rng(9)
         sound = [
             MeanFieldState(0.0, R0_02 * np.exp(1j * rng.uniform(-np.pi, np.pi, small_params.N)))
-            for _ in range(2)
+            for _ in range(3)
         ]
-        blowing_up = uniform_state(small_params, r=40.0 * R0_02)
-        batch = integrate_many(small_params, [sound[0], blowing_up, sound[1]], 2.0, dt=0.05)
-        assert isinstance(batch[1], DivergenceError)
-        with pytest.raises(DivergenceError) as solo_error:
-            integrate(small_params, blowing_up, 2.0, dt=0.05)
-        assert str(batch[1]) == str(solo_error.value)
-        for s0, traj in zip(sound, (batch[0], batch[2])):
+        # the larger start amplitude fails at the first sample, the smaller
+        # at the second
+        blowing_up = [uniform_state(small_params, r=r * R0_02) for r in (40.0, 8.0)]
+        built = []
+
+        class CountedRK4(meanfield.RK4):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(meanfield, "RK4", CountedRK4)
+        batch = integrate_many(
+            small_params, [sound[0], blowing_up[0], sound[1], blowing_up[1], sound[2]],
+            2.0, dt=0.05,
+        )
+        assert len(built) == 1  # the failed rows stay in the one stepper's batch
+        errors = []
+        for s0, error in zip(blowing_up, (batch[1], batch[3])):
+            assert isinstance(error, DivergenceError)
+            with pytest.raises(DivergenceError) as solo_error:
+                integrate(small_params, s0, 2.0, dt=0.05)
+            assert str(error) == str(solo_error.value)
+            errors.append(str(error))
+        assert errors == ["|alpha| exceeded 1000.0 r0 at t=0.05",
+                          "|alpha| exceeded 1000.0 r0 at t=0.1"]
+        for s0, traj in zip(sound, (batch[0], batch[2], batch[4])):
             solo = integrate(small_params, s0, 2.0, dt=0.05)
+            assert np.array_equal(traj.times, solo.times)
             assert np.array_equal(traj.alphas, solo.alphas)
+
+    def test_batch_whose_rows_all_fail_stops_at_the_last_failure(self, small_params, monkeypatch):
+        steps = []
+
+        class CountedRK4(meanfield.RK4):
+            def step(self, y, dt):
+                steps.append(dt)
+                super().step(y, dt)
+
+        monkeypatch.setattr(meanfield, "RK4", CountedRK4)
+        blowing_up = [uniform_state(small_params, r=r * R0_02) for r in (8.0, 40.0)]
+        batch = integrate_many(small_params, blowing_up, 2.0, dt=0.05)
+        assert len(steps) == 2  # of 40: the last row fails at the second sample
+        assert [str(e) for e in batch] == ["|alpha| exceeded 1000.0 r0 at t=0.1",
+                                           "|alpha| exceeded 1000.0 r0 at t=0.05"]
 
 
 class TestSymmetries:

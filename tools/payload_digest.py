@@ -125,13 +125,16 @@ def _broken(key: str, value) -> tuple[str, dict]:
 HOSTILE = [
     # those of CI's console-script step, at N=20: an ic_file that names a
     # directory, a t0 whose step count is beyond the float range, a t0
-    # before the ic_file's t (12.5) and a fig state with a negative V
+    # before the ic_file's t (12.5), a fig state with a negative V and a
+    # sample spacing too large to count in dt_mf steps
     ("directory-ic-file", "meanfield", {**FROM_FILE, "ic_file": "not-a-state"}, []),
     ("far-t0", "meanfield", {**SMALL, "t0": 1e308}, []),
     ("t0-before-ic-file", "analyze",
      {**FROM_FILE, "ic_file": "meanfield/snapshot.json", "t0": 5.5}, []),
     ("negative-fig-v", "reproduce-fig3",
      {**SMALL, "fig_states": [{"name": "chimera", "V": -1, "t0": 12.0}]}, []),
+    ("uncountable-spacing-sweep", "meanfield", {**SMALL, "sample_spacing": 1e308},
+     ["--seeds", "1,2"]),
     # sigma**2 underflows: the draw is not finite
     ("tiny-sigma", "meanfield", {**SMALL, "ic": {"seed": 1, "sigma": 1e-170}}, []),
     # the last --out wins: one that names a file
