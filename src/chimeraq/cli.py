@@ -146,25 +146,14 @@ class ExperimentConfig:
         names = [s.name for s in self.fig_states]
         if len(set(names)) != len(names):
             raise ConfigError(f"fig_states has repeated names: {names}")
-        # every snapshot time is at or after the start state's time, and each
-        # phase between them lies on the dt_mf grid with a countable spacing
+        # each snapshot time is at or after the start's, its phases on the dt_mf grid
         start = 0.0 if self.ic_state is None else self.ic_state.t
         for name, _, t_snap in self.snapshots():
             key = "t0" if name is None else f"t0 of fig state {name}"
             if t_snap < start:
                 raise ConfigError(f"{key} must be >= the ic_file's t={start}, got {t_snap}")
-            if t_snap == start:
-                continue
-            t_from = start
             try:
-                for t_end, spacing in _phases(start, t_snap, self):
-                    _step_count(t_from, t_end, self.dt_mf)
-                    t_from = t_end
-                    try:
-                        _sample_every(spacing, self.dt_mf)
-                    except OverflowError:
-                        which = "window_spacing" if t_end == t_snap else "sample_spacing"
-                        raise ConfigError(f"{which}={spacing} is too many dt_mf steps to count")
+                _phases(start, t_snap, self)
             except ConfigError:
                 raise
             except (ValueError, OverflowError) as exc:
@@ -238,19 +227,33 @@ def _fig_states(entries) -> tuple[FigState, ...]:
         raise ValueError(f"fig_states: {exc}") from None
 
 
-def _sample_every(spacing: float, dt: float) -> int:
-    return max(1, int(round(spacing / dt)))
+def _phases(start: float, t0: float, cfg: ExperimentConfig) -> list[tuple[float, int]]:
+    """(end time, ``sample_every``) of each phase from ``start`` to ``t0``:
+    the transient every ``sample_spacing``, then the classify window of
+    ``min(classify_window, t0 - start)`` every ``window_spacing``.  Raises
+    ValueError or OverflowError if ``t0`` is off the ``dt_mf`` grid from
+    ``start``, ConfigError if a length a phase uses is not whole steps."""
+    dt = cfg.dt_mf
 
+    def steps(key: str) -> int:
+        length = getattr(cfg, key)
+        try:
+            return _step_count(0.0, length, dt)
+        except OverflowError:
+            raise ConfigError(f"{key}={length} is too many dt_mf steps to count") from None
+        except ValueError:
+            raise ConfigError(f"{key}={length} is not a multiple of dt_mf={dt}") from None
 
-def _phases(start: float, t0: float, cfg: ExperimentConfig) -> list[tuple[float, float]]:
-    """(end time, sample spacing) of the transient and of the trailing
-    classify window from ``start`` to a later snapshot time ``t0``.  The
-    window start is rounded onto the ``dt_mf`` grid counted from ``start``."""
+    if t0 == start:
+        return []
+    if cfg.classify_window < t0 - start:
+        steps("classify_window")
     window = min(cfg.classify_window, t0 - start)
-    t_mid = start + round((t0 - window - start) / cfg.dt_mf) * cfg.dt_mf
-    phases = [(t0, cfg.window_spacing)]
-    if t_mid > start + 0.5 * cfg.dt_mf:
-        phases.insert(0, (t_mid, cfg.sample_spacing))
+    t_mid = start + round((t0 - window - start) / dt) * dt  # start: the window is the run
+    _step_count(t_mid, t0, dt)
+    phases = [(t0, steps("window_spacing"))]
+    if t_mid > start + 0.5 * dt:
+        phases.insert(0, (t_mid, steps("sample_spacing")))
     return phases
 
 
@@ -316,11 +319,8 @@ def _covariance(r: _Run, s: _State, observe=None) -> CovarianceTrajectory:
     horizon.
     """
     cfg, p, snapshot = r.cfg, s.params, s.snapshot
-    spacing = max(cfg.dt_cov, cfg.delta_t / 50.0)
-    seg = integrate(
-        p, snapshot, snapshot.t + cfg.delta_t, dt=cfg.dt_cov,
-        sample_every=_sample_every(spacing, cfg.dt_cov),
-    )
+    seg = integrate(p, snapshot, snapshot.t + cfg.delta_t, dt=cfg.dt_cov,
+                    sample_every=max(1, round(cfg.delta_t / 50.0 / cfg.dt_cov)))
     cov_traj = propagate_covariance(
         p, seg, vacuum_covariance(p, t=snapshot.t), dt=cfg.dt_cov, observe=observe
     )
@@ -359,7 +359,7 @@ class _Run:
         self.emit("initial_conditions.json", io.save_state, self.state0, cfg.params, cfg.ic)
         # all that fixes the parts of each state the run reads but the start state
         start = self.state0.t
-        self.keys = [(p, start, cfg.dt_mf, tuple(_phases(start, t, cfg)) if t > start else ())
+        self.keys = [(p, start, cfg.dt_mf, tuple(_phases(start, t, cfg)))
                      for _, p, t in cfg.snapshots()]
         self.parts: dict[tuple, list[MeanFieldTrajectory]] = {}
         self.wall_s = time.monotonic() - t_start
@@ -412,10 +412,10 @@ def _run_seeds(cfgs: list[ExperimentConfig]) -> tuple[list[dict | Exception], fl
             parts, idx = rows.setdefault(runs[i].state0.alphas.tobytes(), ([], []))
             idx.append(i)
             runs[i].parts[key] = parts
-        for t_end, spacing in phases if rows else ():
+        for t_end, every in phases if rows else ():
             heads = [parts[-1].final_state if parts else runs[idx[0]].state0
                      for parts, idx in rows.values()]
-            batch = _attempt(integrate_many, p, heads, t_end, dt, _sample_every(spacing, dt))
+            batch = _attempt(integrate_many, p, heads, t_end, dt, every)
             for row, traj in zip(list(rows),
                                  [batch] * len(rows) if isinstance(batch, Exception) else batch):
                 parts, idx = rows[row]

@@ -42,13 +42,28 @@ def test_compare_flags_only_moves_beyond_both_spreads(bench):
 def test_a_record_of_other_entries_still_loads_and_compares(bench):
     old = bench._load(str(sorted(ROOT.glob("BENCH_*.json"))[0]))
     new = copy.deepcopy(old)
-    dropped, added = "meanfield.rk4.N50.B1", "e2e.sweep_transient"
+    dropped, added = "meanfield.rk4.N50.B1", "io.not_an_entry_of_the_tool"
     del new["entries"][dropped]
     new["entries"][added] = copy.deepcopy(old["entries"]["io.grid_csv.N50"])
     bench.check_schema(new)
     keys = [line.split(" [")[0] for line in bench.compare(old, new)]
     assert dropped not in keys and added not in keys
     assert len(keys) == 2 * (len(old["entries"]) - 1)
+
+
+def test_a_record_without_e2e_entries_still_loads_and_compares(bench):
+    # the committed records hold both kinds: ones made without --e2e, and
+    # one with its end-to-end entries; each compares with the other on the
+    # layer entries they share
+    records = [bench._load(str(path)) for path in sorted(ROOT.glob("BENCH_*.json"))]
+    without = [r for r in records if not set(bench.E2E) & set(r["entries"])]
+    with_e2e = [r for r in records if set(bench.E2E) <= set(r["entries"])]
+    assert without and with_e2e
+    old, new = without[0], with_e2e[-1]
+    shared = set(old["entries"]) & set(new["entries"])
+    assert shared and not shared & set(bench.E2E)
+    for a, b in ((old, new), (new, old)):
+        assert {line.split(" [")[0] for line in bench.compare(a, b)} == shared
 
 
 @pytest.mark.parametrize("spoil, match", [

@@ -217,9 +217,8 @@ def transient_parts(cfg: cli.ExperimentConfig, p: NetworkParams, t0: float):
     drawn start state per phase of ``cli._phases``."""
     state = initial_conditions(cfg.params, cfg.ic)
     parts = []
-    for t_end, spacing in cli._phases(state.t, t0, cfg):
-        parts.append(integrate(p, state, t_end, dt=cfg.dt_mf,
-                               sample_every=round(spacing / cfg.dt_mf)))
+    for t_end, every in cli._phases(state.t, t0, cfg):
+        parts.append(integrate(p, state, t_end, dt=cfg.dt_mf, sample_every=every))
         state = parts[-1].final_state
     return parts
 
@@ -559,10 +558,83 @@ class TestConfigErrors:
         }
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        # the window was sampled every 0.02, the manifest echoing 0.015
+        ("window_spacing", 0.015),
+        # t0 is above classify_window, so the sparse transient runs
+        ("sample_spacing", 0.015),
+        # the window start was rounded to 7.0: the window spanned 5.0, too
+        # short to classify, and the run exited 0 with a null regime
+        ("classify_window", 5.0025),
+    ])
+    @pytest.mark.parametrize("experiment, flags", [
+        ("meanfield", []),
+        ("meanfield", ["--seeds", "1,2"]),
+        ("reproduce-paper", []),
+    ], ids=["run", "sweep", "paper"])
+    def test_a_length_off_the_dt_mf_grid_writes_nothing(
+        self, tmp_path, capsys, experiment, flags, key, value
+    ):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", **{key: value})
+        assert main([experiment, "--config", str(cfg), "--out", str(out), *flags]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "ConfigError", "exit_code": 2,
+            "message": f"{key}={value} is not a multiple of dt_mf=0.01",
+        }
+        assert not out.exists()
+
     def test_a_spacing_no_phase_uses_is_not_counted(self, tmp_path):
-        # t0 below classify_window: the run is its window alone
-        cfg = write_config(tmp_path / "c.json", t0=5.0, sample_spacing=1e308)
-        assert main(["meanfield", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        # t0 below classify_window: the run is its window alone, so it reads
+        # neither the transient's spacing nor the window's length
+        for k, overrides in enumerate([{"sample_spacing": 1e308}, {"sample_spacing": 0.015},
+                                       {"classify_window": 5.0025}]):
+            out = tmp_path / f"out{k}"
+            cfg = write_config(tmp_path / "c.json", t0=5.0, **overrides)
+            assert main(["meanfield", "--config", str(cfg), "--out", str(out)]) == 0
+            assert read_manifest(out)["regime"] is None
+
+    #: the lengths a phase may use, each drawn as a whole number of dt_mf
+    #: steps up to its bound; one of them may be off by a fraction of a step
+    LENGTHS = {"sample_spacing": 40, "window_spacing": 40, "classify_window": 200}
+
+    @given(dt=st.sampled_from([0.005, 0.01, 0.02, 0.05]), n=st.integers(1, 200),
+           steps=st.fixed_dictionaries({key: st.integers(1, most)
+                                        for key, most in LENGTHS.items()}),
+           off=st.sampled_from([None, *LENGTHS]), fraction=st.sampled_from([0.001, 0.5, 0.99]))
+    @settings(max_examples=100, deadline=None)
+    def test_lengths_on_the_grid_run_as_stated(self, dt, n, steps, off, fraction):
+        # t0 is n steps: a length off the grid that a phase uses is a config
+        # error naming it; otherwise the run samples each phase at its stated
+        # spacing, its window spans exactly min(classify_window, t0) and it
+        # has a regime exactly when t0 >= classify_window
+        t0 = n * dt
+        lengths = {key: (k + (fraction if key == off else 0.0)) * dt for key, k in steps.items()}
+        window = min(lengths["classify_window"], t0)
+        used = ["window_spacing"] + (["classify_window", "sample_spacing"] if window < t0 else [])
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "c.json", Path(tmp) / "out"
+            write_config(path, dt_mf=dt, t0=t0, **lengths)
+            if off in used:
+                with pytest.raises(cli.ConfigError, match=f"^{off}="):
+                    cli.load_config(str(path), "meanfield", None, str(out))
+                return
+            cfg = cli.load_config(str(path), "meanfield", None, str(out))
+            assert main(["meanfield", "--config", str(path), "--out", str(out)]) == 0
+            rows = (out / "meanfield_grid.csv").read_text().splitlines()[1 :: cfg.params.N]
+            times = [float(row.split(",")[0]) for row in rows]
+            regime = read_manifest(out)["regime"]
+        # each phase from its start to its end, sampled every `spacing`
+        t_mid = t0 - window
+        want = []
+        for t_from, t_end, spacing in [(0.0, t_mid, lengths["sample_spacing"]),
+                                       (t_mid, t0, lengths["window_spacing"])]:
+            if t_end > t_from:  # from the last time of the part before, if any
+                want[-1:] = [*np.arange(t_from, t_end - 1e-9, spacing), t_end]
+        assert times == pytest.approx(want, rel=0, abs=1e-9)
+        phases = cli._phases(0.0, t0, cfg)
+        assert t0 - (phases[-2][0] if len(phases) == 2 else 0.0) == pytest.approx(window, abs=1e-9)
+        assert (regime is not None) == (t0 >= lengths["classify_window"])
 
     @pytest.mark.parametrize("ic, code, message", [
         # rng.uniform raised OverflowError (exit 3) after the output

@@ -12,12 +12,18 @@ holds the median and quartiles of its per-call figure:
   exact margin), ``mi_scan`` and ``build_record``, in ms per call, at
   N = 50 and 200, on a covariance 0.05 after a vacuum start;
 * writing the phase and r^2 grid (N=50) and the covariance (N=200), in
-  MB/s.
+  MB/s;
+* with ``--e2e``, end to end in seconds per ``chimera-q`` call
+  (:data:`E2E`): ``analyze`` at the ``analyze-paper`` and ``analyze-wide``
+  benchmark configs and at the paper config (N=50, seed 1, t0 3000.5), the
+  4-seed ``meanfield`` sweep of ``sweep-transient``, and
+  ``reproduce-paper`` at the paper config.
 
 A ring of N sites has d = N/5, V = 1.2 and kappa2 = 0.2, and starts from
 the seed-1 initial conditions.  Every entry runs in its own child process,
 once with 1 and once with 2 BLAS threads, the thread variables set before
-numpy loads, and times ``REPS`` calls.  The list is swept ``ROUNDS`` times,
+numpy loads, and times ``REPS`` calls (an end-to-end entry ``E2E_REPS``,
+with no untimed call before them).  The list is swept ``ROUNDS`` times,
 so that each entry's quartiles span the drift of a shared host over the
 whole run and not only the few seconds of one child.  The record also holds
 the provenance: versions, BLAS, core count, a digest of the imported package
@@ -25,12 +31,14 @@ and of this tool, and the load average before and after.
 
 Only the package is imported: a ``PYTHONPATH`` comes first, this
 checkout's ``src/`` last, so another checkout's code can be measured from
-here.  No figure is a gate.  Usage::
+here; the end-to-end configs are read from ``benchmarks/workloads.py``.
+No figure is a gate.  Usage::
 
     python tools/bench_layers.py --label <label>       # writes BENCH_<label>.json
+    python tools/bench_layers.py --label <label> --e2e # with the end-to-end entries
     python tools/bench_layers.py --compare OLD.json    # measures, then compares
     python tools/bench_layers.py --compare OLD.json NEW.json
-    python tools/bench_layers.py --quick               # tiny sizes, schema check only
+    python tools/bench_layers.py --quick               # tiny sizes, e2e at N=6, schema only
 
 ``--compare`` prints the ratio new/old of each median and flags a move
 only when it exceeds both files' interquartile spreads.
@@ -40,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import platform
@@ -58,6 +67,9 @@ SCHEMA = 1
 #: entries: of a full run, and of ``--quick``
 REPS, ROUNDS = 5, 3
 QUICK_REPS, QUICK_ROUNDS = 3, 1
+#: timed calls per end-to-end entry, thread setting and sweep, of a full
+#: run (a paper-config reproduce-paper takes over a minute) and of --quick
+E2E_REPS, QUICK_E2E_REPS = 1, 2
 #: seconds a child may take
 CHILD_TIMEOUT_S = 600
 
@@ -76,6 +88,34 @@ ENTRIES = {
     "io.grid_csv.N50": ("MB/s", "higher", ("grid_csv", 50, 2000)),
     "io.covariance_csv.N200": ("MB/s", "higher", ("covariance_csv", 200)),
 }
+
+sys.path.append(str(ROOT / "benchmarks"))
+from workloads import WORKLOADS  # noqa: E402
+
+#: the paper config: N=50, seed 1, each experiment's default snapshot times
+PAPER_CONFIG = {"params": {"N": 50, "d": 10, "V": 1.2, "kappa2": 0.2}, "ic": {"seed": 1}}
+
+#: name -> (unit, better, (experiment, config, CLI arguments)) of each
+#: end-to-end entry, measured with --e2e and, at N=6, with --quick
+E2E = {
+    name: ("s/call", "lower", ("e2e", experiment, config, args))
+    for name, experiment, config, args in (
+        ("e2e.analyze_paper", "analyze", WORKLOADS["analyze-paper"].config, []),
+        ("e2e.analyze_wide", "analyze", WORKLOADS["analyze-wide"].config, []),
+        ("e2e.sweep_transient", "meanfield", WORKLOADS["sweep-transient"].config,
+         ["--seeds", "1,2,3,4"]),
+        ("e2e.analyze_paper_config", "analyze", PAPER_CONFIG, []),
+        ("e2e.reproduce_paper", "reproduce-paper", PAPER_CONFIG, []),
+    )
+}
+
+
+def _quick_config(config: dict) -> dict:
+    """``config`` at N=6, every snapshot time at most 12.5."""
+    states = [{"name": name, "V": V, "t0": 12.5}
+              for name, V in (("chimera", 1.2), ("synchronized", 1.6), ("desynchronized", 0.8))]
+    return {**config, "params": {**config["params"], "N": 6, "d": 2},
+            "t0": min(config.get("t0", 12.5), 12.5), "fig_states": states}
 
 
 def _import_package():
@@ -101,6 +141,18 @@ def _setup(cq, spec: tuple, quick: bool, scratch: Path):
     import numpy as np
     from chimeraq import cli, fluctuations, io
 
+    if spec[0] == "e2e":
+        experiment, config, args = spec[1:]
+        path = scratch / "config.json"
+        path.write_text(json.dumps(_quick_config(config) if quick else config))
+        calls = itertools.count()
+
+        def run():  # each call into a directory of its own
+            argv = [experiment, "--config", str(path), "--out", str(scratch / f"{next(calls)}")]
+            if cli.main(argv) != 0:
+                raise RuntimeError(f"chimera-q {' '.join(argv)} failed")
+
+        return run, lambda sec: sec
     kind, N, *size = spec
     scale = 10 if quick else 1
     p, s0 = _ring(cq, N)
@@ -149,12 +201,14 @@ def _setup(cq, spec: tuple, quick: bool, scratch: Path):
 
 def child(name: str, quick: bool) -> list[float]:
     """The entry's figure for each of the timed calls, after one untimed
-    call."""
+    call (none for an end-to-end entry)."""
     cq = _import_package()
-    reps = QUICK_REPS if quick else REPS
+    e2e = name in E2E
+    reps = (QUICK_E2E_REPS if e2e else QUICK_REPS) if quick else (E2E_REPS if e2e else REPS)
     with tempfile.TemporaryDirectory() as tmp:
-        call, figure = _setup(cq, ENTRIES[name][2], quick, Path(tmp))
-        call()
+        call, figure = _setup(cq, {**ENTRIES, **E2E}[name][2], quick, Path(tmp))
+        if not e2e:
+            call()
         values = []
         for _ in range(reps):
             t = time.perf_counter()
@@ -207,20 +261,22 @@ def provenance(quick: bool) -> dict:
         "src_sha256": _sha256(package.glob("*.py")),
         "tool_sha256": _sha256([Path(__file__).resolve()]),
         "reps": QUICK_REPS if quick else REPS,
+        "e2e_reps": QUICK_E2E_REPS if quick else E2E_REPS,
         "rounds": QUICK_ROUNDS if quick else ROUNDS,
         "quick": quick,
     }
 
 
-def measure(label: str, quick: bool) -> dict:
-    """The record of the sweeps over ENTRIES; the thread setting that goes
-    first alternates from sweep to sweep."""
+def measure(label: str, quick: bool, e2e: bool) -> dict:
+    """The record of the sweeps over ENTRIES, and E2E if ``e2e``; the thread
+    setting that goes first alternates from sweep to sweep."""
     record = {"schema": SCHEMA, "label": label, "provenance": provenance(quick)}
     record["provenance"]["loadavg_before"] = list(os.getloadavg())
-    values = {name: {t: [] for t in THREADS} for name in ENTRIES}
+    entries = {**ENTRIES, **(E2E if e2e else {})}
+    values = {name: {t: [] for t in THREADS} for name in entries}
     rounds = QUICK_ROUNDS if quick else ROUNDS
     for r in range(rounds):
-        for name in ENTRIES:
+        for name in entries:
             for t in THREADS[:: 1 if r % 2 == 0 else -1]:
                 values[name][t] += _run_child(name, t, quick)
         print(f"round {r + 1} of {rounds} done", file=sys.stderr, flush=True)
@@ -228,7 +284,7 @@ def measure(label: str, quick: bool) -> dict:
     record["entries"] = {
         name: {"unit": unit, "better": better,
                "threads": {t: _summary(values[name][t]) for t in THREADS}}
-        for name, (unit, better, _) in ENTRIES.items()
+        for name, (unit, better, _) in entries.items()
     }
     check_schema(record)
     return record
@@ -254,8 +310,9 @@ def check_schema(record: dict) -> None:
         unit, better = entry.get("unit"), entry.get("better")
         if not isinstance(unit, str) or better not in ("lower", "higher"):
             raise ValueError(f"{name}: bad unit or direction {unit!r}, {better!r}")
-        if name in ENTRIES and ENTRIES[name][:2] != (unit, better):
-            raise ValueError(f"{name}: unit or direction is not {ENTRIES[name][:2]}")
+        known = ENTRIES.get(name) or E2E.get(name)
+        if known and known[:2] != (unit, better):
+            raise ValueError(f"{name}: unit or direction is not {known[:2]}")
         if not isinstance(entry.get("threads"), dict) or not entry["threads"]:
             raise ValueError(f"{name}: no thread settings")
         for t, s in entry["threads"].items():
@@ -296,7 +353,10 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", help="names the record BENCH_<label>.json at the repo root")
     ap.add_argument("--quick", action="store_true",
-                    help="tiny sizes, one round of 3 calls; checks the schema, writes nothing")
+                    help="tiny sizes and every e2e entry at N=6, one round; checks the schema, "
+                         "writes nothing")
+    ap.add_argument("--e2e", action="store_true",
+                    help="add the end-to-end chimera-q entries (minutes per sweep)")
     ap.add_argument("--compare", nargs="+", metavar="JSON",
                     help="OLD [NEW]: compare NEW, or a fresh measurement, with OLD")
     ap.add_argument("--child", help=argparse.SUPPRESS)
@@ -311,12 +371,12 @@ def main(argv=None) -> int:
     else:
         old = _load(args.compare[0]) if args.compare else None
         if args.quick:
-            new = measure("quick", True)
+            new = measure("quick", True, True)
             print(f"schema {SCHEMA} holds for {len(new['entries'])} entries")
         else:
             if not args.label:
                 ap.error("a measurement needs --label")
-            new = measure(args.label, False)
+            new = measure(args.label, False, args.e2e)
             path = ROOT / f"BENCH_{args.label}.json"
             path.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
             print(f"wrote {path.name}")

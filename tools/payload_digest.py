@@ -16,9 +16,9 @@ Runs in one process, into a temporary directory:
 * ``analyze`` at the ``analyze-paper`` and ``analyze-wide`` benchmark
   configs;
 * hostile configs that must exit without writing: those of CI's
-  console-script step, a start state whose draw is not finite, an
-  ``--out`` that names a file, and one value just outside each bound a
-  config key declares (:data:`BREAKS`).
+  console-script step, two lengths off the ``dt_mf`` grid, a start state
+  whose draw is not finite, an ``--out`` that names a file, and one value
+  just outside each bound a config key declares (:data:`BREAKS`).
 
 For each run it prints the exit code, then each line the run wrote to
 stderr (``stderr  <line>``), then one ``<sha256>  <run>/<path>`` line per
@@ -135,6 +135,10 @@ HOSTILE = [
      {**SMALL, "fig_states": [{"name": "chimera", "V": -1, "t0": 12.0}]}, []),
     ("uncountable-spacing-sweep", "meanfield", {**SMALL, "sample_spacing": 1e308},
      ["--seeds", "1,2"]),
+    # lengths off the dt_mf grid: a window spacing between two step counts,
+    # and a classify window whose start is 7.4975, between two steps
+    ("off-grid-window-spacing", "meanfield", {**SMALL, "window_spacing": 0.015}, []),
+    ("off-grid-classify-window", "meanfield", {**SMALL, "classify_window": 5.0025}, []),
     # sigma**2 underflows: the draw is not finite
     ("tiny-sigma", "meanfield", {**SMALL, "ic": {"seed": 1, "sigma": 1e-170}}, []),
     # the last --out wins: one that names a file
