@@ -232,7 +232,8 @@ def _phases(start: float, t0: float, cfg: ExperimentConfig) -> list[tuple[float,
     the transient every ``sample_spacing``, then the classify window of
     ``min(classify_window, t0 - start)`` every ``window_spacing``.  Raises
     ValueError or OverflowError if ``t0`` is off the ``dt_mf`` grid from
-    ``start``, ConfigError if a length a phase uses is not whole steps."""
+    ``start``, ConfigError if a length a phase uses is not whole steps (a
+    classify window to the absolute 1e-9 of the span check that reads it)."""
     dt = cfg.dt_mf
 
     def steps(key: str) -> int:
@@ -246,9 +247,9 @@ def _phases(start: float, t0: float, cfg: ExperimentConfig) -> list[tuple[float,
 
     if t0 == start:
         return []
-    if cfg.classify_window < t0 - start:
-        steps("classify_window")
     window = min(cfg.classify_window, t0 - start)
+    if window < t0 - start and abs(steps("classify_window") * dt - window) > 1e-9:
+        raise ConfigError(f"classify_window={window} is not a multiple of dt_mf={dt}")
     t_mid = start + round((t0 - window - start) / dt) * dt  # start: the window is the run
     _step_count(t_mid, t0, dt)
     phases = [(t0, steps("window_spacing"))]
@@ -259,11 +260,8 @@ def _phases(start: float, t0: float, cfg: ExperimentConfig) -> list[tuple[float,
 
 def _classify_window(parts: list[MeanFieldTrajectory], cfg: ExperimentConfig):
     """The regime of the last part, the fine window, if it is long enough."""
-    if not parts:
-        return None
-    fine = parts[-1]
-    span = float(fine.times[-1] - fine.times[0])
-    if span + 1e-9 < cfg.classify_window:
+    fine = parts[-1] if parts else None
+    if fine is None or fine.times[-1] - fine.times[0] + 1e-9 < cfg.classify_window:
         return None
     return classify(
         fine, window=cfg.classify_window,

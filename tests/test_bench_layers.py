@@ -52,9 +52,9 @@ def test_a_record_of_other_entries_still_loads_and_compares(bench):
 
 
 def test_a_record_without_e2e_entries_still_loads_and_compares(bench):
-    # the committed records hold both kinds: ones made without --e2e, and
-    # one with its end-to-end entries; each compares with the other on the
-    # layer entries they share
+    # the committed records hold both kinds: ones made before the tool had
+    # end-to-end entries, and one with them; each compares with the other
+    # on the layer entries they share
     records = [bench._load(str(path)) for path in sorted(ROOT.glob("BENCH_*.json"))]
     without = [r for r in records if not set(bench.E2E) & set(r["entries"])]
     with_e2e = [r for r in records if set(bench.E2E) <= set(r["entries"])]

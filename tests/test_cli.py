@@ -558,14 +558,17 @@ class TestConfigErrors:
         }
         assert not out.exists()
 
-    @pytest.mark.parametrize("key, value", [
+    @pytest.mark.parametrize("key, value, t0", [
         # the window was sampled every 0.02, the manifest echoing 0.015
-        ("window_spacing", 0.015),
+        ("window_spacing", 0.015, 12.0),
         # t0 is above classify_window, so the sparse transient runs
-        ("sample_spacing", 0.015),
+        ("sample_spacing", 0.015, 12.0),
         # the window start was rounded to 7.0: the window spanned 5.0, too
         # short to classify, and the run exited 0 with a null regime
-        ("classify_window", 5.0025),
+        ("classify_window", 5.0025, 12.0),
+        # within 1e-9 relative of 1000 steps, but the window of 1000.0 is
+        # short of it by more than the span check's absolute 1e-9
+        ("classify_window", 1000.0000005, 1012.0),
     ])
     @pytest.mark.parametrize("experiment, flags", [
         ("meanfield", []),
@@ -573,10 +576,10 @@ class TestConfigErrors:
         ("reproduce-paper", []),
     ], ids=["run", "sweep", "paper"])
     def test_a_length_off_the_dt_mf_grid_writes_nothing(
-        self, tmp_path, capsys, experiment, flags, key, value
+        self, tmp_path, capsys, experiment, flags, key, value, t0
     ):
         out = tmp_path / "out"
-        cfg = write_config(tmp_path / "c.json", **{key: value})
+        cfg = write_config(tmp_path / "c.json", t0=t0, **{key: value})
         assert main([experiment, "--config", str(cfg), "--out", str(out), *flags]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == {
             "type": "ConfigError", "exit_code": 2,

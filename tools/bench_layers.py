@@ -13,11 +13,10 @@ holds the median and quartiles of its per-call figure:
   N = 50 and 200, on a covariance 0.05 after a vacuum start;
 * writing the phase and r^2 grid (N=50) and the covariance (N=200), in
   MB/s;
-* with ``--e2e``, end to end in seconds per ``chimera-q`` call
-  (:data:`E2E`): ``analyze`` at the ``analyze-paper`` and ``analyze-wide``
-  benchmark configs and at the paper config (N=50, seed 1, t0 3000.5), the
-  4-seed ``meanfield`` sweep of ``sweep-transient``, and
-  ``reproduce-paper`` at the paper config.
+* end to end in seconds per ``chimera-q`` call (:data:`E2E`): ``analyze``
+  and ``reproduce-paper`` at the paper config (N=50, seed 1, t0 3000.5).
+  The three benchmark workloads are timed end to end by
+  ``benchmarks/run.py``, not here.
 
 A ring of N sites has d = N/5, V = 1.2 and kappa2 = 0.2, and starts from
 the seed-1 initial conditions.  Every entry runs in its own child process,
@@ -31,14 +30,12 @@ and of this tool, and the load average before and after.
 
 Only the package is imported: a ``PYTHONPATH`` comes first, this
 checkout's ``src/`` last, so another checkout's code can be measured from
-here; the end-to-end configs are read from ``benchmarks/workloads.py``.
-No figure is a gate.  Usage::
+here.  No figure is a gate.  Usage::
 
-    python tools/bench_layers.py --label <label>       # writes BENCH_<label>.json
-    python tools/bench_layers.py --label <label> --e2e # with the end-to-end entries
-    python tools/bench_layers.py --compare OLD.json    # measures, then compares
+    python tools/bench_layers.py --label <label>     # writes BENCH_<label>.json
+    python tools/bench_layers.py --compare OLD.json  # measures, then compares
     python tools/bench_layers.py --compare OLD.json NEW.json
-    python tools/bench_layers.py --quick               # tiny sizes, e2e at N=6, schema only
+    python tools/bench_layers.py --quick             # tiny sizes, e2e at N=6, schema only
 
 ``--compare`` prints the ratio new/old of each median and flags a move
 only when it exceeds both files' interquartile spreads.
@@ -89,33 +86,24 @@ ENTRIES = {
     "io.covariance_csv.N200": ("MB/s", "higher", ("covariance_csv", 200)),
 }
 
-sys.path.append(str(ROOT / "benchmarks"))
-from workloads import WORKLOADS  # noqa: E402
-
 #: the paper config: N=50, seed 1, each experiment's default snapshot times
 PAPER_CONFIG = {"params": {"N": 50, "d": 10, "V": 1.2, "kappa2": 0.2}, "ic": {"seed": 1}}
 
-#: name -> (unit, better, (experiment, config, CLI arguments)) of each
-#: end-to-end entry, measured with --e2e and, at N=6, with --quick
+#: name -> (unit, better, (experiment, config)) of each end-to-end entry,
+#: at N=6 with --quick
 E2E = {
-    name: ("s/call", "lower", ("e2e", experiment, config, args))
-    for name, experiment, config, args in (
-        ("e2e.analyze_paper", "analyze", WORKLOADS["analyze-paper"].config, []),
-        ("e2e.analyze_wide", "analyze", WORKLOADS["analyze-wide"].config, []),
-        ("e2e.sweep_transient", "meanfield", WORKLOADS["sweep-transient"].config,
-         ["--seeds", "1,2,3,4"]),
-        ("e2e.analyze_paper_config", "analyze", PAPER_CONFIG, []),
-        ("e2e.reproduce_paper", "reproduce-paper", PAPER_CONFIG, []),
-    )
+    name: ("s/call", "lower", ("e2e", experiment, PAPER_CONFIG))
+    for name, experiment in (("e2e.analyze_paper_config", "analyze"),
+                             ("e2e.reproduce_paper", "reproduce-paper"))
 }
 
 
 def _quick_config(config: dict) -> dict:
-    """``config`` at N=6, every snapshot time at most 12.5."""
+    """``config`` at N=6, every snapshot time 12.5."""
     states = [{"name": name, "V": V, "t0": 12.5}
               for name, V in (("chimera", 1.2), ("synchronized", 1.6), ("desynchronized", 0.8))]
     return {**config, "params": {**config["params"], "N": 6, "d": 2},
-            "t0": min(config.get("t0", 12.5), 12.5), "fig_states": states}
+            "t0": 12.5, "fig_states": states}
 
 
 def _import_package():
@@ -142,7 +130,7 @@ def _setup(cq, spec: tuple, quick: bool, scratch: Path):
     from chimeraq import cli, fluctuations, io
 
     if spec[0] == "e2e":
-        experiment, config, args = spec[1:]
+        experiment, config = spec[1:]
         path = scratch / "config.json"
         path.write_text(json.dumps(_quick_config(config) if quick else config))
         calls = itertools.count()
@@ -267,12 +255,12 @@ def provenance(quick: bool) -> dict:
     }
 
 
-def measure(label: str, quick: bool, e2e: bool) -> dict:
-    """The record of the sweeps over ENTRIES, and E2E if ``e2e``; the thread
-    setting that goes first alternates from sweep to sweep."""
+def measure(label: str, quick: bool) -> dict:
+    """The record of the sweeps over ENTRIES and E2E; the thread setting
+    that goes first alternates from sweep to sweep."""
     record = {"schema": SCHEMA, "label": label, "provenance": provenance(quick)}
     record["provenance"]["loadavg_before"] = list(os.getloadavg())
-    entries = {**ENTRIES, **(E2E if e2e else {})}
+    entries = {**ENTRIES, **E2E}
     values = {name: {t: [] for t in THREADS} for name in entries}
     rounds = QUICK_ROUNDS if quick else ROUNDS
     for r in range(rounds):
@@ -355,8 +343,6 @@ def main(argv=None) -> int:
     ap.add_argument("--quick", action="store_true",
                     help="tiny sizes and every e2e entry at N=6, one round; checks the schema, "
                          "writes nothing")
-    ap.add_argument("--e2e", action="store_true",
-                    help="add the end-to-end chimera-q entries (minutes per sweep)")
     ap.add_argument("--compare", nargs="+", metavar="JSON",
                     help="OLD [NEW]: compare NEW, or a fresh measurement, with OLD")
     ap.add_argument("--child", help=argparse.SUPPRESS)
@@ -371,12 +357,12 @@ def main(argv=None) -> int:
     else:
         old = _load(args.compare[0]) if args.compare else None
         if args.quick:
-            new = measure("quick", True, True)
+            new = measure("quick", True)
             print(f"schema {SCHEMA} holds for {len(new['entries'])} entries")
         else:
             if not args.label:
                 ap.error("a measurement needs --label")
-            new = measure(args.label, False, args.e2e)
+            new = measure(args.label, False)
             path = ROOT / f"BENCH_{args.label}.json"
             path.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
             print(f"wrote {path.name}")
